@@ -441,13 +441,13 @@ type routeBenchSpout struct {
 }
 
 func (s *routeBenchSpout) Open(ctx *topology.SpoutContext) error { s.ctx = ctx; return nil }
-func (s *routeBenchSpout) NextTuple() bool {
+func (s *routeBenchSpout) Next() {
 	if s.sent >= s.n {
-		return false
+		s.ctx.Park()
+		return
 	}
 	s.ctx.Emit(s.vals[s.sent&1023])
 	s.sent++
-	return true
 }
 func (s *routeBenchSpout) Ack(topology.MsgID)  {}
 func (s *routeBenchSpout) Fail(topology.MsgID) {}
@@ -459,13 +459,13 @@ type benchSpout struct {
 }
 
 func (s *benchSpout) Open(ctx *topology.SpoutContext) error { s.ctx = ctx; return nil }
-func (s *benchSpout) NextTuple() bool {
+func (s *benchSpout) Next() {
 	if s.sent >= s.n {
-		return false
+		s.ctx.Park()
+		return
 	}
 	s.ctx.Emit(topology.Values{s.sent & 1023})
 	s.sent++
-	return true
 }
 func (s *benchSpout) Ack(topology.MsgID)  {}
 func (s *benchSpout) Fail(topology.MsgID) {}
@@ -494,7 +494,18 @@ func (bb *benchBolt) Cleanup() {}
 // BenchmarkEndToEndNotification measures a full round trip: application
 // server write -> database -> event layer -> cluster match -> notification
 // -> subscription event.
-func BenchmarkEndToEndNotification(b *testing.B) {
+func BenchmarkEndToEndNotification(b *testing.B) { benchEndToEndNotification(b, 0) }
+
+// BenchmarkEndToEndNotificationPaced is the same round trip with 3 ms of
+// silence before every write — the sparse-arrival regime real subscriptions
+// see, which the back-to-back loop above hides: a spout that polls is asleep
+// when the write arrives, a parked one is not. ns/op includes the pauses;
+// notify-ns/op is the write → event latency alone.
+func BenchmarkEndToEndNotificationPaced(b *testing.B) {
+	benchEndToEndNotification(b, 3*time.Millisecond)
+}
+
+func benchEndToEndNotification(b *testing.B, gap time.Duration) {
 	dep, err := Open(Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -505,8 +516,13 @@ func BenchmarkEndToEndNotification(b *testing.B) {
 		b.Fatal(err)
 	}
 	<-sub.C() // initial
+	var latency time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if gap > 0 {
+			time.Sleep(gap)
+		}
+		start := time.Now()
 		if err := dep.Server.Insert("c", Document{"_id": fmt.Sprint(i), "hot": true}); err != nil {
 			b.Fatal(err)
 		}
@@ -514,7 +530,9 @@ func BenchmarkEndToEndNotification(b *testing.B) {
 		if ev.Type != EventAdd {
 			b.Fatalf("event %v", ev.Type)
 		}
+		latency += time.Since(start)
 	}
+	b.ReportMetric(float64(latency.Nanoseconds())/float64(b.N), "notify-ns/op")
 }
 
 // BenchmarkWriteBatchIngest measures the batched write-ingestion path at the
@@ -640,7 +658,7 @@ func BenchmarkAblationAcking(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			done := make(chan struct{})
 			var count int
-			spout := &ackBenchSpout{n: b.N}
+			spout := &benchSpout{n: b.N}
 			builder := topology.NewBuilder()
 			builder.SetSpout("src", func() topology.Spout { return spout }, 1, "key")
 			builder.SetBolt("sink", func() topology.Bolt {
@@ -664,26 +682,6 @@ func BenchmarkAblationAcking(b *testing.B) {
 		})
 	}
 }
-
-// ackBenchSpout is benchSpout with functional Ack/Fail (required when the
-// acker is enabled).
-type ackBenchSpout struct {
-	n, sent int
-	ctx     *topology.SpoutContext
-}
-
-func (s *ackBenchSpout) Open(ctx *topology.SpoutContext) error { s.ctx = ctx; return nil }
-func (s *ackBenchSpout) NextTuple() bool {
-	if s.sent >= s.n {
-		return false
-	}
-	s.ctx.Emit(topology.Values{s.sent & 1023})
-	s.sent++
-	return true
-}
-func (s *ackBenchSpout) Ack(topology.MsgID)  {}
-func (s *ackBenchSpout) Fail(topology.MsgID) {}
-func (s *ackBenchSpout) Close()              {}
 
 // BenchmarkAblationSlack quantifies the §5.2 slack trade-off end to end:
 // renewal frequency under head-of-window deletions with minimal vs generous

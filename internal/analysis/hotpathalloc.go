@@ -14,6 +14,8 @@ import (
 // Flagged constructs:
 //   - calls into the fmt print family, errors.New, strings.Join/Repeat,
 //     strconv.Quote/Format* — formatting always allocates;
+//   - time.After/NewTimer/NewTicker/Tick/AfterFunc — one runtime timer per
+//     call, which is how a per-iteration poll timeout shows up in a loop;
 //   - string concatenation with non-constant operands;
 //   - make() and new();
 //   - pointer-to-composite literals (&T{...}) and map/slice/func literals —
@@ -51,6 +53,7 @@ var allocFmtFuncs = map[string]map[string]bool{
 	"errors":  {"New": true},
 	"strings": {"Join": true, "Repeat": true, "ToLower": true, "ToUpper": true, "Split": true},
 	"strconv": {"Quote": true, "FormatInt": true, "FormatUint": true, "FormatFloat": true, "Itoa": true},
+	"time":    {"After": true, "NewTimer": true, "NewTicker": true, "Tick": true, "AfterFunc": true},
 }
 
 func runHotpathAlloc(pass *Pass) (any, error) {

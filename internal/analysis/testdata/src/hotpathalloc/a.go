@@ -3,6 +3,7 @@ package fixture
 import (
 	"errors"
 	"fmt"
+	"time"
 )
 
 type payload struct {
@@ -42,6 +43,16 @@ func hotAllocs(s sink, m map[string]int, b []byte, name string, n int) int {
 	s.accept(payload{id: n}) // want `boxes fixture/hotpathalloc\.payload into interface`
 	s.accept(7)              // constants box into read-only statics: fine
 	return m[string(b)]      // compiler-optimized map index: fine
+}
+
+//invalidb:hotpath
+func hotPollTimeout(in <-chan int) int {
+	select {
+	case v := <-in:
+		return v
+	case <-time.After(time.Millisecond): // want `time\.After allocates in hot path`
+		return 0
+	}
 }
 
 //invalidb:hotpath

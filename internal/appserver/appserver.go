@@ -133,6 +133,7 @@ type Server struct {
 	subsByHash map[uint64]map[string]*Subscription
 	renewals   map[uint64]time.Time // per-query poll rate limit
 	closed     bool
+	attached   uint64 // subscriptions ever attached; the next one's extendSlot
 
 	notifSub  eventlayer.Subscription
 	lastHB    time.Time
@@ -396,10 +397,10 @@ func (s *Server) Subscribe(spec query.Spec) (*Subscription, error) {
 
 	hash := core.TenantQueryHash(s.opts.Tenant, q)
 	sub := &Subscription{
-		server:   s,
-		id:       s.newSubscriptionID(),
-		q:        q,
-		hash:     hash,
+		server:  s,
+		id:      s.newSubscriptionID(),
+		q:       q,
+		hash:    hash,
 		ordered: q.Ordered(),
 		slack:   s.opts.Slack,
 		docs:    map[string]document.Document{},
@@ -441,6 +442,8 @@ func (s *Server) Subscribe(spec query.Spec) (*Subscription, error) {
 // attach registers a subscription in the routing tables.
 func (s *Server) attach(sub *Subscription) {
 	s.mu.Lock()
+	sub.extendSlot = s.attached
+	s.attached++
 	s.subsByID[sub.id] = sub
 	byHash := s.subsByHash[sub.hash]
 	if byHash == nil {
@@ -632,11 +635,38 @@ func (s *Server) renew(hash uint64, sub *Subscription) {
 // pull-query load the poll frequency rate limit bounds (§5.2).
 func (s *Server) Renewals() uint64 { return s.renewalsCtr.Load() }
 
+// TTL extensions are paced: ExtendInterval is cut into slices and each tick
+// extends only the subscriptions of one slice, so no burst of extend requests
+// ever exceeds 1/extendSlices of the population. One extend per subscription
+// published back to back overflows the broker's drop-oldest session queue
+// (4 096 frames) beyond ~4 000 subscriptions — and what it drops are writes.
+const (
+	extendSlices  = 64
+	minExtendTick = 5 * time.Millisecond // coarser slicing for very short intervals
+)
+
+// extendSchedule cuts the extend interval into ticks. A subscription belongs
+// to slice extendSlot % slices and every slice comes round once per interval,
+// so each subscription is extended exactly once per ExtendInterval, the first
+// time less than one interval after it attached.
+func extendSchedule(interval time.Duration) (tick time.Duration, slices int) {
+	slices = extendSlices
+	if interval/extendSlices < minExtendTick {
+		slices = int(interval / minExtendTick)
+		if slices < 1 {
+			slices = 1
+		}
+	}
+	return interval / time.Duration(slices), slices
+}
+
 // maintenanceLoop extends TTLs and watches heartbeats.
 func (s *Server) maintenanceLoop() {
 	defer s.wg.Done()
-	extend := time.NewTicker(s.opts.ExtendInterval)
+	tick, slices := extendSchedule(s.opts.ExtendInterval)
+	extend := time.NewTicker(tick)
 	defer extend.Stop()
+	slice := 0
 	// Check the heartbeat a few times per timeout so short timeouts (tests,
 	// aggressive deployments) are detected promptly.
 	interval := 500 * time.Millisecond
@@ -653,7 +683,8 @@ func (s *Server) maintenanceLoop() {
 		case <-s.done:
 			return
 		case <-extend.C:
-			s.extendAll()
+			s.extendSlice(slice, slices)
+			slice = (slice + 1) % slices
 		case <-hbCheck.C:
 			if s.opts.HeartbeatTimeout < 0 {
 				continue
@@ -672,11 +703,14 @@ func (s *Server) maintenanceLoop() {
 	}
 }
 
-func (s *Server) extendAll() {
+// extendSlice publishes the TTL extension of every subscription in one slice.
+func (s *Server) extendSlice(slice, slices int) {
 	s.mu.Lock()
-	subs := make([]*Subscription, 0, len(s.subsByID))
+	var subs []*Subscription
 	for _, sub := range s.subsByID {
-		subs = append(subs, sub)
+		if sub.extendSlot%uint64(slices) == uint64(slice) {
+			subs = append(subs, sub)
+		}
 	}
 	s.mu.Unlock()
 	for _, sub := range subs {

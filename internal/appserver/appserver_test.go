@@ -118,22 +118,23 @@ func TestSlackAblation(t *testing.T) {
 	}
 }
 
-// TestOverTCPBroker drives the full stack across the TCP event layer — the
-// multi-process deployment shape (eventlayerd + invalidb-server +
-// application server), here with each component holding its own broker
+// newTCPStack boots the multi-process deployment shape (eventlayerd +
+// invalidb-server + application server) in one process: a TCP broker, a 2×2
+// cluster and one application server, each component holding its own broker
 // connection.
-func TestOverTCPBroker(t *testing.T) {
+func newTCPStack(t *testing.T, serverOpts Options) (*tcp.Server, *Server) {
+	t.Helper()
 	broker, err := tcp.Serve("127.0.0.1:0", tcp.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer broker.Close()
+	t.Cleanup(func() { _ = broker.Close() })
 
 	clusterBus, err := tcp.Dial(broker.Addr(), tcp.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer clusterBus.Close()
+	t.Cleanup(func() { _ = clusterBus.Close() })
 	cluster, err := core.NewCluster(clusterBus, core.Options{
 		QueryPartitions:   2,
 		WritePartitions:   2,
@@ -146,21 +147,26 @@ func TestOverTCPBroker(t *testing.T) {
 	if err := cluster.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Stop()
+	t.Cleanup(cluster.Stop)
 
 	serverBus, err := tcp.Dial(broker.Addr(), tcp.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer serverBus.Close()
-	db := storage.Open(storage.Options{})
-	srv, err := New(db, serverBus, Options{})
+	t.Cleanup(func() { _ = serverBus.Close() })
+	srv, err := New(storage.Open(storage.Options{}), serverBus, serverOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { _ = srv.Close() })
 
 	time.Sleep(50 * time.Millisecond) // let broker subscriptions settle
+	return broker, srv
+}
+
+// TestOverTCPBroker drives the full stack across the TCP event layer.
+func TestOverTCPBroker(t *testing.T) {
+	_, srv := newTCPStack(t, Options{})
 	spec := query.Spec{Collection: "c", Filter: map[string]any{"x": 1}}
 	sub, err := srv.Subscribe(spec)
 	if err != nil {
@@ -178,6 +184,37 @@ func TestOverTCPBroker(t *testing.T) {
 	}
 	if ev := waitEvent(t, sub, EventRemove); ev.Key != "k" {
 		t.Fatalf("remove over TCP: %+v", ev)
+	}
+}
+
+// TestExtendPacingKeepsBrokerQueueBounded: 5 000 subscriptions on one
+// application server — more than the broker's 4 096-frame drop-oldest session
+// queue — must not cost a single dropped frame when their TTLs are extended.
+// Published back to back, one round of extends overflows the cluster's
+// session and the frames dropped are whatever was queued first: writes.
+func TestExtendPacingKeepsBrokerQueueBounded(t *testing.T) {
+	const subs = 5000
+	interval := 500 * time.Millisecond
+	broker, srv := newTCPStack(t, Options{ExtendInterval: interval})
+	for i := 0; i < subs; i++ {
+		if _, err := srv.Subscribe(query.Spec{Collection: "c", Filter: map[string]any{"x": i}}); err != nil {
+			t.Fatal(err)
+		}
+		if i%250 == 249 {
+			time.Sleep(10 * time.Millisecond) // the test paces its own subscribe burst
+		}
+	}
+	published, _, dropped := broker.Stats()
+	if dropped != 0 {
+		t.Fatalf("set-up itself dropped %d frames", dropped)
+	}
+	time.Sleep(2*interval + interval/4)
+	after, _, dropped := broker.Stats()
+	if dropped != 0 {
+		t.Fatalf("broker dropped %d frames across two extend intervals of %d subscriptions", dropped, subs)
+	}
+	if extends := after - published; extends < 2*subs {
+		t.Fatalf("%d frames published in two intervals, want at least one extend per subscription and interval (%d)", extends, 2*subs)
 	}
 }
 

@@ -325,6 +325,51 @@ func TestSortedQueryMaintenanceErrorAndRenewal(t *testing.T) {
 	}
 }
 
+// TestSortedWindowHorizonAfterLosingMembers: once the tracked region of a
+// sorted limit query has shrunk below offset+limit+slack, an add that sorts
+// past its last entry is beyond the horizon — untracked documents precede it
+// — and must never surface in the window ahead of them.
+func TestSortedWindowHorizonAfterLosingMembers(t *testing.T) {
+	e := newEnv(t, core.Options{}, Options{Slack: 2, MaxSlack: 2, RenewalMinInterval: time.Millisecond})
+	for i := 0; i < 20; i++ {
+		if err := e.server.Insert("s", document.Document{"_id": fmt.Sprintf("k%02d", i), "rank": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := query.Spec{
+		Collection: "s",
+		Sort:       []query.SortKey{{Path: "rank"}},
+		Limit:      3,
+	}
+	sub, err := e.server.Subscribe(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainInitial(t, sub)
+	// Tracked: k00..k04 of 20. The two slack members leave; the window is
+	// still full, so the query stays maintainable.
+	for _, k := range []string{"k03", "k04"} {
+		if err := e.server.Delete("s", k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expectNoEvent(t, sub, 100*time.Millisecond)
+	// Sorts after k02, the last tracked entry, but also after k05..k19.
+	if err := e.server.Insert("s", document.Document{"_id": "late", "rank": 50}); err != nil {
+		t.Fatal(err)
+	}
+	expectNoEvent(t, sub, 100*time.Millisecond)
+	// A window member leaves: its replacement is k05, not the late add.
+	if err := e.server.Delete("s", "k00"); err != nil {
+		t.Fatal(err)
+	}
+	waitEvent(t, sub, EventRemove)
+	waitResult(t, e, sub, spec)
+	if got := ids(sub.Result()); got != "k01,k02,k05" {
+		t.Fatalf("window = %s, want k01,k02,k05", got)
+	}
+}
+
 func TestSortedUnlimitedWithOffset(t *testing.T) {
 	e := newEnv(t, core.Options{}, Options{})
 	for i := 0; i < 5; i++ {

@@ -14,13 +14,11 @@ import (
 // event layer's design (§5.3: "routing and partitioning only rely on primary
 // keys and server-generated query identifiers").
 type busSpout struct {
-	bus     eventlayer.Bus
-	topic   string
-	sub     eventlayer.Subscription
-	ctx     *topology.SpoutContext
-	dropped uint64
-	// timer bounds the blocking receive in NextTuple (reused across calls).
-	timer *time.Timer
+	bus   eventlayer.Bus
+	topic string
+	sub   eventlayer.Subscription
+	src   <-chan eventlayer.Message // sub.C(); nil once the subscription closed
+	ctx   *topology.SpoutContext
 }
 
 func newBusSpout(bus eventlayer.Bus, topic string) topology.Spout {
@@ -33,43 +31,36 @@ func (s *busSpout) Open(ctx *topology.SpoutContext) error {
 		return err
 	}
 	s.sub = sub
+	s.src = sub.C()
 	s.ctx = ctx
 	return nil
 }
 
-func (s *busSpout) NextTuple() bool {
-	select {
-	case msg, ok := <-s.sub.C():
-		if !ok {
-			return false
-		}
+func (s *busSpout) Next() {
+	if msg, ok := s.wait(); ok {
 		s.ctx.Emit(topology.Values{msg.Payload})
-		return true
-	default:
 	}
-	// Nothing buffered: block on the subscription for up to a millisecond so
-	// a freshly published message is ingested immediately rather than after
-	// the runtime's poll backoff — the dominant term of the paper's
-	// single-write notification latency. The bound keeps completion delivery
-	// and shutdown responsive.
-	if s.timer == nil {
-		s.timer = time.NewTimer(time.Millisecond)
-	} else {
-		s.timer.Reset(time.Millisecond)
-	}
+}
+
+// wait parks on the subscription until a message arrives or the runtime needs
+// the goroutine back. A published message is therefore ingested the moment
+// the bus delivers it — the spout is never deaf — and an idle cluster performs
+// no wake-ups at all (DESIGN.md §7).
+//
+//invalidb:hotpath
+func (s *busSpout) wait() (eventlayer.Message, bool) {
 	select {
-	case msg, ok := <-s.sub.C():
-		if !s.timer.Stop() {
-			<-s.timer.C
-		}
+	case msg, ok := <-s.src:
 		if !ok {
-			return false
+			// A closed subscription stays readable forever; a nil channel
+			// never is, so from here on the spout parks on the runtime alone.
+			s.src = nil
 		}
-		s.ctx.Emit(topology.Values{msg.Payload})
-		return true
-	case <-s.timer.C:
-		return false
+		return msg, ok
+	case <-s.ctx.Wake:
+	case <-s.ctx.Done:
 	}
+	return eventlayer.Message{}, false
 }
 
 // Ack and Fail are no-ops: the event layer is fire-and-forget, so there is
@@ -90,7 +81,7 @@ func (s *busSpout) Close() {
 type tickSpout struct {
 	interval time.Duration
 	ctx      *topology.SpoutContext
-	next     time.Time
+	ticker   *time.Ticker
 }
 
 func newTickSpout(interval time.Duration) topology.Spout {
@@ -99,25 +90,27 @@ func newTickSpout(interval time.Duration) topology.Spout {
 
 func (s *tickSpout) Open(ctx *topology.SpoutContext) error {
 	s.ctx = ctx
-	//invalidb:allow coarseclock tick spout is the clock source itself
-	s.next = time.Now().Add(s.interval)
+	s.ticker = time.NewTicker(s.interval)
 	return nil
 }
 
-func (s *tickSpout) NextTuple() bool {
-	//invalidb:allow coarseclock tick spout is the clock source itself
-	now := time.Now()
-	if now.Before(s.next) {
-		return false
+func (s *tickSpout) Next() {
+	select {
+	case now := <-s.ticker.C:
+		s.ctx.Emit(topology.Values{now})
+	case <-s.ctx.Wake:
+	case <-s.ctx.Done:
 	}
-	s.next = now.Add(s.interval)
-	s.ctx.Emit(topology.Values{now})
-	return true
 }
 
 func (s *tickSpout) Ack(topology.MsgID)  {}
 func (s *tickSpout) Fail(topology.MsgID) {}
-func (s *tickSpout) Close()              {}
+
+func (s *tickSpout) Close() {
+	if s.ticker != nil {
+		s.ticker.Stop()
+	}
+}
 
 // Tuple kinds flowing between cluster stages.
 const (

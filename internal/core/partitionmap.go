@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
 // This file is the control-plane half of the multi-process matching grid
@@ -148,6 +149,9 @@ type mapState struct {
 	mu   sync.RWMutex
 	cur  *routing
 	prev *routing
+	// installed is closed by the next install; at makes it when it has to
+	// wait for one.
+	installed chan struct{}
 }
 
 // install adopts a map with a higher epoch than the current one, demoting
@@ -161,6 +165,10 @@ func (s *mapState) install(m *PartitionMap, nodeID string) bool {
 	}
 	s.prev = s.cur
 	s.cur = newRouting(m, nodeID)
+	if s.installed != nil {
+		close(s.installed)
+		s.installed = nil
+	}
 	return true
 }
 
@@ -181,19 +189,46 @@ func (s *mapState) both() (cur, prev *routing) {
 	return s.cur, s.prev
 }
 
+// futureEpochWait bounds how long a request stamped with an epoch this
+// process has not installed yet waits for the control topic to deliver it.
+const futureEpochWait = 500 * time.Millisecond
+
 // at resolves a stamped epoch to the routing that was current then: 0 (an
 // unstamped legacy message) and the current epoch resolve to cur, the
-// previous epoch to prev, and anything else best-effort to cur — a
-// misrouted install is reclaimed by the TTL sweep, and client-side
-// per-origin dedup guards absorb any duplicate notifications.
+// previous epoch to prev. A newer epoch than cur means the sender already
+// routes by a map this process is about to receive — the map and the request
+// travel different topics — so the request waits for the install (at most
+// futureEpochWait): resolved under the stale map, an install would land on
+// the old columns only and the row's new cells would never see the query.
+// Anything else resolves best-effort to cur — a misrouted install is
+// reclaimed by the TTL sweep, and client-side per-origin dedup guards absorb
+// any duplicate notifications.
 func (s *mapState) at(epoch uint64) *routing {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if epoch == 0 || s.cur == nil || epoch == s.cur.m.Epoch {
-		return s.cur
+	var timeout <-chan time.Time
+	for {
+		s.mu.Lock()
+		cur, prev := s.cur, s.prev
+		if cur == nil || epoch <= cur.m.Epoch {
+			s.mu.Unlock()
+			if prev != nil && epoch == prev.m.Epoch {
+				return prev
+			}
+			return cur
+		}
+		if s.installed == nil {
+			s.installed = make(chan struct{})
+		}
+		installed := s.installed
+		s.mu.Unlock()
+		if timeout == nil {
+			t := time.NewTimer(futureEpochWait)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-installed:
+		case <-timeout:
+			return cur
+		}
 	}
-	if s.prev != nil && epoch == s.prev.m.Epoch {
-		return s.prev
-	}
-	return s.cur
 }

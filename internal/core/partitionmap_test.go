@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // TestGridLayoutRoundTripProperty is the regression test for the
@@ -83,7 +84,8 @@ func TestMapStateEpochResolution(t *testing.T) {
 	if got := s.at(1); got == nil || got.m.Epoch != 1 {
 		t.Fatalf("at(1) should resolve to prev, got %+v", got)
 	}
-	// Unstamped and unknown epochs resolve best-effort to cur.
+	// Unstamped epochs resolve to cur; so does an epoch that is still not
+	// installed when the wait for it runs out.
 	if got := s.at(0); got == nil || got.m.Epoch != 2 {
 		t.Fatalf("at(0) = %+v", got)
 	}
@@ -98,6 +100,30 @@ func TestMapStateEpochResolution(t *testing.T) {
 	stale.Epoch = 1
 	if s.install(stale, "") {
 		t.Fatal("stale epoch adopted")
+	}
+}
+
+// TestMapStateWaitsForFutureEpoch: a request stamped with an epoch the
+// process has not installed yet resolves under that epoch's map once the
+// control topic delivers it — never under the stale one, whose column count
+// would install a widened row on the old columns only.
+func TestMapStateWaitsForFutureEpoch(t *testing.T) {
+	var s mapState
+	m1 := IdentityMap(2, 2)
+	m1.Epoch = 1
+	s.install(m1, "")
+	got := make(chan *routing, 1)
+	go func() { got <- s.at(2) }()
+	for parked := false; !parked; time.Sleep(time.Millisecond) {
+		s.mu.RLock()
+		parked = s.installed != nil
+		s.mu.RUnlock()
+	}
+	m2 := IdentityMap(2, 3)
+	m2.Epoch = 2
+	s.install(m2, "")
+	if r := <-got; r == nil || r.m.Epoch != 2 || r.m.WritePartitions != 3 {
+		t.Fatalf("at(2) resolved to %+v, want the epoch-2 map", r)
 	}
 }
 

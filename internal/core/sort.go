@@ -298,6 +298,13 @@ func (b *sortBolt) insertEntry(sq *sortQuery, e sortEntry) bool {
 		sq.sawOverflow = true
 		return false
 	}
+	if sq.sawOverflow && pos == len(sq.entries) {
+		// Past the last tracked entry lies the horizon: matching documents
+		// this node does not track may sort before e, so appending it — room
+		// left by departed members or not — could later show it in the window
+		// ahead of them. The region only regrows through a renewal.
+		return false
+	}
 	sq.entries = append(sq.entries, sortEntry{})
 	copy(sq.entries[pos+1:], sq.entries[pos:])
 	sq.entries[pos] = e

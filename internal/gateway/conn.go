@@ -14,11 +14,13 @@ import (
 // conn is one end-user client connection. Outbound frames go through a
 // byte-budgeted double buffer instead of a channel of Responses: pending
 // bytes are appended under outMu and swapped wholesale into the writer, so
-// a connection's queued memory is bounded by OutBudget (plus one in-flight
-// batch) no matter how far the client falls behind. When the budget is
-// exceeded, data events are shed (newest first, O(1)) and a resync marker
-// is appended after the retained backlog — exactly where the gap is —
-// mirroring the broker's session-drop discipline.
+// the data events a connection has queued are bounded by OutBudget (plus one
+// in-flight batch) no matter how far the client falls behind. When the
+// budget is exceeded, data events are shed (newest first, O(1)) and a resync
+// marker is appended after the retained backlog — exactly where the gap is —
+// mirroring the broker's session-drop discipline. Control frames are neither
+// shed nor charged to the budget: a large initial result waiting in pending
+// must not shed the data events of the connection's other subscriptions.
 type conn struct {
 	g     *Server
 	nc    net.Conn
@@ -37,6 +39,7 @@ type conn struct {
 	outMu        sync.Mutex
 	outCond      sync.Cond
 	pending      []byte // frames queued since the last writer swap
+	pendingData  int    // bytes of pending that are data events: what OutBudget bounds
 	writing      []byte // frames the writer is flushing (reused as next pending)
 	wclosed      bool
 	closeOnDrain bool
@@ -91,12 +94,14 @@ func (c *conn) enqueueEvent(idJSON, suffix []byte) bool {
 		c.outMu.Unlock()
 		return false
 	}
-	if len(c.pending)+len(eventHead)+len(idJSON)+len(suffix) > c.g.opts.OutBudget {
+	n := len(eventHead) + len(idJSON) + len(suffix)
+	if c.pendingData+n > c.g.opts.OutBudget {
 		//invalidb:allow hotpathalloc shedding is off the steady-state path; the first drop logs once per connection
 		c.shedLocked()
 		c.outMu.Unlock()
 		return false
 	}
+	c.pendingData += n
 	c.pending = append(c.pending, eventHead...)
 	c.pending = append(c.pending, idJSON...)
 	c.pending = append(c.pending, suffix...)
@@ -134,7 +139,7 @@ func (c *conn) enqueueControlFrame(idJSON, suffix []byte) {
 
 // enqueueControl appends a frame that must not be shed: acks, errors,
 // results, initial results, and lifecycle events. Control traffic is
-// bounded by the request rate and result sizes, so it may overshoot the
+// bounded by the request rate and result sizes, so it stays outside the
 // byte budget without threatening per-client memory.
 func (c *conn) enqueueControl(frame []byte) {
 	c.outMu.Lock()
@@ -171,6 +176,7 @@ func (c *conn) writeLoop() {
 			return
 		}
 		c.pending, c.writing = c.writing[:0], c.pending
+		c.pendingData = 0
 		resync, dropped := c.needResync, c.dropped
 		c.needResync = false
 		finish := c.closeOnDrain

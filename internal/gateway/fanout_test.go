@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -287,6 +288,102 @@ func TestGatewaySlowClientShedAndResync(t *testing.T) {
 		if j > 100 {
 			t.Fatal("no live events after resync")
 		}
+	}
+}
+
+// TestGatewayLargeInitialDoesNotShedSiblings: a 200 KiB initial result
+// waiting in the outbound queue is a control frame — never shed, and not
+// charged to the data-event budget — so the data events of another
+// subscription on the same connection still get through.
+func TestGatewayLargeInitialDoesNotShedSiblings(t *testing.T) {
+	gw, srv, ln := memStack(t, Options{}) // default 64 KiB budget
+	pad := strings.Repeat("x", 512)
+	for i := 0; i < 400; i++ {
+		if err := srv.Insert("big", document.Document{"_id": fmt.Sprintf("b%03d", i), "pad": pad}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nc, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	enc := json.NewEncoder(nc)
+	r := bufio.NewReaderSize(nc, 1<<20)
+	sib := query.Spec{Collection: "sib", Filter: map[string]any{"x": int64(1)}}
+	if err := enc.Encode(Request{Op: "subscribe", ID: "sib", Query: &sib}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("read: %v (waiting for the sibling's initial result)", err)
+		}
+		if bytes.Contains(line, []byte(`"type":"initial"`)) {
+			break
+		}
+	}
+
+	var c *conn
+	waitFor(t, "the connection", func() bool {
+		gw.mu.Lock()
+		defer gw.mu.Unlock()
+		for c = range gw.conns {
+		}
+		return c != nil
+	})
+	queued := func() (writing, pending, data int) {
+		c.outMu.Lock()
+		defer c.outMu.Unlock()
+		return len(c.writing), len(c.pending), c.pendingData
+	}
+
+	// The reader stalls. The first big initial result fills the 16 KiB pipe
+	// and blocks the writer mid-batch; the second then waits in pending.
+	big := query.Spec{Collection: "big"}
+	if err := enc.Encode(Request{Op: "subscribe", ID: "big1", Query: &big}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the writer stuck in the first initial result", func() bool {
+		writing, pending, _ := queued()
+		return writing >= 200<<10 && pending == 0
+	})
+	if err := enc.Encode(Request{Op: "subscribe", ID: "big2", Query: &big}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "200 KiB of initial result queued", func() bool {
+		_, pending, _ := queued()
+		return pending >= 200<<10
+	})
+
+	const events = 20
+	fanned := gw.mFanned.Value()
+	for i := 0; i < events; i++ {
+		if err := srv.Insert("sib", document.Document{"_id": fmt.Sprintf("s%02d", i), "x": int64(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "sibling events fanned out", func() bool { return gw.mFanned.Value() >= fanned+events })
+	if _, _, data := queued(); data == 0 {
+		t.Fatal("sibling data events were not queued behind the initial result")
+	}
+
+	// Resume reading: both initial results, every sibling event, no resync.
+	seen := 0
+	for seen < events {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("read: %v after %d sibling events", err, seen)
+		}
+		if bytes.Contains(line, []byte(`"op":"resync"`)) {
+			t.Fatalf("resync marker on the wire: %s", line)
+		}
+		if bytes.Contains(line, []byte(`"id":"sib"`)) && bytes.Contains(line, []byte(`"type":"add"`)) {
+			seen++
+		}
+	}
+	if d, rs := gw.mDrops.Value(), gw.mResyncs.Value(); d != 0 || rs != 0 {
+		t.Fatalf("drops = %d, resyncs = %d, want 0, 0", d, rs)
 	}
 }
 

@@ -102,9 +102,11 @@ type Options struct {
 	// appserver's registry folds the gateway into the same -obs-addr
 	// endpoint.
 	Metrics *metrics.Registry
-	// OutBudget is the per-connection outbound queue budget in bytes.
-	// Once pending bytes exceed it, data events are shed (newest first)
-	// and a resync marker is delivered. Default 64 KiB.
+	// OutBudget is the per-connection budget, in bytes, for queued data
+	// events. Once they exceed it, further data events are shed (newest
+	// first) and a resync marker is delivered; control frames (acks,
+	// results, initial results) are never shed and do not count. Default
+	// 64 KiB.
 	OutBudget int
 	// ReadBuffer is the per-connection read buffer size. Default 4 KiB —
 	// small, because at 100k connections every KiB here is 100 MB.

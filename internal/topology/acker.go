@@ -143,12 +143,19 @@ func (a *acker) expire(now time.Time) {
 }
 
 // complete releases the spout's max-pending slot immediately (so the spout
-// can make progress even while its goroutine is busy) and queues the verdict
-// for delivery on the spout's task goroutine.
+// can make progress even while its goroutine is busy), queues the verdict
+// for delivery on the spout's task goroutine and unparks that goroutine. The
+// wake token is posted after the verdict, so a spout that consumes the token
+// always finds the verdict queued; a token left over from an already drained
+// verdict costs one empty pass of the drive loop.
 func (a *acker) complete(root uint64, l *ledger, ok bool) {
 	l.spout.releasePending()
 	select {
 	case l.spout.completions <- completion{id: MsgID(root), ok: ok}:
+		select {
+		case l.spout.wake <- struct{}{}:
+		default:
+		}
 	case <-l.spout.haltedCh: // spout task is gone; drop the verdict
 	case <-l.spout.comp.top.stopped:
 	}

@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"invalidb/internal/metrics"
 )
@@ -51,6 +50,7 @@ type task struct {
 
 	pending     chan struct{}   // spout max-pending semaphore (nil = unlimited)
 	completions chan completion // ack/fail results, drained on the spout goroutine
+	wake        chan struct{}   // cap 1: a completion is queued, unpark the spout
 	rng         *rand.Rand
 	rngMu       sync.Mutex
 	rootScratch []uint64 // reused by batch emits to gather anchor roots
@@ -118,7 +118,7 @@ func recycleTuple(t *Tuple) {
 
 // completion is an ack or fail verdict for a spout root tuple. Completions
 // are queued and delivered on the spout's own task goroutine (as in Storm),
-// so Spout implementations never see Ack/Fail concurrently with NextTuple.
+// so Spout implementations never see Ack/Fail concurrently with Next.
 type completion struct {
 	id MsgID
 	ok bool
@@ -158,6 +158,7 @@ func newTopology(b *Builder, cfg Config) (*Topology, error) {
 						qlen = 2 * cfg.MaxSpoutPending
 					}
 					tk.completions = make(chan completion, qlen)
+					tk.wake = make(chan struct{}, 1)
 				}
 			}
 			comp.tasks = append(comp.tasks, tk)
@@ -205,9 +206,7 @@ func (t *Topology) Start() error {
 			continue
 		}
 		for _, tk := range comp.tasks {
-			tk := tk
-			ctx := &SpoutContext{TaskID: tk.id, Emit: tk.spoutEmit}
-			if err := tk.spout.Open(ctx); err != nil {
+			if err := tk.spout.Open(tk.spoutContext()); err != nil {
 				return fmt.Errorf("topology: open %s[%d]: %w", id, tk.id, err)
 			}
 			t.wg.Add(1)
@@ -382,7 +381,7 @@ func (tk *task) spoutLoop(wg *sync.WaitGroup) {
 		tk.incarnation++
 		safeCloseSpout(tk.spout)
 		fresh := tk.comp.def.spout()
-		if err := fresh.Open(&SpoutContext{TaskID: tk.id, Emit: tk.spoutEmit}); err != nil {
+		if err := fresh.Open(tk.spoutContext()); err != nil {
 			tk.dead.Store(true)
 			return
 		}
@@ -391,10 +390,14 @@ func (tk *task) spoutLoop(wg *sync.WaitGroup) {
 	}
 }
 
-// runSpout is one supervised run of the spout drive loop: NextTuple until
-// the topology stops, interleaving completion delivery so Ack/Fail run on
-// this goroutine. It reports true when the topology stopped and false when
-// the spout panicked.
+// spoutContext builds the context a spout instance — the original or a
+// supervisor replacement — is opened with.
+func (tk *task) spoutContext() *SpoutContext {
+	return &SpoutContext{TaskID: tk.id, Emit: tk.spoutEmit, Wake: tk.wake, Done: tk.comp.top.stopped}
+}
+
+// runSpout is one supervised run of the spout drive loop. It reports true
+// when the topology stopped and false when the spout panicked.
 func (tk *task) runSpout() (stopped bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -402,38 +405,26 @@ func (tk *task) runSpout() (stopped bool) {
 			stopped = false
 		}
 	}()
-	idle := time.Duration(0)
+	tk.driveSpout()
+	return true
+}
+
+// driveSpout alternates completion delivery (so Ack/Fail run on this
+// goroutine) with Next until the topology stops. Next parks while the spout
+// has no input; acker.complete and Stop unpark it, so the loop itself never
+// sleeps and never arms a timer.
+//
+//invalidb:hotpath
+func (tk *task) driveSpout() {
+	stop := tk.comp.top.stopped
 	for {
 		tk.drainCompletions()
 		select {
-		case <-tk.comp.top.stopped:
-			return true
+		case <-stop:
+			return
 		default:
 		}
-		if tk.spout.NextTuple() {
-			idle = 0
-			continue
-		}
-		// Back off while the spout has nothing to emit, capped at 1ms to
-		// keep wake-up latency low; completions cut the nap short.
-		if idle < time.Millisecond {
-			idle += 100 * time.Microsecond
-		}
-		if tk.completions != nil {
-			select {
-			case <-tk.comp.top.stopped:
-				return true
-			case c := <-tk.completions:
-				tk.deliver(c)
-			case <-time.After(idle):
-			}
-			continue
-		}
-		select {
-		case <-tk.comp.top.stopped:
-			return true
-		case <-time.After(idle):
-		}
+		tk.spout.Next()
 	}
 }
 

@@ -233,7 +233,7 @@ func (s *crashySpout) Open(ctx *SpoutContext) error {
 	return nil
 }
 
-func (s *crashySpout) NextTuple() bool {
+func (s *crashySpout) Next() {
 	s.shared.mu.Lock()
 	if s.shared.next == 2 && !s.shared.panicked {
 		s.shared.panicked = true
@@ -242,13 +242,13 @@ func (s *crashySpout) NextTuple() bool {
 	}
 	if s.shared.next >= s.shared.n {
 		s.shared.mu.Unlock()
-		return false
+		s.ctx.Park()
+		return
 	}
 	v := s.shared.next
 	s.shared.next++
 	s.shared.mu.Unlock()
 	s.ctx.Emit(Values{v})
-	return true
 }
 
 func (s *crashySpout) Ack(id MsgID)  {}
@@ -302,7 +302,7 @@ func (s *emitOnceThenPanicSpout) Open(ctx *SpoutContext) error {
 	return nil
 }
 
-func (s *emitOnceThenPanicSpout) NextTuple() bool {
+func (s *emitOnceThenPanicSpout) Next() {
 	s.shared.mu.Lock()
 	emitted := s.shared.next > 0
 	s.shared.next++
@@ -311,7 +311,6 @@ func (s *emitOnceThenPanicSpout) NextTuple() bool {
 		panic("spout gone")
 	}
 	s.ctx.Emit(Values{"orphan"})
-	return true
 }
 
 func (s *emitOnceThenPanicSpout) Ack(id MsgID)  {}

@@ -68,17 +68,39 @@ type SpoutContext struct {
 	// Emit injects a new root tuple into the topology. With ackEnabled
 	// topologies the returned MsgID is echoed via Ack or Fail.
 	Emit func(values Values) MsgID
+	// Wake is signalled when the runtime needs the spout goroutine back to
+	// deliver an Ack or Fail. It is nil — never ready — without acking.
+	Wake <-chan struct{}
+	// Done is closed when the topology stops.
+	Done <-chan struct{}
 }
 
-// Spout produces the topology's input. NextTuple is called in a loop by the
-// runtime; it should emit at most a few tuples per call and return false
-// when no input is currently available (the runtime then backs off briefly).
+// Park blocks until the runtime needs the spout goroutine (Wake or Done).
+// It is the whole of Next for a spout that currently has nothing to emit and
+// no source of its own to wait on.
+//
+//invalidb:hotpath
+func (c *SpoutContext) Park() {
+	select {
+	case <-c.Wake:
+	case <-c.Done:
+	}
+}
+
+// Spout produces the topology's input. The runtime calls Next in a loop on
+// the spout's task goroutine and does nothing else in between but deliver
+// pending Ack/Fail verdicts, so Next must block: it emits what the source has
+// ready (at most a few tuples) and returns, or — when there is nothing —
+// parks in one select over the source, ctx.Wake and ctx.Done and returns as
+// soon as any of them fires. There is no polling and no back-off: a parked
+// spout costs no wake-ups, and input is emitted the moment it arrives.
 type Spout interface {
 	Open(ctx *SpoutContext) error
-	NextTuple() bool
+	Next()
 	// Ack signals that the tuple tree rooted at the MsgID was fully
 	// processed; Fail signals a timeout or explicit failure (the spout
-	// decides whether to replay).
+	// decides whether to replay). Both run on the task goroutine, between
+	// two calls of Next.
 	Ack(id MsgID)
 	Fail(id MsgID)
 	Close()

@@ -18,6 +18,7 @@ type listSpout struct {
 	replay bool
 	acks   atomic.Uint64
 	fails  atomic.Uint64
+	nexts  atomic.Uint64 // calls of Next: one per emitted item or runtime wake-up
 }
 
 func (s *listSpout) Open(ctx *SpoutContext) error {
@@ -26,19 +27,21 @@ func (s *listSpout) Open(ctx *SpoutContext) error {
 	return nil
 }
 
-func (s *listSpout) NextTuple() bool {
+func (s *listSpout) Next() {
+	s.nexts.Add(1)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.next >= len(s.items) {
-		return false
+		s.mu.Unlock()
+		s.ctx.Park()
+		return
 	}
+	defer s.mu.Unlock()
 	v := s.items[s.next]
 	s.next++
 	id := s.ctx.Emit(v)
 	if id != 0 {
 		s.inFly[id] = v
 	}
-	return true
 }
 
 func (s *listSpout) Ack(id MsgID) {
