@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test race bench-smoke fuzz-smoke chaos obs-smoke resize-smoke fanout-smoke bench-pairs check
+.PHONY: all build vet staticcheck lint test race bench-smoke alloc-smoke fuzz-smoke chaos obs-smoke resize-smoke fanout-smoke bench-pairs check
 
 all: check lint
 
@@ -48,9 +48,18 @@ chaos:
 # 0 allocs/op claim in the regular test suite).
 bench-smoke:
 	$(GO) test . -run xxx -bench 'BenchmarkFanOutRouting' -benchmem -benchtime=100000x
+	$(GO) test . -run xxx -bench 'BenchmarkMatchRangeQuery|BenchmarkMatchComplexFilter|BenchmarkSortComparator' -benchmem -benchtime=100000x
 	$(GO) test ./internal/core -run xxx -bench 'BenchmarkEnvelopeWire' -benchmem -benchtime=1x
 	$(GO) test ./internal/core -run xxx -bench 'BenchmarkCandidateProbe' -benchmem -benchtime=1000x
 	$(GO) test ./internal/gateway -run TestGatewayFanOutPerDeliveryAllocs -bench 'BenchmarkGatewayFanOut' -benchmem -benchtime=1000x -count=1
+
+# Allocation budgets of the compiled evaluator and the copy diet around it
+# (DESIGN.md §7): path walks, Match, Compare and the full-scan cell loop at
+# 0 allocs/op, ingest not re-copying decoded images, one insert within its
+# budget. Run without the race detector, whose instrumentation allocates.
+alloc-smoke:
+	$(GO) test ./internal/document ./internal/query ./internal/core ./internal/storage -count=1 \
+		-run 'NoAllocs|AllocBudget|TestIngestDoesNotCopyDecodedImage'
 
 # Fuzz smoke: run each native fuzz target briefly past its seed corpus.
 fuzz-smoke:
@@ -123,4 +132,4 @@ bench-pairs:
 	done; \
 	bash benchmark/run.sh compare "$$dir/parent" "$$dir/change"
 
-check: vet staticcheck build race bench-smoke
+check: vet staticcheck build race bench-smoke alloc-smoke

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -72,5 +73,102 @@ func TestHandleWriteFilteredNoAllocs(t *testing.T) {
 		b.handleWrite(nil, we) // version unchanged: staleness dedup path
 	}); n != 0 {
 		t.Fatalf("stale-replay write allocates %.2f/op, want 0", n)
+	}
+}
+
+// TestHandleWriteFullScanNoAllocs pins the default (index-off) matching
+// loop: a write is evaluated against the queries of its own (tenant,
+// collection) bucket and no others, and evaluating a non-matching query
+// allocates nothing — compiled paths, value-by-value predicates, one
+// tracked lookup per query (DESIGN.md §7, "Compiled evaluation").
+func TestHandleWriteFullScanNoAllocs(t *testing.T) {
+	b := newMatchHarness(t, Options{})
+	const perCollection = 1000
+	for i := 0; i < perCollection; i++ {
+		// Ranges the written value (n = 5) never falls in; every other query
+		// also carries a nested-path and a $in predicate.
+		spec := rangeSpec(100+i, 110+i)
+		if i%2 == 1 {
+			spec.Filter["user.geo.lat"] = map[string]any{"$gt": float64(i)}
+			spec.Filter["tag"] = map[string]any{"$in": []any{"x", float64(i)}}
+		}
+		subscribeFor(b, query.MustCompile(spec), "s", 1000*time.Hour)
+		spec.Collection = "other"
+		subscribeFor(b, query.MustCompile(spec), "s", 1000*time.Hour)
+	}
+	if len(b.queries) != 2*perCollection || len(b.buckets) != 2 {
+		t.Fatalf("%d queries in %d buckets, want %d in 2", len(b.queries), len(b.buckets), 2*perCollection)
+	}
+	we := &WriteEvent{Tenant: "t", Image: &document.AfterImage{
+		Collection: "c", Key: "k", Version: 1, Op: document.OpInsert,
+		Doc: document.Document{"_id": "k", "n": int64(5), "tag": "y",
+			"user": map[string]any{"geo": map[string]any{"lat": float64(-1)}}},
+	}}
+	for i := 0; i < 4096; i++ { // steady-state capacity, as in the filtered test
+		we.Image.Version++
+		b.handleWrite(nil, we)
+	}
+	b.handleTick(b.now.Add(b.c.opts.RetentionTime + time.Minute))
+	for i := 0; i < 16; i++ {
+		we.Image.Version++
+		b.handleWrite(nil, we)
+	}
+
+	before := b.c.mCandEvaluated.Value()
+	const runs = 200
+	n := testing.AllocsPerRun(runs, func() {
+		we.Image.Version++
+		b.handleWrite(nil, we)
+	})
+	if n != 0 {
+		t.Fatalf("full-scan write over %d queries allocates %.2f/op, want 0", perCollection, n)
+	}
+	// AllocsPerRun calls the function runs+1 times (one warm-up).
+	if got := b.c.mCandEvaluated.Value() - before; got != (runs+1)*perCollection {
+		t.Fatalf("evaluated %d candidates over %d writes, want %d per write (the other collection's %d queries must not be visited)",
+			got, runs+1, perCollection, perCollection)
+	}
+}
+
+// TestIngestDoesNotCopyDecodedImage: the envelope decoders are the door
+// documents enter the cluster by — binary is canonical by construction, JSON
+// normalises — so the engine's DecodeImage validates and hands the very same
+// document on, without re-allocating its maps and slices.
+func TestIngestDoesNotCopyDecodedImage(t *testing.T) {
+	env := &Envelope{Kind: KindWrite, Write: &WriteEvent{Tenant: "t", Image: &document.AfterImage{
+		Collection: "c", Key: "k", Version: 3, Op: document.OpUpdate,
+		Doc: document.Document{"_id": "k", "n": int64(5), "f": 2.5,
+			"user":  map[string]any{"tags": []any{"a", int64(1)}},
+			"items": []any{map[string]any{"qty": int64(2)}}},
+	}}}
+	for name, encode := range map[string]func() ([]byte, error){"binary": env.EncodeBinary, "json": env.EncodeJSON} {
+		data, err := encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeEnvelope(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		in := dec.Write.Image
+		doc := in.Doc
+		var out *document.AfterImage
+		if n := testing.AllocsPerRun(100, func() {
+			if out, err = (MongoEngine{}).DecodeImage(in); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: DecodeImage allocates %.0f/op on an already decoded image, want 0", name, n)
+		}
+		if reflect.ValueOf(out.Doc).Pointer() != reflect.ValueOf(doc).Pointer() {
+			t.Errorf("%s: DecodeImage copied the document", name)
+		}
+		// The door did the normalising: integers are int64 whichever codec.
+		if out.Doc["n"] != int64(5) || out.Doc["items"].([]any)[0].(map[string]any)["qty"] != int64(2) {
+			t.Errorf("%s: decoded image is not canonical: %#v", name, out.Doc)
+		}
+	}
+	if _, err := (MongoEngine{}).DecodeImage(&document.AfterImage{Collection: "c", Key: "k", Op: document.OpInsert}); err == nil {
+		t.Error("DecodeImage accepted an after-image with no version and no document")
 	}
 }

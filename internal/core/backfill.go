@@ -60,9 +60,11 @@ type cellBackfill struct {
 	lastAt  time.Time
 }
 
+//invalidb:hotpath
 func (b *matchBolt) backfillState(bfid string) *cellBackfill {
 	cb := b.backfills[bfid]
 	if cb == nil {
+		//invalidb:allow hotpathalloc backfill state is allocated once per backfill, amortized over its chunks
 		cb = &cellBackfill{}
 		b.backfills[bfid] = cb
 	}
@@ -144,31 +146,14 @@ func (b *matchBolt) reconcileChunk(t *topology.Tuple, p *backfillChunkPayload) {
 			b.c.mBackfillReconciled.Inc()
 			continue
 		}
-		mq.tracked[e.Key] = e.Version
-		if b.qindex != nil {
-			//invalidb:allow hotpathalloc first-track lazily allocates the per-record tracker set, amortized across a query's matches
-			b.qindex.track(b.interner.key(mq.tenant, mq.q.Collection, e.Key), mq)
-		}
+		b.track(mq, e.Key, "", e.Version)
 	}
-	//invalidb:allow hotpathalloc one closure per chunk reconcile, amortized over the chunk's entries
-	b.retention.each(func(r *retainedImage) {
-		img := r.we.Image
-		if img.Version <= p.low {
-			// Pre-window: the chunk read began after this write was durable,
-			// so the chunk rows already reflect it. Only in-window and later
-			// images can supersede a chunk row.
-			return
-		}
-		ck := b.interner.key(r.we.Tenant, img.Collection, img.Key)
-		if img.Version < b.latest[ck] {
-			return // superseded within the retention window
-		}
-		// Only post-low-watermark images reach here: the replay is bounded by
-		// the chunk's window, never the whole retention ring. The counter is
-		// the migration tests' evidence of that bound.
-		b.c.mBackfillReplayed.Inc()
-		b.processImage(t, mq, r.we, ck)
-	})
+	// Pre-window images are skipped: the chunk read began after those writes
+	// were durable, so the chunk rows already reflect them. Only in-window
+	// and later images can supersede a chunk row, which bounds the replay by
+	// the chunk's window, never the whole retention ring — the counter is
+	// the migration tests' evidence of that bound.
+	b.c.mBackfillReplayed.Add(int64(b.replay(t, mq, p.low)))
 	b.c.mBackfillCertified.Inc()
 	//invalidb:allow hotpathalloc one certificate per chunk reconcile, amortized over the chunk's entries
 	b.c.publishBackfillCert(&BackfillCert{
@@ -176,13 +161,13 @@ func (b *matchBolt) reconcileChunk(t *topology.Tuple, p *backfillChunkPayload) {
 		SubscriptionID: p.sid,
 		BackfillID:     p.bfid,
 		//invalidb:allow hotpathalloc one ID string per certificate, amortized over the chunk's entries
-		QueryID:        QueryIDString(p.hash),
-		Chunk:          p.chunk,
-		Cell:           b.cell.Col,
-		Cells:          p.cells,
-		Last:           p.last,
-		Origin:         b.origin,
-		Status:         BackfillStatusOK,
+		QueryID: QueryIDString(p.hash),
+		Chunk:   p.chunk,
+		Cell:    b.cell.Col,
+		Cells:   p.cells,
+		Last:    p.last,
+		Origin:  b.origin,
+		Status:  BackfillStatusOK,
 	})
 }
 

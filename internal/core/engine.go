@@ -15,8 +15,8 @@ import (
 type Engine interface {
 	// Compile parses and validates a query specification.
 	Compile(spec query.Spec) (*query.Query, error)
-	// DecodeImage interprets a raw after-image document into the canonical
-	// in-memory form.
+	// DecodeImage interprets a decoded after-image: it checks the engine's
+	// structural invariants and returns the image to match against.
 	DecodeImage(img *document.AfterImage) (*document.AfterImage, error)
 	// Match computes the matching decision for a document.
 	Match(q *query.Query, d document.Document) bool
@@ -35,12 +35,12 @@ func (MongoEngine) Compile(spec query.Spec) (*query.Query, error) {
 	return query.Compile(spec)
 }
 
-// DecodeImage implements Engine: documents are already JSON-shaped; it
-// normalizes value types and validates structural invariants.
+// DecodeImage implements Engine: it validates structural invariants only.
+// Documents are normalised at the doors they enter the system by — the
+// envelope decoders (binary is canonical by construction, JSON normalises
+// Write.Image.Doc) and storage writes — so copying them again here would
+// only re-allocate every map and slice of every write.
 func (MongoEngine) DecodeImage(img *document.AfterImage) (*document.AfterImage, error) {
-	if img.Doc != nil {
-		img.Doc = document.Normalize(img.Doc)
-	}
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}

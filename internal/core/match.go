@@ -36,6 +36,10 @@ type matchQuery struct {
 	hash    uint64
 	ordered bool
 	slack   int
+	// bucket is the cell's per-(tenant, collection) group the query is
+	// evaluated in; slot is its position there, for O(1) swap-delete.
+	bucket  *queryBucket
+	slot    int
 	subs    map[string]time.Time // subscription id -> TTL deadline
 	tracked map[string]uint64    // key -> version of this partition's matching records
 	// trackedCK mirrors tracked as composite keys when the query index is
@@ -88,11 +92,11 @@ func (r *retentionRing) prune(cutoff time.Time) {
 	}
 }
 
-// each visits every retained entry, oldest first.
-func (r *retentionRing) each(fn func(*retainedImage)) {
-	for i := 0; i < r.n; i++ {
-		fn(&r.buf[(r.head+i)%len(r.buf)])
-	}
+// at returns the i-th retained entry, oldest first (0 <= i < r.n).
+//
+//invalidb:hotpath
+func (r *retentionRing) at(i int) *retainedImage {
+	return &r.buf[(r.head+i)%len(r.buf)]
 }
 
 // keyInterner builds tenant\x00collection\x00key composite keys in a reused
@@ -149,7 +153,12 @@ type matchBolt struct {
 	// redeliveries per emitting instance.
 	origin string
 
-	queries   map[uint64]*matchQuery
+	queries map[uint64]*matchQuery
+	// buckets groups the same queries by tenant\x00collection — the prefix
+	// of the interned composite record key — so a write finds the queries it
+	// can affect with one lookup and the matching loop compares no tenant or
+	// collection strings per query.
+	buckets   map[string]*queryBucket
 	latest    map[string]uint64 // composite key -> newest version seen
 	latestAt  map[string]time.Time
 	retention retentionRing
@@ -167,6 +176,10 @@ type matchBolt struct {
 	interner *keyInterner
 	// cands is the reusable candidate scratch map for the query index probe.
 	cands map[uint64]*matchQuery
+	// evaluated counts filter evaluations since the last flushEvaluated: the
+	// loop over a write's candidates bumps this plain field and publishes the
+	// shared atomic counter once per write, not once per query.
+	evaluated int64
 }
 
 func newMatchBolt(c *Cluster) topology.Bolt { return &matchBolt{c: c} }
@@ -190,6 +203,7 @@ func (b *matchBolt) Prepare(ctx *topology.BoltContext, out topology.Collector) e
 		b.origin = fmt.Sprintf("m%d.%d", ctx.TaskID, ctx.Incarnation)
 	}
 	b.queries = map[uint64]*matchQuery{}
+	b.buckets = map[string]*queryBucket{}
 	b.latest = map[string]uint64{}
 	b.latestAt = map[string]time.Time{}
 	b.backfills = map[string]*cellBackfill{}
@@ -262,12 +276,10 @@ func (b *matchBolt) Execute(t *topology.Tuple) {
 		}
 	case kindBackfillChunk:
 		if p, ok := payloadV.(*backfillChunkPayload); ok {
-			//invalidb:allow hotpathalloc backfill state is allocated once per backfill, amortized over its chunks
 			b.handleBackfillChunk(t, p)
 		}
 	case kindBackfillMark:
 		if p, ok := payloadV.(*BackfillMark); ok {
-			//invalidb:allow hotpathalloc backfill state is allocated once per backfill, amortized over its chunks
 			b.handleBackfillMark(t, p)
 		}
 	}
@@ -298,7 +310,7 @@ func (b *matchBolt) handleWrite(t *topology.Tuple, we *WriteEvent) {
 	b.retention.push(retainedImage{we: we, at: b.now})
 
 	// The node's matching budget: evaluating one after-image against every
-	// registered query costs len(queries) match-operations — unless the
+	// query of its collection costs that many match-operations — unless the
 	// multi-query index narrows the probe to candidates.
 	b.c.mCandWrites.Inc()
 	if b.qindex != nil {
@@ -311,49 +323,119 @@ func (b *matchBolt) handleWrite(t *topology.Tuple, we *WriteEvent) {
 		for _, mq := range cands {
 			b.processImage(t, mq, we, ck)
 		}
+		b.flushEvaluated()
 		return
 	}
-	b.c.mCandProbed.Add(int64(len(b.queries)))
-	if b.bucket != nil {
-		cost := len(b.queries)
-		if cost == 0 {
-			cost = 1
-		}
-		b.bucket.Take(float64(cost))
+	var queries []*matchQuery
+	if qb := b.buckets[bucketOfKey(ck, img.Key)]; qb != nil {
+		queries = qb.queries
 	}
-	for _, mq := range b.queries {
+	b.c.mCandProbed.Add(int64(len(queries)))
+	if b.bucket != nil {
+		b.bucket.Take(float64(max(len(queries), 1)))
+	}
+	for _, mq := range queries {
 		b.processImage(t, mq, we, ck)
 	}
+	b.flushEvaluated()
+}
+
+//invalidb:hotpath
+func (b *matchBolt) flushEvaluated() {
+	b.c.mCandEvaluated.Add(b.evaluated)
+	b.evaluated = 0
+}
+
+// queryBucket is the cell's queries of one (tenant, collection), in
+// registration order.
+type queryBucket struct {
+	key     string // tenant\x00collection
+	queries []*matchQuery
+}
+
+// addQuery registers a query with the cell: by hash, in its bucket, and in
+// the multi-query index when enabled.
+func (b *matchBolt) addQuery(mq *matchQuery) {
+	bkey := bucketKey(mq.tenant, mq.q.Collection)
+	qb := b.buckets[bkey]
+	if qb == nil {
+		qb = &queryBucket{key: bkey}
+		b.buckets[bkey] = qb
+	}
+	mq.bucket, mq.slot = qb, len(qb.queries)
+	qb.queries = append(qb.queries, mq)
+	b.queries[mq.hash] = mq
+	if b.qindex != nil {
+		b.qindex.add(mq)
+	}
+}
+
+// removeQuery is addQuery's inverse; the last query of the bucket takes the
+// removed one's slot.
+func (b *matchBolt) removeQuery(mq *matchQuery) {
+	qb := mq.bucket
+	last := len(qb.queries) - 1
+	moved := qb.queries[last]
+	qb.queries[mq.slot], moved.slot = moved, mq.slot
+	qb.queries[last] = nil
+	qb.queries = qb.queries[:last]
+	if last == 0 {
+		delete(b.buckets, qb.key)
+	}
+	delete(b.queries, mq.hash)
+	if b.qindex != nil {
+		b.qindex.remove(mq)
+	}
+}
+
+// replay evaluates retained after-images newer than version `after` against
+// one query, closing the race between the query's installed state and the
+// writes that passed the cell meanwhile (§5.1). Only each key's newest
+// retained image is applied — the per-query tracked map forgets versions
+// when items leave the result, so replaying an older image (e.g. the insert
+// preceding a delete) would resurrect it. It returns the number of images
+// applied.
+//
+//invalidb:hotpath
+func (b *matchBolt) replay(t *topology.Tuple, mq *matchQuery, after uint64) int {
+	applied := 0
+	for i := 0; i < b.retention.n; i++ {
+		we := b.retention.at(i).we
+		img := we.Image
+		if img.Version <= after || we.Tenant != mq.tenant || img.Collection != mq.q.Collection {
+			continue
+		}
+		ck := b.interner.key(we.Tenant, img.Collection, img.Key)
+		if img.Version < b.latest[ck] {
+			continue // superseded within the retention window
+		}
+		applied++
+		b.processImage(t, mq, we, ck)
+	}
+	b.flushEvaluated()
+	return applied
 }
 
 // processImage derives the result change (if any) a single after-image
 // causes for a single query, by comparing current against former matching
-// status (§5.1). ck is the write's composite key — identical to the query's
-// tracker key whenever the tenant/collection guard passes, so callers hand
-// down the interned key instead of re-concatenating it per query.
+// status (§5.1). The caller guarantees the write belongs to the query's
+// (tenant, collection) bucket; ck is the write's interned composite key.
 //
 //invalidb:hotpath
 func (b *matchBolt) processImage(t *topology.Tuple, mq *matchQuery, we *WriteEvent, ck string) {
 	img := we.Image
-	if we.Tenant != mq.tenant || img.Collection != mq.q.Collection {
-		return
-	}
-	if prev, tracked := mq.tracked[img.Key]; tracked && img.Version <= prev {
+	prev, wasTracked := mq.tracked[img.Key]
+	if wasTracked && img.Version <= prev {
 		return // per-query staleness during replay
 	}
-	b.c.mCandEvaluated.Inc()
+	b.evaluated++
 	isMatch := img.Op != document.OpDelete && b.c.opts.Engine.Match(mq.q, img.Doc)
 	if isMatch {
 		b.c.mCandMatched.Inc()
 	}
-	_, wasTracked := mq.tracked[img.Key]
 	switch {
 	case isMatch && !wasTracked:
-		mq.tracked[img.Key] = img.Version
-		if b.qindex != nil {
-			//invalidb:allow hotpathalloc first-track lazily allocates the per-record tracker set, amortized across a query's matches
-			b.qindex.track(ck, mq)
-		}
+		b.track(mq, img.Key, ck, img.Version)
 		//invalidb:allow hotpathalloc deltas for ordered queries must escape to the sorting stage; matches are rare relative to writes
 		b.emit(t, mq, we, MatchAdd, img.Key, img.Version, img.Doc)
 	case isMatch && wasTracked:
@@ -367,6 +449,23 @@ func (b *matchBolt) processImage(t *topology.Tuple, mq *matchQuery, we *WriteEve
 		b.emit(t, mq, we, MatchRemove, img.Key, img.Version, img.Doc)
 	default:
 		// Irrelevant write: filtered out, nothing flows downstream (§5.2).
+	}
+}
+
+// track records that the record is in the query's result partition at the
+// given version, in the query's own table and in the index's tracker sets.
+// Callers that install a record from a result entry rather than a write
+// have no composite key at hand and pass ck == "".
+//
+//invalidb:hotpath
+func (b *matchBolt) track(mq *matchQuery, key, ck string, version uint64) {
+	mq.tracked[key] = version
+	if b.qindex != nil {
+		if ck == "" {
+			ck = b.interner.key(mq.tenant, mq.q.Collection, key)
+		}
+		//invalidb:allow hotpathalloc first-track lazily allocates the per-record tracker set, amortized across a query's matches
+		b.qindex.track(ck, mq)
 	}
 }
 
@@ -433,10 +532,7 @@ func (b *matchBolt) handleSubscribe(t *topology.Tuple, p *subscribePayload) {
 			subs:    map[string]time.Time{},
 			tracked: map[string]uint64{},
 		}
-		b.queries[p.hash] = mq
-		if b.qindex != nil {
-			b.qindex.add(mq)
-		}
+		b.addQuery(mq)
 	}
 	mq.subs[p.req.SubscriptionID] = now.Add(p.ttl)
 	// Install the bootstrap result partition. Entries never regress state:
@@ -444,10 +540,7 @@ func (b *matchBolt) handleSubscribe(t *topology.Tuple, p *subscribePayload) {
 	// buffer already delivered a fresher image).
 	for _, e := range p.entries {
 		if cur, ok := mq.tracked[e.Key]; !ok || e.Version > cur {
-			mq.tracked[e.Key] = e.Version
-		}
-		if b.qindex != nil {
-			b.qindex.track(b.interner.key(mq.tenant, mq.q.Collection, e.Key), mq)
+			b.track(mq, e.Key, "", e.Version)
 		}
 	}
 	// A chunked-backfill install carries no result and needs no replay: the
@@ -458,20 +551,10 @@ func (b *matchBolt) handleSubscribe(t *topology.Tuple, p *subscribePayload) {
 	if p.backfill {
 		return
 	}
-	// Replay the retention buffer against the query to close the
+	// Replay the whole retention buffer against the query to close the
 	// write-query and write-subscription races (§5.1): any retained image
-	// newer than the bootstrap state produces a regular result change. Only
-	// each key's newest retained image is applied — the per-query tracked
-	// map forgets versions when items leave the result, so replaying an
-	// older image (e.g. the insert preceding a delete) would resurrect it.
-	b.retention.each(func(r *retainedImage) {
-		img := r.we.Image
-		ck := b.interner.key(r.we.Tenant, img.Collection, img.Key)
-		if img.Version < b.latest[ck] {
-			return // superseded within the retention window
-		}
-		b.processImage(t, mq, r.we, ck)
-	})
+	// newer than the bootstrap state produces a regular result change.
+	b.replay(t, mq, 0)
 }
 
 func (b *matchBolt) handleCancel(t *topology.Tuple, p *CancelRequest) {
@@ -481,10 +564,7 @@ func (b *matchBolt) handleCancel(t *topology.Tuple, p *CancelRequest) {
 	}
 	delete(mq.subs, p.SubscriptionID)
 	if len(mq.subs) == 0 {
-		delete(b.queries, p.QueryHash)
-		if b.qindex != nil {
-			b.qindex.remove(mq)
-		}
+		b.removeQuery(mq)
 	}
 }
 
@@ -523,10 +603,7 @@ func (b *matchBolt) handleTick(now time.Time) {
 			}
 		}
 		if len(mq.subs) == 0 {
-			delete(b.queries, hash)
-			if b.qindex != nil {
-				b.qindex.remove(mq)
-			}
+			b.removeQuery(mq)
 			// Exactly one cell per local row (column 0) informs the sorting
 			// stage, so the expiry is delivered once.
 			if mq.ordered && b.cell.Col == 0 {
@@ -545,4 +622,3 @@ func (b *matchBolt) handleTick(now time.Time) {
 		}
 	}
 }
-

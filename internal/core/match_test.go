@@ -67,9 +67,9 @@ func TestHandleTickExpiresManyInOneTick(t *testing.T) {
 	// The index must have forgotten the expired queries: exactly one
 	// registration remains.
 	remaining := b.qindex.registered()
-	if remaining != 1 || len(b.qindex.unindexed) != 0 {
+	if remaining != 1 || len(b.qindex.unindexedSet()) != 0 {
 		t.Fatalf("index still holds %d registrations / %d unindexed after expiry",
-			remaining, len(b.qindex.unindexed))
+			remaining, len(b.qindex.unindexedSet()))
 	}
 }
 
@@ -123,3 +123,102 @@ func TestQueryIndexRemoveLeavesOtherTrackersIntact(t *testing.T) {
 	}
 }
 
+// TestQueryBucketsStayConsistent drives the cell's per-(tenant, collection)
+// grouping through subscribe, cancel and TTL expiry: every query sits at its
+// recorded slot of exactly its own bucket, removal is a swap-delete that
+// fixes the moved query's slot, an emptied bucket is dropped, and a write is
+// evaluated against its own bucket's queries only — with or without the
+// query index, whose residual (unindexable) queries are per bucket too.
+func TestQueryBucketsStayConsistent(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		b := newMatchHarness(t, Options{EnableQueryIndex: indexed})
+		check := func(stage string, want map[string]int) {
+			t.Helper()
+			total := 0
+			for key, qb := range b.buckets {
+				if len(qb.queries) != want[key] {
+					t.Fatalf("index=%v %s: bucket %q holds %d queries, want %d", indexed, stage, key, len(qb.queries), want[key])
+				}
+				for slot, mq := range qb.queries {
+					if mq.bucket != qb || mq.slot != slot || b.queries[mq.hash] != mq || bucketKey(mq.tenant, mq.q.Collection) != key {
+						t.Fatalf("index=%v %s: query %x misfiled (slot %d recorded %d)", indexed, stage, mq.hash, slot, mq.slot)
+					}
+				}
+				total += len(qb.queries)
+			}
+			if total != len(b.queries) || len(b.buckets) != len(want) {
+				t.Fatalf("index=%v %s: %d bucketed of %d queries in %d buckets, want %d buckets", indexed, stage, total, len(b.queries), len(b.buckets), len(want))
+			}
+		}
+		var qs []*query.Query
+		for i := 0; i < 6; i++ {
+			spec := rangeSpec(i*10, i*10+10)
+			if i%2 == 1 {
+				// Unindexable: lands in the index's per-bucket residual set.
+				spec.Filter = map[string]any{"n": map[string]any{"$ne": int64(i)}}
+			}
+			if i >= 4 {
+				spec.Collection = "d"
+			}
+			q := query.MustCompile(spec)
+			qs = append(qs, q)
+			ttl := time.Hour
+			if i == 2 {
+				ttl = time.Millisecond
+			}
+			subscribeFor(b, q, "s", ttl)
+		}
+		check("subscribed", map[string]int{"t\x00c": 4, "t\x00d": 2})
+
+		cancel := func(q *query.Query) {
+			b.handleCancel(nil, &CancelRequest{Tenant: "t", SubscriptionID: "s", QueryHash: TenantQueryHash("t", q)})
+		}
+		cancel(qs[0]) // first slot: the last query of the bucket moves into it
+		check("cancelled head", map[string]int{"t\x00c": 3, "t\x00d": 2})
+		b.handleTick(time.Now().Add(time.Minute)) // expires qs[2]
+		check("expired", map[string]int{"t\x00c": 2, "t\x00d": 2})
+
+		// A write to c is evaluated against c's two survivors (qs[1] and
+		// qs[3], both unindexable), not against d's $ne query qs[5].
+		before := b.c.mCandEvaluated.Value()
+		b.handleWrite(nil, writeEvent("k", 1000))
+		if got := b.c.mCandEvaluated.Value() - before; got != 2 {
+			t.Fatalf("index=%v: write to c evaluated %d queries, want 2", indexed, got)
+		}
+
+		cancel(qs[4])
+		cancel(qs[5])
+		check("bucket d emptied", map[string]int{"t\x00c": 2})
+		if indexed && len(b.qindex.buckets) != 1 {
+			t.Fatalf("index keeps %d buckets after d emptied, want 1", len(b.qindex.buckets))
+		}
+	}
+}
+
+// TestSubscribeReplaySkipsOtherCollections: the retention replay that closes
+// the write-subscription race offers a new query only the retained images of
+// its own (tenant, collection) — processImage itself no longer checks.
+func TestSubscribeReplaySkipsOtherCollections(t *testing.T) {
+	b := newMatchHarness(t, Options{})
+	for i, coll := range []string{"c", "d", "c", "d"} {
+		we := writeEvent(fmt.Sprintf("k%d", i), 5)
+		we.Image.Collection = coll
+		we.Image.Version = uint64(i + 1)
+		b.handleWrite(nil, we)
+	}
+	other := writeEvent("k0", 5)
+	other.Tenant = "t2"
+	other.Image.Version = 9
+	b.handleWrite(nil, other)
+
+	before := b.c.mCandEvaluated.Value()
+	q := query.MustCompile(rangeSpec(0, 10))
+	subscribeFor(b, q, "s", time.Hour)
+	if got := b.c.mCandEvaluated.Value() - before; got != 2 {
+		t.Fatalf("replay evaluated %d retained images, want the 2 of tenant t / collection c", got)
+	}
+	mq := b.queries[TenantQueryHash("t", q)]
+	if len(mq.tracked) != 2 || mq.tracked["k0"] != 1 || mq.tracked["k2"] != 3 {
+		t.Fatalf("replay tracked %v, want k0@1 and k2@3", mq.tracked)
+	}
+}

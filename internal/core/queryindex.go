@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strings"
 
 	"invalidb/internal/document"
 	"invalidb/internal/geo"
@@ -31,7 +30,10 @@ import (
 //
 //   - the queries currently tracking the written key (their matching status
 //     can only *end*, which no necessary condition can rule out), and
-//   - the residual queries with no extractable constraint.
+//   - the bucket's residual queries with no extractable constraint.
+//
+// Every candidate therefore belongs to the write's own (tenant, collection):
+// the matching cell evaluates candidates without re-checking either.
 //
 // Correctness: an indexed constraint is necessary for matching, so any query
 // not in the candidate set neither matches the new image nor tracked the old
@@ -39,41 +41,57 @@ import (
 type queryIndex struct {
 	// buckets: tenant\x00collection -> that collection's index families.
 	buckets map[string]*collectionIndex
-	// unindexed queries are probed on every write.
-	unindexed map[uint64]*matchQuery
 	// trackers: composite record key -> queries currently tracking it.
 	trackers map[string]map[uint64]*matchQuery
 	// byQuery remembers where each indexed query was registered.
 	byQuery map[uint64]indexedAt
 	// tokBuf is the reusable lowercase-token buffer of the text probe.
 	tokBuf []byte
-	// rangeMin/rangeMax/rangeAny accumulate the numeric extent of one
-	// probed path across every array branch (see accumRangePath).
-	rangeMin, rangeMax float64
-	rangeAny           bool
+	// The probe visitors live here so handing one to a path walk allocates
+	// nothing; a probe is single-threaded, like the cell that owns the index.
+	rng  rangeProbe
+	eqp  eqProbe
+	geop geoProbe
 }
 
-// collectionIndex holds one (tenant, collection)'s index families. size
-// counts the queries registered across all families, so empty buckets can be
-// dropped.
+// collectionIndex holds one (tenant, collection)'s index families. Each
+// per-path family carries its field path compiled once, when the first
+// constraint on that path is registered, so probes walk documents through
+// document.Path — the one owner of the array fan-out rule. size counts the
+// queries registered across all families, so empty buckets can be dropped.
 type collectionIndex struct {
 	// trees: field path -> interval tree over numeric range constraints.
 	trees map[string]*intervalTree
 	// eq: field path -> scalar value -> queries requiring that value.
-	eq map[string]map[eqValue]map[uint64]*matchQuery
+	eq map[string]*eqPostings
 	// geo: field path -> grid cell -> queries whose shape's bound covers it.
-	geo map[string]map[uint64]map[uint64]*matchQuery
+	geo map[string]*geoPostings
 	// text: token -> queries requiring (at least) that token.
 	text map[string]map[uint64]*matchQuery
-	size int
+	// unindexed queries of this bucket are candidates of every write to it.
+	unindexed map[uint64]*matchQuery
+	size      int
+}
+
+type eqPostings struct {
+	path  document.Path
+	byVal map[eqValue]map[uint64]*matchQuery
+}
+
+type geoPostings struct {
+	path   document.Path
+	byCell map[uint64]map[uint64]*matchQuery
 }
 
 // indexedAt records a query's registration for O(1) removal.
 type indexedAt struct {
 	bucket string
-	c      query.Constraint
-	eqVals []eqValue // ConstraintEquality: the hash keys registered
-	cells  []uint64  // ConstraintGeo: the cells registered
+	// residual marks a query with no indexable constraint: it sits in the
+	// bucket's unindexed set and c is the zero Constraint.
+	residual bool
+	c        query.Constraint
+	eqVals   []eqValue // ConstraintEquality: the hash keys registered
+	cells    []uint64  // ConstraintGeo: the cells registered
 }
 
 // eqValue is the equality index's hash key: a scalar normalized so that
@@ -104,16 +122,23 @@ const maxGeoCells = 4096
 
 func newQueryIndex() *queryIndex {
 	return &queryIndex{
-		buckets:   map[string]*collectionIndex{},
-		unindexed: map[uint64]*matchQuery{},
-		trackers:  map[string]map[uint64]*matchQuery{},
-		byQuery:   map[uint64]indexedAt{},
-		tokBuf:    make([]byte, 0, 64),
+		buckets:  map[string]*collectionIndex{},
+		trackers: map[string]map[uint64]*matchQuery{},
+		byQuery:  map[uint64]indexedAt{},
+		tokBuf:   make([]byte, 0, 64),
 	}
 }
 
 func bucketKey(tenant, collection string) string {
 	return tenant + "\x00" + collection
+}
+
+// bucketOfKey slices the bucket key off an interned composite record key
+// (tenant\x00collection\x00key): no per-write key construction.
+//
+//invalidb:hotpath
+func bucketOfKey(ck, key string) string {
+	return ck[:len(ck)-len(key)-1]
 }
 
 // add registers a query under the most selective of its indexable
@@ -125,7 +150,10 @@ func (qi *queryIndex) add(mq *matchQuery) {
 			return
 		}
 	}
-	qi.unindexed[mq.hash] = mq
+	b := qi.bucket(bkey)
+	b.unindexed[mq.hash] = mq
+	b.size++
+	qi.byQuery[mq.hash] = indexedAt{bucket: bkey, residual: true}
 }
 
 // tryIndex attempts to register mq under one constraint. It returns false
@@ -140,16 +168,16 @@ func (qi *queryIndex) tryIndex(bkey string, c query.Constraint, mq *matchQuery) 
 			return false
 		}
 		b := qi.bucket(bkey)
-		byCell := b.geo[c.Path]
-		if byCell == nil {
-			byCell = map[uint64]map[uint64]*matchQuery{}
-			b.geo[c.Path] = byCell
+		gp := b.geo[c.Path]
+		if gp == nil {
+			gp = &geoPostings{path: document.ParsePath(c.Path), byCell: map[uint64]map[uint64]*matchQuery{}}
+			b.geo[c.Path] = gp
 		}
 		for _, cell := range cells {
-			set := byCell[cell]
+			set := gp.byCell[cell]
 			if set == nil {
 				set = map[uint64]*matchQuery{}
-				byCell[cell] = set
+				gp.byCell[cell] = set
 			}
 			set[mq.hash] = mq
 		}
@@ -164,16 +192,16 @@ func (qi *queryIndex) tryIndex(bkey string, c query.Constraint, mq *matchQuery) 
 			vals = append(vals, ev)
 		}
 		b := qi.bucket(bkey)
-		byVal := b.eq[c.Path]
-		if byVal == nil {
-			byVal = map[eqValue]map[uint64]*matchQuery{}
-			b.eq[c.Path] = byVal
+		ep := b.eq[c.Path]
+		if ep == nil {
+			ep = &eqPostings{path: document.ParsePath(c.Path), byVal: map[eqValue]map[uint64]*matchQuery{}}
+			b.eq[c.Path] = ep
 		}
 		for _, ev := range vals {
-			set := byVal[ev]
+			set := ep.byVal[ev]
 			if set == nil {
 				set = map[uint64]*matchQuery{}
-				byVal[ev] = set
+				ep.byVal[ev] = set
 			}
 			set[mq.hash] = mq
 		}
@@ -192,7 +220,7 @@ func (qi *queryIndex) tryIndex(bkey string, c query.Constraint, mq *matchQuery) 
 		b := qi.bucket(bkey)
 		tree := b.trees[c.Path]
 		if tree == nil {
-			tree = &intervalTree{}
+			tree = &intervalTree{path: document.ParsePath(c.Path)}
 			b.trees[c.Path] = tree
 		}
 		tree.insert(c.Interval, mq)
@@ -208,10 +236,11 @@ func (qi *queryIndex) bucket(bkey string) *collectionIndex {
 	b := qi.buckets[bkey]
 	if b == nil {
 		b = &collectionIndex{
-			trees: map[string]*intervalTree{},
-			eq:    map[string]map[eqValue]map[uint64]*matchQuery{},
-			geo:   map[string]map[uint64]map[uint64]*matchQuery{},
-			text:  map[string]map[uint64]*matchQuery{},
+			trees:     map[string]*intervalTree{},
+			eq:        map[string]*eqPostings{},
+			geo:       map[string]*geoPostings{},
+			text:      map[string]map[uint64]*matchQuery{},
+			unindexed: map[uint64]*matchQuery{},
 		}
 		qi.buckets[bkey] = b
 	}
@@ -268,36 +297,38 @@ func (qi *queryIndex) remove(mq *matchQuery) {
 	if at, ok := qi.byQuery[mq.hash]; ok {
 		delete(qi.byQuery, mq.hash)
 		if b := qi.buckets[at.bucket]; b != nil {
-			switch at.c.Kind {
-			case query.ConstraintGeo:
-				if byCell := b.geo[at.c.Path]; byCell != nil {
+			switch {
+			case at.residual:
+				delete(b.unindexed, mq.hash)
+			case at.c.Kind == query.ConstraintGeo:
+				if gp := b.geo[at.c.Path]; gp != nil {
 					for _, cell := range at.cells {
-						if set := byCell[cell]; set != nil {
+						if set := gp.byCell[cell]; set != nil {
 							delete(set, mq.hash)
 							if len(set) == 0 {
-								delete(byCell, cell)
+								delete(gp.byCell, cell)
 							}
 						}
 					}
-					if len(byCell) == 0 {
+					if len(gp.byCell) == 0 {
 						delete(b.geo, at.c.Path)
 					}
 				}
-			case query.ConstraintEquality:
-				if byVal := b.eq[at.c.Path]; byVal != nil {
+			case at.c.Kind == query.ConstraintEquality:
+				if ep := b.eq[at.c.Path]; ep != nil {
 					for _, ev := range at.eqVals {
-						if set := byVal[ev]; set != nil {
+						if set := ep.byVal[ev]; set != nil {
 							delete(set, mq.hash)
 							if len(set) == 0 {
-								delete(byVal, ev)
+								delete(ep.byVal, ev)
 							}
 						}
 					}
-					if len(byVal) == 0 {
+					if len(ep.byVal) == 0 {
 						delete(b.eq, at.c.Path)
 					}
 				}
-			case query.ConstraintText:
+			case at.c.Kind == query.ConstraintText:
 				for _, tok := range at.c.Tokens {
 					if set := b.text[tok]; set != nil {
 						delete(set, mq.hash)
@@ -306,7 +337,7 @@ func (qi *queryIndex) remove(mq *matchQuery) {
 						}
 					}
 				}
-			case query.ConstraintInterval:
+			case at.c.Kind == query.ConstraintInterval:
 				if tree := b.trees[at.c.Path]; tree != nil {
 					tree.remove(mq.hash)
 					if tree.size == 0 {
@@ -320,7 +351,6 @@ func (qi *queryIndex) remove(mq *matchQuery) {
 			}
 		}
 	}
-	delete(qi.unindexed, mq.hash)
 	for ck := range mq.trackedCK {
 		if set := qi.trackers[ck]; set != nil {
 			delete(set, mq.hash)
@@ -336,7 +366,7 @@ func (qi *queryIndex) remove(mq *matchQuery) {
 func (qi *queryIndex) registered() int {
 	n := 0
 	for _, b := range qi.buckets {
-		n += b.size
+		n += b.size - len(b.unindexed)
 	}
 	return n
 }
@@ -379,40 +409,45 @@ func (qi *queryIndex) candidates(we *WriteEvent, ck string) map[uint64]*matchQue
 //
 //invalidb:hotpath
 func (qi *queryIndex) candidatesInto(we *WriteEvent, ck string, out map[uint64]*matchQuery) map[uint64]*matchQuery {
-	for h, mq := range qi.unindexed {
-		out[h] = mq
-	}
 	for h, mq := range qi.trackers[ck] {
 		out[h] = mq
 	}
 	img := we.Image
-	if img.Doc == nil || len(ck) < len(img.Key)+2 {
+	if len(ck) < len(img.Key)+2 {
 		return out
 	}
 	// ck is the interned tenant\x00collection\x00key composite, so the
 	// tenant\x00collection bucket key is a slice of it — no per-write key
 	// construction, and no scan over other collections' indexes.
-	b := qi.buckets[ck[:len(ck)-len(img.Key)-1]]
+	b := qi.buckets[bucketOfKey(ck, img.Key)]
 	if b == nil {
 		return out
 	}
-	for path, tree := range b.trees {
+	for h, mq := range b.unindexed {
+		out[h] = mq
+	}
+	if img.Doc == nil {
+		return out
+	}
+	for _, tree := range b.trees {
 		// Numeric constraints are probed with the *extent* of the path's
 		// values, not per value: with an array field, {$gte: a, $lt: b} can
 		// be satisfied by two different elements, so the sound necessary
 		// condition is that the query interval overlaps [min, max] of the
 		// reachable values (exactly a point stab when the field is scalar).
-		qi.rangeAny = false
-		qi.accumRangePath(img.Doc, path)
-		if qi.rangeAny {
-			tree.stabRange(qi.rangeMin, qi.rangeMax, out)
+		qi.rng.any = false
+		tree.path.WalkLeaves(img.Doc, &qi.rng)
+		if qi.rng.any {
+			tree.stabRange(qi.rng.min, qi.rng.max, out)
 		}
 	}
-	for path, byVal := range b.eq {
-		probeEqualityPath(img.Doc, path, byVal, out)
+	for _, ep := range b.eq {
+		qi.eqp.byVal, qi.eqp.out = ep.byVal, out
+		ep.path.WalkLeaves(img.Doc, &qi.eqp)
 	}
-	for path, byCell := range b.geo {
-		probeGeoPath(img.Doc, path, byCell, out)
+	for _, gp := range b.geo {
+		qi.geop.byCell, qi.geop.out = gp.byCell, out
+		gp.path.Walk(img.Doc, &qi.geop)
 	}
 	if len(b.text) > 0 {
 		qi.probeTextValue(map[string]any(img.Doc), b.text, out)
@@ -420,82 +455,20 @@ func (qi *queryIndex) candidatesInto(we *WriteEvent, ck string, out map[uint64]*
 	return out
 }
 
-// The path walkers below mirror document.Lookup's traversal — numeric
-// segments index arrays positionally, non-numeric segments fan out over
-// array elements — without its allocations (Lookup splits the path and
-// builds value slices per call; the walkers slice the path in place and
-// visit leaves directly). At a leaf they apply MongoDB's implicit array
-// semantics: the value itself and, when it is an array, each element.
+// The probes below are document.Path visitors: the path walk owns the
+// traversal (numeric segments positional, other segments fanning out over
+// array elements, leaf arrays offering their elements), the visitor only
+// looks at the values it is handed. None ever stops a walk.
 
-// splitSeg cuts the first dotted segment off a path.
-//
-//invalidb:hotpath
-func splitSeg(path string) (seg, rest string) {
-	if i := strings.IndexByte(path, '.'); i >= 0 {
-		return path[:i], path[i+1:]
-	}
-	return path, ""
-}
-
-// segIndex parses a path segment as a non-negative array index, mirroring
-// document's positional-lookup rule.
-//
-//invalidb:hotpath
-func segIndex(seg string) (int, bool) {
-	if seg == "" {
-		return 0, false
-	}
-	n := 0
-	for i := 0; i < len(seg); i++ {
-		c := seg[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-// accumRangePath widens qi.rangeMin/rangeMax with every numeric value the
-// path reaches (across all array branches and leaf array elements), so the
-// caller can run one interval-overlap query against the whole extent.
-//
-//invalidb:hotpath
-func (qi *queryIndex) accumRangePath(cur any, path string) {
-	if path == "" {
-		qi.accumRangeValue(cur)
-		if arr, ok := cur.([]any); ok {
-			for _, e := range arr {
-				qi.accumRangeValue(e)
-			}
-		}
-		return
-	}
-	seg, rest := splitSeg(path)
-	switch t := cur.(type) {
-	case map[string]any:
-		if v, ok := t[seg]; ok {
-			qi.accumRangePath(v, rest)
-		}
-	case document.Document:
-		if v, ok := t[seg]; ok {
-			qi.accumRangePath(v, rest)
-		}
-	case []any:
-		if idx, ok := segIndex(seg); ok {
-			if idx < len(t) {
-				qi.accumRangePath(t[idx], rest)
-			}
-			return
-		}
-		for _, e := range t {
-			qi.accumRangePath(e, path)
-		}
-	}
+// rangeProbe widens [min, max] with every numeric value a path reaches, so
+// the caller can run one interval-overlap query against the whole extent.
+type rangeProbe struct {
+	min, max float64
+	any      bool
 }
 
 //invalidb:hotpath
-func (qi *queryIndex) accumRangeValue(v any) {
+func (p *rangeProbe) Visit(v any) bool {
 	var f float64
 	switch t := v.(type) {
 	case int64:
@@ -503,111 +476,66 @@ func (qi *queryIndex) accumRangeValue(v any) {
 	case float64:
 		f = t
 	default:
-		return
+		return false
 	}
-	if !qi.rangeAny {
-		qi.rangeMin, qi.rangeMax, qi.rangeAny = f, f, true
-		return
+	if !p.any {
+		p.min, p.max, p.any = f, f, true
+		return false
 	}
-	if f < qi.rangeMin {
-		qi.rangeMin = f
+	if f < p.min {
+		p.min = f
 	}
-	if f > qi.rangeMax {
-		qi.rangeMax = f
+	if f > p.max {
+		p.max = f
 	}
+	return false
+}
+
+// eqProbe merges the postings of every scalar a path reaches.
+type eqProbe struct {
+	byVal map[eqValue]map[uint64]*matchQuery
+	out   map[uint64]*matchQuery
 }
 
 //invalidb:hotpath
-func probeEqualityPath(cur any, path string, byVal map[eqValue]map[uint64]*matchQuery, out map[uint64]*matchQuery) {
-	if path == "" {
-		probeEqualityLeaf(cur, byVal, out)
-		if arr, ok := cur.([]any); ok {
-			for _, e := range arr {
-				probeEqualityLeaf(e, byVal, out)
-			}
-		}
-		return
-	}
-	seg, rest := splitSeg(path)
-	switch t := cur.(type) {
-	case map[string]any:
-		if v, ok := t[seg]; ok {
-			probeEqualityPath(v, rest, byVal, out)
-		}
-	case document.Document:
-		if v, ok := t[seg]; ok {
-			probeEqualityPath(v, rest, byVal, out)
-		}
-	case []any:
-		if idx, ok := segIndex(seg); ok {
-			if idx < len(t) {
-				probeEqualityPath(t[idx], rest, byVal, out)
-			}
-			return
-		}
-		for _, e := range t {
-			probeEqualityPath(e, path, byVal, out)
+func (p *eqProbe) Visit(v any) bool {
+	if ev, ok := docEqValue(v); ok {
+		for h, mq := range p.byVal[ev] {
+			p.out[h] = mq
 		}
 	}
+	return false
+}
+
+// geoProbe merges the cell postings of every point a path reaches. A reached
+// value is a point, or an array of points ($geoWithin's array form);
+// ParsePoint itself understands the [lng, lat] array form, so the value is
+// tried first and only then its elements.
+type geoProbe struct {
+	byCell map[uint64]map[uint64]*matchQuery
+	out    map[uint64]*matchQuery
 }
 
 //invalidb:hotpath
-func probeEqualityLeaf(v any, byVal map[eqValue]map[uint64]*matchQuery, out map[uint64]*matchQuery) {
-	ev, ok := docEqValue(v)
-	if !ok {
-		return
+func (p *geoProbe) Visit(v any) bool {
+	if pt, ok := geo.ParsePoint(v); ok {
+		p.cell(pt)
+		return false
 	}
-	for h, mq := range byVal[ev] {
-		out[h] = mq
+	if arr, ok := v.([]any); ok {
+		for _, e := range arr {
+			if pt, ok := geo.ParsePoint(e); ok {
+				p.cell(pt)
+			}
+		}
 	}
+	return false
 }
 
 //invalidb:hotpath
-func probeGeoPath(cur any, path string, byCell map[uint64]map[uint64]*matchQuery, out map[uint64]*matchQuery) {
-	if path == "" {
-		// A leaf is a point, or an array of points ($geoWithin's array form).
-		// ParsePoint itself understands the [lng, lat] array form, so try the
-		// value first and only then fan out.
-		if pt, ok := geo.ParsePoint(cur); ok {
-			probeGeoCell(pt, byCell, out)
-			return
-		}
-		if arr, ok := cur.([]any); ok {
-			for _, e := range arr {
-				if pt, ok := geo.ParsePoint(e); ok {
-					probeGeoCell(pt, byCell, out)
-				}
-			}
-		}
-		return
-	}
-	seg, rest := splitSeg(path)
-	switch t := cur.(type) {
-	case map[string]any:
-		if v, ok := t[seg]; ok {
-			probeGeoPath(v, rest, byCell, out)
-		}
-	case document.Document:
-		if v, ok := t[seg]; ok {
-			probeGeoPath(v, rest, byCell, out)
-		}
-	case []any:
-		if idx, ok := segIndex(seg); ok {
-			if idx < len(t) {
-				probeGeoPath(t[idx], rest, byCell, out)
-			}
-			return
-		}
-		for _, e := range t {
-			probeGeoPath(e, path, byCell, out)
-		}
-	}
-}
-
-//invalidb:hotpath
-func probeGeoCell(pt geo.Point, byCell map[uint64]map[uint64]*matchQuery, out map[uint64]*matchQuery) {
-	for h, mq := range byCell[geo.CellID(pt, geoCellDeg)] {
-		out[h] = mq
+func (p *geoProbe) cell(pt geo.Point) {
+	for h, mq := range p.byCell[geo.CellID(pt, geoCellDeg)] {
+		p.out[h] = mq
 	}
 }
 
@@ -665,22 +593,13 @@ func (qi *queryIndex) probeTokens(s string, idx map[string]map[uint64]*matchQuer
 	qi.tokBuf = buf[:0] // keep grown capacity for the next probe
 }
 
-//invalidb:hotpath
-func stabNumeric(tree *intervalTree, v any, out map[uint64]*matchQuery) {
-	switch t := v.(type) {
-	case int64:
-		tree.stab(float64(t), out)
-	case float64:
-		tree.stab(t, out)
-	}
-}
-
 // intervalTree is a centered interval tree over query intervals. It is
 // rebuilt lazily: inserts and removes append to a pending list and flip a
 // dirty flag; the first stab after a change rebuilds. Query registration is
 // rare relative to writes, so rebuilds amortize to nothing during
 // measurement phases.
 type intervalTree struct {
+	path  document.Path
 	items map[uint64]treeItem
 	root  *inode
 	dirty bool

@@ -202,7 +202,7 @@ func TestGeneralizedIndexAgreesWithFullScan(t *testing.T) {
 		for _, mq := range all {
 			qi.remove(mq)
 		}
-		if qi.registered() != 0 || len(qi.unindexed) != 0 || len(qi.buckets) != 0 {
+		if qi.registered() != 0 || len(qi.unindexedSet()) != 0 || len(qi.buckets) != 0 {
 			t.Fatalf("round %d: index not empty after removing every query", round)
 		}
 	}
@@ -261,9 +261,9 @@ func TestQueryIndexGeoFamily(t *testing.T) {
 	}})
 	qi.add(near)
 	qi.add(farAway)
-	if qi.registered() != 2 || len(qi.unindexed) != 0 {
+	if qi.registered() != 2 || len(qi.unindexedSet()) != 0 {
 		t.Fatalf("geo queries not indexed: %d registered, %d unindexed",
-			qi.registered(), len(qi.unindexed))
+			qi.registered(), len(qi.unindexedSet()))
 	}
 	ck := compositeKey("t", "c", "k")
 	we := &WriteEvent{Tenant: "t", Image: &document.AfterImage{
@@ -289,7 +289,7 @@ func TestQueryIndexGeoFamily(t *testing.T) {
 		}},
 	}})
 	qi.add(world)
-	if _, ok := qi.unindexed[world.hash]; !ok {
+	if _, ok := qi.unindexedSet()[world.hash]; !ok {
 		t.Fatal("over-cap geo shape should fall back to unindexed")
 	}
 }
@@ -304,9 +304,9 @@ func TestQueryIndexTextFamily(t *testing.T) {
 	}})
 	qi.add(coffee)
 	qi.add(tea)
-	if qi.registered() != 2 || len(qi.unindexed) != 0 {
+	if qi.registered() != 2 || len(qi.unindexedSet()) != 0 {
 		t.Fatalf("text queries not indexed: %d registered, %d unindexed",
-			qi.registered(), len(qi.unindexed))
+			qi.registered(), len(qi.unindexedSet()))
 	}
 	ck := compositeKey("t", "c", "k")
 	mk := func(desc string) *WriteEvent {
@@ -346,7 +346,7 @@ func TestQueryIndexTextFamily(t *testing.T) {
 		"$text": map[string]any{"$search": `"hot dog"`},
 	}})
 	qi.add(phrase)
-	if _, ok := qi.unindexed[phrase.hash]; !ok {
+	if _, ok := qi.unindexedSet()[phrase.hash]; !ok {
 		t.Fatal("phrase-only query should be unindexed")
 	}
 	if _, ok := qi.candidates(mk("a shot dogma"), ck)[phrase.hash]; !ok {

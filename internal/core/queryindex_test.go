@@ -311,3 +311,14 @@ func TestIntervalTreeDegenerateIdenticalIntervals(t *testing.T) {
 		t.Fatalf("identical-interval candidates = %d, want 20", len(cands))
 	}
 }
+
+// unindexedSet gathers every bucket's residual (unindexable) queries.
+func (qi *queryIndex) unindexedSet() map[uint64]*matchQuery {
+	out := map[uint64]*matchQuery{}
+	for _, b := range qi.buckets {
+		for h, mq := range b.unindexed {
+			out[h] = mq
+		}
+	}
+	return out
+}

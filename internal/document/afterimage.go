@@ -39,11 +39,16 @@ func (o Op) String() string {
 // after-image whose version is not newer than the last one it has seen for
 // the same key.
 type AfterImage struct {
-	Collection string   `json:"c"`
-	Key        string   `json:"k"`
-	Version    uint64   `json:"v"`
-	Op         Op       `json:"o"`
-	Doc        Document `json:"d,omitempty"` // nil for deletes
+	Collection string `json:"c"`
+	Key        string `json:"k"`
+	Version    uint64 `json:"v"`
+	Op         Op     `json:"o"`
+	// Doc is the written document, nil for deletes. It is READ-ONLY: the
+	// after-images the storage engine returns and logs share the stored
+	// record's document (records are immutable once stored, so no copy is
+	// taken), and one after-image reaches every oplog tailer. A consumer
+	// that needs to change it clones first.
+	Doc Document `json:"d,omitempty"`
 }
 
 // Validate checks structural invariants: a key and version are always

@@ -158,7 +158,37 @@ func IsMissing(v any) bool {
 // brackets order by bracket; numbers compare numerically across int64/float64;
 // strings lexicographically; arrays element-wise; objects by sorted key/value
 // sequence; booleans false < true. The result is -1, 0 or +1.
+//
+// Canonical numbers and strings — every sort key and nearly every filter
+// operand — compare on the spot, without normalizing or allocating.
+//
+//invalidb:hotpath
 func Compare(a, b any) int {
+	switch x := a.(type) {
+	case float64:
+		switch y := b.(type) {
+		case float64:
+			return CompareFloats(x, y)
+		case int64:
+			return CompareFloats(x, float64(y))
+		}
+	case int64:
+		switch y := b.(type) {
+		case int64:
+			return compareInts(x, y)
+		case float64:
+			return CompareFloats(float64(x), y)
+		}
+	case string:
+		if y, ok := b.(string); ok {
+			return strings.Compare(x, y)
+		}
+	}
+	//invalidb:allow hotpathalloc objects sort both key sets and unknown Go types format themselves; canonical scalars returned above
+	return compareGeneral(a, b)
+}
+
+func compareGeneral(a, b any) int {
 	a, b = normalize(a), normalize(b)
 	ca, cb := classOf(a), classOf(b)
 	if ca != cb {
@@ -171,7 +201,13 @@ func Compare(a, b any) int {
 	case classMissing, classNull:
 		return 0
 	case classNumber:
-		return compareNumbers(a, b)
+		// Compare in int64 space when both are integers to avoid float rounding.
+		ia, aInt := a.(int64)
+		ib, bInt := b.(int64)
+		if aInt && bInt {
+			return compareInts(ia, ib)
+		}
+		return CompareFloats(toFloat(a), toFloat(b))
 	case classString:
 		return strings.Compare(a.(string), b.(string))
 	case classBool:
@@ -193,21 +229,20 @@ func Compare(a, b any) int {
 	}
 }
 
-func compareNumbers(a, b any) int {
-	// Compare in int64 space when both are integers to avoid float rounding.
-	ia, aInt := a.(int64)
-	ib, bInt := b.(int64)
-	if aInt && bInt {
-		switch {
-		case ia < ib:
-			return -1
-		case ia > ib:
-			return 1
-		default:
-			return 0
-		}
+func compareInts(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
 	}
-	fa, fb := toFloat(a), toFloat(b)
+}
+
+// CompareFloats orders two numbers the way Compare does: NaN first, equal to
+// itself.
+func CompareFloats(fa, fb float64) int {
 	switch {
 	case fa < fb:
 		return -1
@@ -290,120 +325,17 @@ func sortedKeys(m map[string]any) []string {
 // (numeric 3 == 3.0, object key order irrelevant).
 func Equal(a, b any) bool { return Compare(a, b) == 0 }
 
-// Get resolves a dotted path ("a.b.c") against a document and returns the
-// single value at that path, or Missing. Numeric path segments index into
-// arrays. Unlike Lookup it does not fan out over array elements; it is the
-// positional accessor used for sorting.
+// Get resolves a dotted path positionally (see Path.Get). It compiles the
+// path per call: callers on a hot path hold a Path instead.
 func Get(d Document, path string) any {
-	var cur any = map[string]any(d)
-	for _, seg := range strings.Split(path, ".") {
-		switch t := normalize(cur).(type) {
-		case map[string]any:
-			v, ok := t[seg]
-			if !ok {
-				return Missing
-			}
-			cur = v
-		case []any:
-			idx, ok := arrayIndex(seg)
-			if !ok || idx < 0 || idx >= len(t) {
-				return Missing
-			}
-			cur = t[idx]
-		default:
-			return Missing
-		}
-	}
-	return normalize(cur)
+	p := ParsePath(path)
+	return p.Get(d)
 }
 
-func arrayIndex(seg string) (int, bool) {
-	if seg == "" {
-		return 0, false
-	}
-	n := 0
-	for _, r := range seg {
-		if r < '0' || r > '9' {
-			return 0, false
-		}
-		n = n*10 + int(r-'0')
-	}
-	return n, true
-}
-
-// Lookup resolves a dotted path with MongoDB's multi-value semantics: when a
-// path traverses an array, the lookup fans out over the array's elements. The
-// returned slice contains every value reachable at the path (possibly
-// including Missing entries when some branches lack the field) and the bool
-// reports whether the terminal value in at least one branch is itself an
-// array that was reached exactly (so operators like $size can apply to it).
-//
-// Examples, for {"a": [{"b": 1}, {"b": 2}]}:
-//
-//	Lookup(doc, "a.b") -> [1, 2]
-//	Lookup(doc, "a")   -> [[{"b":1},{"b":2}]]
-func Lookup(d Document, path string) []any {
-	segs := strings.Split(path, ".")
-	return lookupValue(map[string]any(d), segs)
-}
-
-func lookupValue(cur any, segs []string) []any {
-	cur = normalize(cur)
-	if len(segs) == 0 {
-		return []any{cur}
-	}
-	seg := segs[0]
-	switch t := cur.(type) {
-	case map[string]any:
-		v, ok := t[seg]
-		if !ok {
-			return []any{Missing}
-		}
-		return lookupValue(v, segs[1:])
-	case []any:
-		// Numeric segment: positional index into the array.
-		if idx, ok := arrayIndex(seg); ok {
-			if idx < 0 || idx >= len(t) {
-				return []any{Missing}
-			}
-			return lookupValue(t[idx], segs[1:])
-		}
-		// Otherwise fan out over elements.
-		var out []any
-		for _, e := range t {
-			out = append(out, lookupValue(e, segs)...)
-		}
-		if len(out) == 0 {
-			out = []any{Missing}
-		}
-		return out
-	default:
-		return []any{Missing}
-	}
-}
-
-// Set assigns a value at a dotted path, creating intermediate objects as
-// needed. It returns an error when the path traverses a non-object value.
+// Set assigns a value at a dotted path (see Path.Set).
 func Set(d Document, path string, value any) error {
-	segs := strings.Split(path, ".")
-	cur := map[string]any(d)
-	for i, seg := range segs[:len(segs)-1] {
-		next, ok := cur[seg]
-		if !ok {
-			child := map[string]any{}
-			cur[seg] = child
-			cur = child
-			continue
-		}
-		child, ok := normalize(next).(map[string]any)
-		if !ok {
-			return fmt.Errorf("document: path %q blocked by non-object at %q", path, strings.Join(segs[:i+1], "."))
-		}
-		cur[seg] = child
-		cur = child
-	}
-	cur[segs[len(segs)-1]] = value
-	return nil
+	p := ParsePath(path)
+	return p.Set(d, value)
 }
 
 // Unset removes the value at a dotted path. Removing a missing path is a
@@ -421,10 +353,10 @@ func Unset(d Document, path string) {
 	delete(cur, segs[len(segs)-1])
 }
 
-// Project returns a copy of the document containing only the given dotted
-// paths (plus _id, as in MongoDB, unless includeID is false). An empty path
-// list returns a full clone.
-func Project(d Document, paths []string, includeID bool) Document {
+// Project returns a copy of the document containing only the given paths
+// (plus _id, as in MongoDB, unless includeID is false). An empty path list
+// returns a full clone.
+func Project(d Document, paths []Path, includeID bool) Document {
 	if len(paths) == 0 {
 		return d.Clone()
 	}
@@ -434,13 +366,13 @@ func Project(d Document, paths []string, includeID bool) Document {
 			out["_id"] = cloneValue(id)
 		}
 	}
-	for _, p := range paths {
-		v := Get(d, p)
+	for i := range paths {
+		v := paths[i].Get(d)
 		if IsMissing(v) {
 			continue
 		}
 		// Ignore the error: Get succeeded, so the path is object-shaped.
-		_ = Set(out, p, cloneValue(v))
+		_ = paths[i].Set(out, cloneValue(v))
 	}
 	return out
 }

@@ -173,7 +173,7 @@ func TestLookupFansOutOverArrays(t *testing.T) {
 		map[string]any{"b": int64(2)},
 		map[string]any{"c": int64(3)},
 	}}
-	vals := Lookup(d, "a.b")
+	vals := walked(d, "a.b", false)
 	var nums []int64
 	missing := 0
 	for _, v := range vals {
@@ -190,7 +190,7 @@ func TestLookupFansOutOverArrays(t *testing.T) {
 
 func TestLookupTerminalArray(t *testing.T) {
 	d := Document{"a": []any{int64(1), int64(2)}}
-	vals := Lookup(d, "a")
+	vals := walked(d, "a", false)
 	if len(vals) != 1 {
 		t.Fatalf("Lookup(a) returned %d values, want the array itself", len(vals))
 	}
@@ -201,7 +201,7 @@ func TestLookupTerminalArray(t *testing.T) {
 
 func TestLookupPositional(t *testing.T) {
 	d := Document{"a": []any{map[string]any{"b": "x"}, map[string]any{"b": "y"}}}
-	vals := Lookup(d, "a.1.b")
+	vals := walked(d, "a.1.b", false)
 	if len(vals) != 1 || vals[0] != "y" {
 		t.Fatalf("Lookup(a.1.b) = %v, want [y]", vals)
 	}
@@ -238,14 +238,14 @@ func TestUnset(t *testing.T) {
 
 func TestProject(t *testing.T) {
 	d := Document{"_id": "k", "title": "DB Fun", "year": int64(2018), "secret": "x"}
-	p := Project(d, []string{"title", "year"}, true)
+	p := Project(d, ParsePaths([]string{"title", "year"}), true)
 	if p["title"] != "DB Fun" || p["year"] != int64(2018) || p["_id"] != "k" {
 		t.Fatalf("projection lost fields: %v", p)
 	}
 	if _, ok := p["secret"]; ok {
 		t.Fatal("projection leaked an unselected field")
 	}
-	noID := Project(d, []string{"title"}, false)
+	noID := Project(d, ParsePaths([]string{"title"}), false)
 	if _, ok := noID["_id"]; ok {
 		t.Fatal("projection included _id despite includeID=false")
 	}

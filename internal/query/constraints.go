@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 
+	"invalidb/internal/document"
 	"invalidb/internal/geo"
 )
 
@@ -32,11 +33,11 @@ const (
 // available) and only evaluates the full filter on writes that satisfy it.
 type Constraint struct {
 	Kind     ConstraintKind
-	Path     string       // field path (equality/geo/interval)
-	Interval Interval     // ConstraintInterval
-	Values   []any        // ConstraintEquality: scalar alternatives ($in) or a single value
-	Bound    geo.Bound    // ConstraintGeo
-	Tokens   []string     // ConstraintText: lowercased word alternatives
+	Path     string    // field path (equality/geo/interval)
+	Interval Interval  // ConstraintInterval
+	Values   []any     // ConstraintEquality: scalar alternatives ($in) or a single value
+	Bound    geo.Bound // ConstraintGeo
+	Tokens   []string  // ConstraintText: lowercased word alternatives
 }
 
 // IndexableConstraints walks the compiled filter tree and returns every
@@ -91,11 +92,12 @@ func collectConstraints(f Filter, out *[]Constraint, intervals map[string]*Inter
 			collectConstraints(c, out, intervals)
 		}
 	case *fieldFilter:
-		if strings.Contains(t.path, elemSentinel) {
+		path := t.path.String()
+		if strings.Contains(path, elemSentinel) {
 			return
 		}
 		for _, p := range t.preds {
-			constraintFromPred(t.path, p, out, intervals)
+			constraintFromPred(path, p, out, intervals)
 		}
 	case *textFilter:
 		if tokens, ok := indexableTextTokens(t); ok {
@@ -108,11 +110,23 @@ func collectConstraints(f Filter, out *[]Constraint, intervals map[string]*Inter
 
 func constraintFromPred(path string, p predicate, out *[]Constraint, intervals map[string]*Interval) {
 	switch t := p.(type) {
-	case eqPred:
-		if v, ok := indexableScalar(t.operand); ok {
+	case anyValue:
+		constraintFromTest(path, t.test, out, intervals)
+	case multiPred:
+		for _, inner := range t.preds {
+			constraintFromPred(path, inner, out, intervals)
+		}
+	}
+	// notPred ($ne, $nin, $not, {$exists: false}) is a negation: unindexable.
+}
+
+func constraintFromTest(path string, test document.Visitor, out *[]Constraint, intervals map[string]*Interval) {
+	switch t := test.(type) {
+	case *eqTest:
+		if v, ok := indexableScalar(t.operand.raw); ok {
 			*out = append(*out, Constraint{Kind: ConstraintEquality, Path: path, Values: []any{v}})
 		}
-	case inPred:
+	case *inTest:
 		// $in is a disjunction of equalities: indexable only when every
 		// alternative is an indexable scalar and there are no regexes
 		// (a regex alternative admits values the hash index cannot enumerate).
@@ -121,15 +135,15 @@ func constraintFromPred(path string, p predicate, out *[]Constraint, intervals m
 		}
 		vals := make([]any, 0, len(t.operands))
 		for _, o := range t.operands {
-			v, ok := indexableScalar(o)
+			v, ok := indexableScalar(o.raw)
 			if !ok {
 				return
 			}
 			vals = append(vals, v)
 		}
 		*out = append(*out, Constraint{Kind: ConstraintEquality, Path: path, Values: vals})
-	case cmpPred:
-		n, ok := numericOperand(t.operand)
+	case *cmpTest:
+		n, ok := numericOperand(t.operand.raw)
 		if !ok {
 			return
 		}
@@ -156,26 +170,22 @@ func constraintFromPred(path string, p predicate, out *[]Constraint, intervals m
 				iv.Hi, iv.HiSet, iv.HiInc = n, true, false
 			}
 		}
-	case geoWithinPred:
+	case *geoWithinTest:
 		if b, ok := t.shape.(geo.Bounder); ok {
 			bound := b.Bound()
 			if bound.Valid() {
 				*out = append(*out, Constraint{Kind: ConstraintGeo, Path: path, Bound: bound})
 			}
 		}
-	case nearSpherePred:
+	case *nearSphereTest:
 		bound := geo.Circle{Center: t.center, RadiusRad: t.maxRad}.Bound()
 		if bound.Valid() {
 			*out = append(*out, Constraint{Kind: ConstraintGeo, Path: path, Bound: bound})
 		}
-	case multiPred:
-		for _, inner := range t.preds {
-			constraintFromPred(path, inner, out, intervals)
-		}
 	}
-	// Everything else ($ne, $nin, $not, $exists, $regex, $mod, $size, $all,
-	// $elemMatch, $type) either is a negation, admits unbounded value sets,
-	// or constrains structure rather than a hashable value — unindexable.
+	// Everything else ($exists, $regex, $mod, $size, $all, $elemMatch, $type)
+	// admits unbounded value sets or constrains structure rather than a
+	// hashable value — unindexable.
 }
 
 // indexableScalar reports whether an equality operand can key a hash index.

@@ -24,6 +24,7 @@ type Filter interface {
 // everything (the `{}` filter).
 type andFilter struct{ children []Filter }
 
+//invalidb:hotpath
 func (f *andFilter) Match(d document.Document) bool {
 	for _, c := range f.children {
 		if !c.Match(d) {
@@ -36,6 +37,7 @@ func (f *andFilter) Match(d document.Document) bool {
 // orFilter matches when at least one child matches.
 type orFilter struct{ children []Filter }
 
+//invalidb:hotpath
 func (f *orFilter) Match(d document.Document) bool {
 	for _, c := range f.children {
 		if c.Match(d) {
@@ -48,6 +50,7 @@ func (f *orFilter) Match(d document.Document) bool {
 // norFilter matches when no child matches.
 type norFilter struct{ children []Filter }
 
+//invalidb:hotpath
 func (f *norFilter) Match(d document.Document) bool {
 	for _, c := range f.children {
 		if c.Match(d) {
@@ -60,65 +63,173 @@ func (f *norFilter) Match(d document.Document) bool {
 // fieldFilter applies one or more predicates to a dotted field path. All
 // predicates must hold ({age: {$gt: 5, $lt: 9}} is a conjunction).
 type fieldFilter struct {
-	path  string
+	path  document.Path
 	preds []predicate
 }
 
+// Match resolves the path once. On a document with no array on the way the
+// path reaches exactly one value and every predicate tests it directly;
+// otherwise each predicate walks the fan-out itself (DESIGN.md §7,
+// "Compiled evaluation").
+//
+//invalidb:hotpath
 func (f *fieldFilter) Match(d document.Document) bool {
-	vals := document.Lookup(d, f.path)
+	var vs values
+	if v, ok := f.path.Single(d); ok {
+		vs.one = v
+	} else {
+		vs.path, vs.doc = &f.path, d
+	}
 	for _, p := range f.preds {
-		if !p.eval(vals) {
+		if !p.match(vs) {
 			return false
 		}
 	}
 	return true
 }
 
-// predicate is a single field-level operator ($eq, $gt, $regex, ...).
-// eval receives the values produced by document.Lookup for the field path —
-// one entry per array branch, with document.Missing marking absent branches.
+// values is what a field path reaches in one document, as predicates see
+// it: the single value of an array-free traversal, or (path set) the
+// fan-out, walked on demand rather than materialised.
+type values struct {
+	one  any
+	path *document.Path
+	doc  document.Document
+}
+
+// predicate is a field-level condition over the values a path reaches.
+// Every operator is "some reached value passes a test" (anyValue), or a
+// negation or conjunction of such.
 type predicate interface {
-	eval(vals []any) bool
+	match(vs values) bool
 }
 
-// candidates expands lookup values with MongoDB's implicit array semantics:
-// for scalar-oriented operators, an array value matches when any of its
-// elements matches, and the array itself is also a candidate (so {a: [1,2]}
-// can equal-match a stored [1,2]).
-func candidates(vals []any) []any {
-	out := make([]any, 0, len(vals))
-	for _, v := range vals {
-		out = append(out, v)
-		if arr, ok := v.([]any); ok {
-			out = append(out, arr...)
+// anyValue holds when at least one reached value passes the operator's
+// per-value test. With leaves set the reached values are extended by
+// MongoDB's implicit array semantics for scalar operators: an array value
+// also offers each of its elements. The tests are pointers built at compile
+// time, so evaluating one allocates nothing.
+type anyValue struct {
+	test   document.Visitor
+	leaves bool
+}
+
+//invalidb:hotpath
+func (p anyValue) match(vs values) bool {
+	switch {
+	case vs.path == nil && p.leaves:
+		return document.VisitLeaves(vs.one, p.test)
+	case vs.path == nil:
+		return p.test.Visit(vs.one)
+	case p.leaves:
+		return vs.path.WalkLeaves(vs.doc, p.test)
+	default:
+		return vs.path.Walk(vs.doc, p.test)
+	}
+}
+
+// notPred negates a field-level predicate: {field: {$not: {...}}}, and the
+// negated operators $ne, $nin and {$exists: false}.
+type notPred struct{ inner predicate }
+
+//invalidb:hotpath
+func (p notPred) match(vs values) bool { return !p.inner.match(vs) }
+
+// multiPred bundles several predicates into one (used by $not over an
+// operator document with multiple operators).
+type multiPred struct{ preds []predicate }
+
+//invalidb:hotpath
+func (p multiPred) match(vs values) bool {
+	for _, q := range p.preds {
+		if !q.match(vs) {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
-// eqPred implements $eq (and bare {field: value} equality). A null operand
-// also matches missing fields, as in MongoDB.
-type eqPred struct{ operand any }
+// operand is a filter constant classified once at compile time — type
+// bracket, numeric value as float64 (and as int64 when it is one), string
+// value — so comparing a document value against it is a type switch on the
+// value, not a generic document.Compare.
+type operand struct {
+	raw     any
+	bracket int
+	f       float64
+	i       int64
+	isInt   bool
+	s       string
+}
 
-func (p eqPred) eval(vals []any) bool {
-	for _, v := range candidates(vals) {
-		if document.IsMissing(v) {
-			if p.operand == nil {
-				return true
+func newOperand(v any) operand {
+	o := operand{raw: v, bracket: bracketOf(v)}
+	switch t := v.(type) {
+	case int64:
+		o.f, o.i, o.isInt = float64(t), t, true
+	case float64:
+		o.f = t
+	case string:
+		o.s = t
+	}
+	return o
+}
+
+// compare orders a document value against the operand; ok is false when v
+// is missing or lies in a different type bracket (numbers never compare
+// against strings, etc.), matching MongoDB behaviour.
+//
+//invalidb:hotpath
+func (o *operand) compare(v any) (c int, ok bool) {
+	switch o.bracket {
+	case bracketNumber:
+		switch t := v.(type) {
+		case float64:
+			return document.CompareFloats(t, o.f), true
+		case int64:
+			if !o.isInt {
+				return document.CompareFloats(float64(t), o.f), true
 			}
-			continue
+			// Both integers: compare in int64 space to avoid float rounding.
+			switch {
+			case t < o.i:
+				return -1, true
+			case t > o.i:
+				return 1, true
+			}
+			return 0, true
 		}
-		if document.Equal(v, p.operand) {
-			return true
+		return 0, false
+	case bracketString:
+		if s, isStr := v.(string); isStr {
+			return strings.Compare(s, o.s), true
 		}
+		return 0, false
 	}
-	return false
+	if document.IsMissing(v) || bracketOf(v) != o.bracket {
+		return 0, false
+	}
+	return document.Compare(v, o.raw), true
 }
 
-// nePred implements $ne: the negation of $eq over all candidates.
-type nePred struct{ operand any }
+// equals is $eq on one value. A null operand also matches a missing field,
+// as in MongoDB.
+//
+//invalidb:hotpath
+func (o *operand) equals(v any) bool {
+	if document.IsMissing(v) {
+		return o.raw == nil
+	}
+	c, ok := o.compare(v)
+	return ok && c == 0
+}
 
-func (p nePred) eval(vals []any) bool { return !(eqPred{p.operand}).eval(vals) }
+// eqTest implements $eq (and bare {field: value} equality); $ne is its
+// negation over all values.
+type eqTest struct{ operand operand }
+
+//invalidb:hotpath
+func (p *eqTest) Visit(v any) bool { return p.operand.equals(v) }
 
 // cmpOp is the kind of range comparison.
 type cmpOp uint8
@@ -130,186 +241,143 @@ const (
 	opLTE
 )
 
-// cmpPred implements $gt/$gte/$lt/$lte. Range comparisons only consider
-// candidates in the same type bracket as the operand (numbers never compare
-// greater than strings, etc.), matching MongoDB behaviour.
-type cmpPred struct {
+// cmpTest implements $gt/$gte/$lt/$lte. Range comparisons only consider
+// values in the same type bracket as the operand.
+type cmpTest struct {
 	op      cmpOp
-	operand any
+	operand operand
 }
 
-func (p cmpPred) eval(vals []any) bool {
-	for _, v := range candidates(vals) {
-		if document.IsMissing(v) || !sameBracket(v, p.operand) {
-			continue
-		}
-		c := document.Compare(v, p.operand)
-		switch p.op {
-		case opGT:
-			if c > 0 {
-				return true
-			}
-		case opGTE:
-			if c >= 0 {
-				return true
-			}
-		case opLT:
-			if c < 0 {
-				return true
-			}
-		case opLTE:
-			if c <= 0 {
-				return true
-			}
-		}
+//invalidb:hotpath
+func (p *cmpTest) Visit(v any) bool {
+	c, ok := p.operand.compare(v)
+	if !ok {
+		return false
 	}
-	return false
+	switch p.op {
+	case opGT:
+		return c > 0
+	case opGTE:
+		return c >= 0
+	case opLT:
+		return c < 0
+	default:
+		return c <= 0
+	}
 }
 
-func sameBracket(a, b any) bool {
-	return bracketOf(a) == bracketOf(b)
-}
+// Type brackets for range-comparison gating, mirroring document's ordering.
+const (
+	bracketNull = iota + 1
+	bracketNumber
+	bracketString
+	bracketObject
+	bracketArray
+	bracketBool
+	bracketOther
+)
 
-// bracketOf mirrors document's type bracketing for range-comparison gating.
 func bracketOf(v any) int {
 	switch v.(type) {
 	case nil:
-		return 1
+		return bracketNull
 	case int64, float64, int, float32:
-		return 2
+		return bracketNumber
 	case string:
-		return 3
+		return bracketString
 	case map[string]any, document.Document:
-		return 4
+		return bracketObject
 	case []any:
-		return 5
+		return bracketArray
 	case bool:
-		return 6
+		return bracketBool
 	default:
-		return 7
+		return bracketOther
 	}
 }
 
-// inPred implements $in: any candidate equals any operand. Operands may
-// include regexes (as parsed *regexp.Regexp), which match string candidates.
-type inPred struct {
-	operands []any
+// inTest implements $in: the value equals any operand. Operands may include
+// regexes (as parsed *regexp.Regexp), which match string values. $nin is its
+// negation.
+type inTest struct {
+	operands []operand
+	hasNull  bool
 	regexes  []*regexp.Regexp
 }
 
-func (p inPred) eval(vals []any) bool {
-	for _, v := range candidates(vals) {
-		if document.IsMissing(v) {
-			for _, o := range p.operands {
-				if o == nil {
-					return true
-				}
-			}
-			continue
+//invalidb:hotpath
+func (p *inTest) Visit(v any) bool {
+	if document.IsMissing(v) {
+		return p.hasNull
+	}
+	for i := range p.operands {
+		if c, ok := p.operands[i].compare(v); ok && c == 0 {
+			return true
 		}
-		for _, o := range p.operands {
-			if document.Equal(v, o) {
+	}
+	if s, ok := v.(string); ok {
+		for _, re := range p.regexes {
+			if re.MatchString(s) {
 				return true
 			}
 		}
-		if s, ok := v.(string); ok {
-			for _, re := range p.regexes {
-				if re.MatchString(s) {
-					return true
-				}
-			}
-		}
 	}
 	return false
 }
 
-// ninPred implements $nin: the negation of $in.
-type ninPred struct{ in inPred }
+// presentTest backs $exists: a reached value that is not Missing.
+type presentTest struct{}
 
-func (p ninPred) eval(vals []any) bool { return !p.in.eval(vals) }
+//invalidb:hotpath
+func (*presentTest) Visit(v any) bool { return !document.IsMissing(v) }
 
-// existsPred implements $exists.
-type existsPred struct{ want bool }
-
-func (p existsPred) eval(vals []any) bool {
-	present := false
-	for _, v := range vals {
-		if !document.IsMissing(v) {
-			present = true
-			break
-		}
-	}
-	return present == p.want
-}
-
-// modPred implements $mod: value % divisor == remainder, integers only.
-type modPred struct {
+// modTest implements $mod: value % divisor == remainder, integers only.
+type modTest struct {
 	divisor, remainder int64
 }
 
-func (p modPred) eval(vals []any) bool {
-	for _, v := range candidates(vals) {
-		var n int64
-		switch t := v.(type) {
-		case int64:
-			n = t
-		case float64:
-			n = int64(t)
-		default:
-			continue
-		}
-		if n%p.divisor == p.remainder {
-			return true
-		}
+//invalidb:hotpath
+func (p *modTest) Visit(v any) bool {
+	switch t := v.(type) {
+	case int64:
+		return t%p.divisor == p.remainder
+	case float64:
+		return int64(t)%p.divisor == p.remainder
+	default:
+		return false
 	}
-	return false
 }
 
-// regexPred implements $regex on string candidates.
-type regexPred struct{ re *regexp.Regexp }
+// regexTest implements $regex on string values.
+type regexTest struct{ re *regexp.Regexp }
 
-func (p regexPred) eval(vals []any) bool {
-	for _, v := range candidates(vals) {
-		if s, ok := v.(string); ok && p.re.MatchString(s) {
-			return true
-		}
-	}
-	return false
+//invalidb:hotpath
+func (p *regexTest) Visit(v any) bool {
+	s, ok := v.(string)
+	return ok && p.re.MatchString(s)
 }
 
-// sizePred implements $size: the field value is an array of exactly n
+// sizeTest implements $size: the field value is an array of exactly n
 // elements. It applies to the array itself, not its elements.
-type sizePred struct{ n int }
+type sizeTest struct{ n int }
 
-func (p sizePred) eval(vals []any) bool {
-	for _, v := range vals {
-		if arr, ok := v.([]any); ok && len(arr) == p.n {
-			return true
-		}
-	}
-	return false
+//invalidb:hotpath
+func (p *sizeTest) Visit(v any) bool {
+	arr, ok := v.([]any)
+	return ok && len(arr) == p.n
 }
 
-// allPred implements $all: the field's array (or single value) contains every
+// allTest implements $all: the field's array (or single value) contains every
 // operand. Operands may be $elemMatch sub-filters.
-type allPred struct {
+type allTest struct {
 	operands []any
 	elems    []Filter // $elemMatch entries
 }
 
-func (p allPred) eval(vals []any) bool {
-	for _, v := range vals {
-		if document.IsMissing(v) {
-			continue
-		}
-		if p.allIn(v) {
-			return true
-		}
+func (p *allTest) Visit(v any) bool {
+	if document.IsMissing(v) {
+		return false
 	}
-	return false
-}
-
-func (p allPred) allIn(v any) bool {
 	arr, isArr := v.([]any)
 	for _, o := range p.operands {
 		found := false
@@ -345,20 +413,18 @@ func (p allPred) allIn(v any) bool {
 	return true
 }
 
-// elemMatchPred implements $elemMatch: any element of the array satisfies
+// elemMatchTest implements $elemMatch: any element of the array satisfies
 // the embedded filter.
-type elemMatchPred struct{ sub Filter }
+type elemMatchTest struct{ sub Filter }
 
-func (p elemMatchPred) eval(vals []any) bool {
-	for _, v := range vals {
-		arr, ok := v.([]any)
-		if !ok {
-			continue
-		}
-		for _, e := range arr {
-			if matchElem(p.sub, e) {
-				return true
-			}
+func (p *elemMatchTest) Visit(v any) bool {
+	arr, ok := v.([]any)
+	if !ok {
+		return false
+	}
+	for _, e := range arr {
+		if matchElem(p.sub, e) {
+			return true
 		}
 	}
 	return false
@@ -382,20 +448,11 @@ func matchElem(f Filter, e any) bool {
 // field.
 const elemSentinel = "\x00elem"
 
-// typePred implements $type with string aliases.
-type typePred struct{ name string }
+// typeTest implements $type with string aliases.
+type typeTest struct{ name string }
 
-func (p typePred) eval(vals []any) bool {
-	for _, v := range candidates(vals) {
-		if document.IsMissing(v) {
-			continue
-		}
-		if typeNameMatches(p.name, v) {
-			return true
-		}
-	}
-	return false
-}
+//invalidb:hotpath
+func (p *typeTest) Visit(v any) bool { return typeNameMatches(p.name, v) }
 
 func typeNameMatches(name string, v any) bool {
 	switch name {
@@ -433,65 +490,36 @@ func typeNameMatches(name string, v any) bool {
 	}
 }
 
-// geoWithinPred implements $geoWithin for $box, $centerSphere, $polygon and
+// geoWithinTest implements $geoWithin for $box, $centerSphere, $polygon and
 // GeoJSON $geometry polygons.
-type geoWithinPred struct{ shape geo.Shape }
+type geoWithinTest struct{ shape geo.Shape }
 
-func (p geoWithinPred) eval(vals []any) bool {
-	for _, v := range vals {
-		if pt, ok := geo.ParsePoint(v); ok {
-			if p.shape.Contains(pt) {
+func (p *geoWithinTest) Visit(v any) bool {
+	if pt, ok := geo.ParsePoint(v); ok {
+		return p.shape.Contains(pt)
+	}
+	// A field holding an array of points matches when any point is inside.
+	if arr, ok := v.([]any); ok {
+		for _, e := range arr {
+			if pt, ok := geo.ParsePoint(e); ok && p.shape.Contains(pt) {
 				return true
-			}
-			continue
-		}
-		// A field holding an array of points matches when any point is inside.
-		if arr, ok := v.([]any); ok {
-			for _, e := range arr {
-				if pt, ok := geo.ParsePoint(e); ok && p.shape.Contains(pt) {
-					return true
-				}
 			}
 		}
 	}
 	return false
 }
 
-// nearSpherePred implements $nearSphere with $maxDistance (radians) as a
+// nearSphereTest implements $nearSphere with $maxDistance (radians) as a
 // pure filter: distance ordering is delegated to an explicit sort in the
 // pull-based engine, since real-time matching is per-record.
-type nearSpherePred struct {
+type nearSphereTest struct {
 	center geo.Point
 	maxRad float64
 }
 
-func (p nearSpherePred) eval(vals []any) bool {
-	for _, v := range vals {
-		if pt, ok := geo.ParsePoint(v); ok {
-			if geo.DistanceRad(p.center, pt) <= p.maxRad {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// notPred negates a field-level predicate ({field: {$not: {...}}}).
-type notPred struct{ inner predicate }
-
-func (p notPred) eval(vals []any) bool { return !p.inner.eval(vals) }
-
-// multiPred bundles several predicates into one (used by $not over an
-// operator document with multiple operators).
-type multiPred struct{ preds []predicate }
-
-func (p multiPred) eval(vals []any) bool {
-	for _, q := range p.preds {
-		if !q.eval(vals) {
-			return false
-		}
-	}
-	return true
+func (p *nearSphereTest) Visit(v any) bool {
+	pt, ok := geo.ParsePoint(v)
+	return ok && geo.DistanceRad(p.center, pt) <= p.maxRad
 }
 
 // textFilter implements the top-level $text operator: case-insensitive term
@@ -506,7 +534,13 @@ type textFilter struct {
 	caseSens bool
 }
 
+//invalidb:hotpath
 func (f *textFilter) Match(d document.Document) bool {
+	//invalidb:allow hotpathalloc $text is defined over the concatenation of every string in the document; building it is the operator's cost
+	return f.search(d)
+}
+
+func (f *textFilter) search(d document.Document) bool {
 	text := collectText(map[string]any(d))
 	if !f.caseSens {
 		text = strings.ToLower(text)
@@ -581,4 +615,5 @@ func isWordBoundary(b byte) bool {
 // matchAll is the empty filter.
 type matchAll struct{}
 
+//invalidb:hotpath
 func (matchAll) Match(document.Document) bool { return true }

@@ -14,7 +14,9 @@ import (
 //   - Match never panics and is deterministic;
 //   - a query survives the wire round-trip: recompiling q.Spec() preserves
 //     the canonical hash (which routes subscriptions to grid rows) and the
-//     match verdict.
+//     match verdict;
+//   - the compiled evaluator agrees with the reference evaluator
+//     (reference_test.go) on every (filter, document) both accept.
 func FuzzMatch(f *testing.F) {
 	seeds := []struct{ filter, doc string }{
 		{`{}`, `{"a":1}`},
@@ -30,6 +32,9 @@ func FuzzMatch(f *testing.F) {
 		{`{"name":{"$regex":"^a.*b$"}}`, `{"name":"ab"}`},
 		{`{"a":{"$type":"string"}}`, `{"a":"s"}`},
 		{`{"a":{"$not":{"$lt":0}}}`, `{"a":[1,{"b":2},null]}`},
+	}
+	for _, c := range evaluatorCases {
+		seeds = append(seeds, struct{ filter, doc string }{c.filter, c.doc})
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s.filter), []byte(s.doc))
@@ -51,6 +56,13 @@ func FuzzMatch(f *testing.F) {
 		m1 := q.Match(d)
 		if m2 := q.Match(d); m2 != m1 {
 			t.Fatalf("Match not deterministic: %v then %v", m1, m2)
+		}
+		ref, err := refCompile(rawFilter)
+		if err != nil {
+			t.Fatalf("reference parser rejects a filter Compile accepts: %v", err)
+		}
+		if want := ref.Match(d); m1 != want {
+			t.Fatalf("compiled evaluator = %v, reference = %v\nfilter %s\ndoc    %s", m1, want, filterJSON, docJSON)
 		}
 		q2, err := Compile(q.Spec())
 		if err != nil {

@@ -103,11 +103,11 @@ func parseFieldCondition(path string, v any) (Filter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &fieldFilter{path: path, preds: preds}, nil
+		return &fieldFilter{path: document.ParsePath(path), preds: preds}, nil
 	}
 	// Bare value: implicit $eq (an embedded document without operators is an
 	// exact-object equality match).
-	return &fieldFilter{path: path, preds: []predicate{eqPred{v}}}, nil
+	return &fieldFilter{path: document.ParsePath(path), preds: []predicate{eqPredicate(v)}}, nil
 }
 
 func hasOperatorKey(m map[string]any) bool {
@@ -131,17 +131,17 @@ func parseOperatorDoc(path string, ops map[string]any) ([]predicate, error) {
 		operand := ops[op]
 		switch op {
 		case "$eq":
-			preds = append(preds, eqPred{operand})
+			preds = append(preds, eqPredicate(operand))
 		case "$ne":
-			preds = append(preds, nePred{operand})
+			preds = append(preds, notPred{eqPredicate(operand)})
 		case "$gt":
-			preds = append(preds, cmpPred{opGT, operand})
+			preds = append(preds, cmpPredicate(opGT, operand))
 		case "$gte":
-			preds = append(preds, cmpPred{opGTE, operand})
+			preds = append(preds, cmpPredicate(opGTE, operand))
 		case "$lt":
-			preds = append(preds, cmpPred{opLT, operand})
+			preds = append(preds, cmpPredicate(opLT, operand))
 		case "$lte":
-			preds = append(preds, cmpPred{opLTE, operand})
+			preds = append(preds, cmpPredicate(opLTE, operand))
 		case "$in", "$nin":
 			p, err := parseIn(path, op, operand)
 			if err != nil {
@@ -150,7 +150,7 @@ func parseOperatorDoc(path string, ops map[string]any) ([]predicate, error) {
 			if op == "$in" {
 				preds = append(preds, p)
 			} else {
-				preds = append(preds, ninPred{p})
+				preds = append(preds, notPred{p})
 			}
 		case "$exists":
 			b, ok := operand.(bool)
@@ -163,7 +163,11 @@ func parseOperatorDoc(path string, ops map[string]any) ([]predicate, error) {
 			if !ok {
 				return nil, fmt.Errorf("query: %s: $exists expects a boolean", path)
 			}
-			preds = append(preds, existsPred{b})
+			var p predicate = anyValue{test: &presentTest{}}
+			if !b {
+				p = notPred{p}
+			}
+			preds = append(preds, p)
 		case "$mod":
 			arr, ok := operand.([]any)
 			if !ok || len(arr) != 2 {
@@ -177,13 +181,13 @@ func parseOperatorDoc(path string, ops map[string]any) ([]predicate, error) {
 			if div == 0 {
 				return nil, fmt.Errorf("query: %s: $mod by zero", path)
 			}
-			preds = append(preds, modPred{div, rem})
+			preds = append(preds, anyValue{test: &modTest{div, rem}, leaves: true})
 		case "$regex":
 			re, err := compileRegex(operand, ops["$options"])
 			if err != nil {
 				return nil, fmt.Errorf("query: %s: %w", path, err)
 			}
-			preds = append(preds, regexPred{re})
+			preds = append(preds, anyValue{test: &regexTest{re}, leaves: true})
 		case "$options":
 			// consumed by $regex
 		case "$size":
@@ -191,7 +195,7 @@ func parseOperatorDoc(path string, ops map[string]any) ([]predicate, error) {
 			if !ok || n < 0 {
 				return nil, fmt.Errorf("query: %s: $size expects a non-negative integer", path)
 			}
-			preds = append(preds, sizePred{int(n)})
+			preds = append(preds, anyValue{test: &sizeTest{int(n)}})
 		case "$all":
 			p, err := parseAll(path, operand)
 			if err != nil {
@@ -203,7 +207,7 @@ func parseOperatorDoc(path string, ops map[string]any) ([]predicate, error) {
 			if err != nil {
 				return nil, err
 			}
-			preds = append(preds, elemMatchPred{sub})
+			preds = append(preds, anyValue{test: &elemMatchTest{sub}})
 		case "$type":
 			name, ok := operand.(string)
 			if !ok {
@@ -214,7 +218,7 @@ func parseOperatorDoc(path string, ops map[string]any) ([]predicate, error) {
 			default:
 				return nil, fmt.Errorf("query: %s: unknown $type %q", path, name)
 			}
-			preds = append(preds, typePred{name})
+			preds = append(preds, anyValue{test: &typeTest{name}, leaves: true})
 		case "$not":
 			inner, err := parseNot(path, operand)
 			if err != nil {
@@ -226,13 +230,13 @@ func parseOperatorDoc(path string, ops map[string]any) ([]predicate, error) {
 			if err != nil {
 				return nil, err
 			}
-			preds = append(preds, geoWithinPred{shape})
+			preds = append(preds, anyValue{test: &geoWithinTest{shape}})
 		case "$nearSphere", "$near":
-			p, err := parseNearSphere(path, operand, ops["$maxDistance"])
+			center, maxRad, err := parseNearSphere(path, operand, ops["$maxDistance"])
 			if err != nil {
 				return nil, err
 			}
-			preds = append(preds, p)
+			preds = append(preds, anyValue{test: &nearSphereTest{center: center, maxRad: maxRad}})
 		case "$maxDistance":
 			// consumed by $nearSphere/$near
 			if _, ok := ops["$nearSphere"]; !ok {
@@ -247,26 +251,36 @@ func parseOperatorDoc(path string, ops map[string]any) ([]predicate, error) {
 	return preds, nil
 }
 
-func parseIn(path, op string, operand any) (inPred, error) {
+// eqPredicate and cmpPredicate classify the operand once (see operand).
+func eqPredicate(v any) predicate {
+	return anyValue{test: &eqTest{newOperand(v)}, leaves: true}
+}
+
+func cmpPredicate(op cmpOp, v any) predicate {
+	return anyValue{test: &cmpTest{op, newOperand(v)}, leaves: true}
+}
+
+func parseIn(path, op string, operand any) (predicate, error) {
 	arr, ok := operand.([]any)
 	if !ok {
-		return inPred{}, fmt.Errorf("query: %s: %s expects an array", path, op)
+		return nil, fmt.Errorf("query: %s: %s expects an array", path, op)
 	}
-	p := inPred{}
+	p := &inTest{}
 	for _, e := range arr {
 		if m, ok := e.(map[string]any); ok {
 			if pat, ok := m["$regex"]; ok {
 				re, err := compileRegex(pat, m["$options"])
 				if err != nil {
-					return inPred{}, fmt.Errorf("query: %s: %w", path, err)
+					return nil, fmt.Errorf("query: %s: %w", path, err)
 				}
 				p.regexes = append(p.regexes, re)
 				continue
 			}
 		}
-		p.operands = append(p.operands, e)
+		p.operands = append(p.operands, newOperand(e))
+		p.hasNull = p.hasNull || e == nil
 	}
-	return p, nil
+	return anyValue{test: p, leaves: true}, nil
 }
 
 func parseAll(path string, operand any) (predicate, error) {
@@ -274,7 +288,7 @@ func parseAll(path string, operand any) (predicate, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: %s: $all expects an array", path)
 	}
-	p := allPred{}
+	p := &allTest{}
 	for _, e := range arr {
 		if m, ok := e.(map[string]any); ok {
 			if emRaw, ok := m["$elemMatch"]; ok {
@@ -288,7 +302,7 @@ func parseAll(path string, operand any) (predicate, error) {
 		}
 		p.operands = append(p.operands, e)
 	}
-	return p, nil
+	return anyValue{test: p}, nil
 }
 
 func parseElemMatch(path string, operand any) (Filter, error) {
@@ -302,7 +316,7 @@ func parseElemMatch(path string, operand any) (Filter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &fieldFilter{path: elemSentinel, preds: preds}, nil
+		return &fieldFilter{path: document.ParsePath(elemSentinel), preds: preds}, nil
 	}
 	return parseFilterDoc(m)
 }
@@ -338,7 +352,7 @@ func parseNot(path string, operand any) (predicate, error) {
 		if err != nil {
 			return nil, fmt.Errorf("query: %s: %w", path, err)
 		}
-		return notPred{regexPred{re}}, nil
+		return notPred{anyValue{test: &regexTest{re}, leaves: true}}, nil
 	default:
 		return nil, fmt.Errorf("query: %s: $not expects an operator document or regex", path)
 	}
@@ -491,16 +505,14 @@ func parseGeoWithin(path string, operand any) (geo.Shape, error) {
 	return nil, fmt.Errorf("query: %s: empty $geoWithin", path)
 }
 
-func parseNearSphere(path string, operand any, maxDist any) (predicate, error) {
-	var center geo.Point
-	var maxRad float64
+func parseNearSphere(path string, operand any, maxDist any) (center geo.Point, maxRad float64, err error) {
 	hasMax := false
 	switch t := operand.(type) {
 	case map[string]any:
 		if g, ok := t["$geometry"].(map[string]any); ok {
 			pt, ok := geo.ParsePoint(g)
 			if !ok {
-				return nil, fmt.Errorf("query: %s: $nearSphere $geometry must be a Point", path)
+				return center, 0, fmt.Errorf("query: %s: $nearSphere $geometry must be a Point", path)
 			}
 			center = pt
 			if md, ok := toFloat64(t["$maxDistance"]); ok {
@@ -512,27 +524,27 @@ func parseNearSphere(path string, operand any, maxDist any) (predicate, error) {
 		}
 		pt, ok := geo.ParsePoint(t)
 		if !ok {
-			return nil, fmt.Errorf("query: %s: $nearSphere center invalid", path)
+			return center, 0, fmt.Errorf("query: %s: $nearSphere center invalid", path)
 		}
 		center = pt
 	default:
 		pt, ok := geo.ParsePoint(operand)
 		if !ok {
-			return nil, fmt.Errorf("query: %s: $nearSphere center invalid", path)
+			return center, 0, fmt.Errorf("query: %s: $nearSphere center invalid", path)
 		}
 		center = pt
 	}
 	if !hasMax {
 		md, ok := toFloat64(maxDist)
 		if !ok {
-			return nil, fmt.Errorf("query: %s: $nearSphere requires $maxDistance in this engine (index-free matching cannot sort by distance)", path)
+			return center, 0, fmt.Errorf("query: %s: $nearSphere requires $maxDistance in this engine (index-free matching cannot sort by distance)", path)
 		}
 		maxRad = md // legacy form: radians
 	}
 	if maxRad < 0 {
-		return nil, fmt.Errorf("query: %s: negative $maxDistance", path)
+		return center, 0, fmt.Errorf("query: %s: negative $maxDistance", path)
 	}
-	return nearSpherePred{center: center, maxRad: maxRad}, nil
+	return center, maxRad, nil
 }
 
 func parsePointList(path string, v any, minLen int) ([]geo.Point, error) {

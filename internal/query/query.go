@@ -29,6 +29,10 @@ type Query struct {
 
 	raw  map[string]any // normalized source filter, for hashing & transport
 	hash uint64
+	// Sort and Projection paths compiled once, parallel to the exported
+	// string forms, so Compare and Project never parse a path.
+	sortPaths []document.Path
+	projPaths []document.Path
 }
 
 // Spec is the wire representation of a query, symmetric with MongoDB's find
@@ -75,6 +79,10 @@ func Compile(spec Spec) (*Query, error) {
 		Offset:     spec.Offset,
 		Projection: append([]string(nil), spec.Projection...),
 		raw:        raw,
+		projPaths:  document.ParsePaths(spec.Projection),
+	}
+	for _, sk := range spec.Sort {
+		q.sortPaths = append(q.sortPaths, document.ParsePath(sk.Path))
 	}
 	q.hash = document.Hash64(q.canonical())
 	return q, nil
@@ -154,6 +162,8 @@ func (q *Query) ID() string { return fmt.Sprintf("q%016x", q.hash) }
 // Match reports whether a document satisfies the query's filter. Window
 // clauses (sort/limit/offset) are not considered; they are applied by result
 // assembly (pull-based engine) or the sorting stage (real-time engine).
+//
+//invalidb:hotpath
 func (q *Query) Match(d document.Document) bool { return q.Filter.Match(d) }
 
 // Ordered reports whether maintaining this query requires the sorting stage:
@@ -167,18 +177,20 @@ func (q *Query) Ordered() bool {
 // comparison semantics, using the primary key as an unambiguous final
 // tiebreaker so the real-time and pull-based engines agree on a total order
 // (paper §5.2, footnote 4).
+//
+//invalidb:hotpath
 func (q *Query) Compare(a, b document.Document) int {
-	for _, sk := range q.Sort {
-		c := document.Compare(document.Get(a, sk.Path), document.Get(b, sk.Path))
-		if sk.Desc {
+	for i := range q.sortPaths {
+		c := document.Compare(q.sortPaths[i].Get(a), q.sortPaths[i].Get(b))
+		if q.Sort[i].Desc {
 			c = -c
 		}
 		if c != 0 {
 			return c
 		}
 	}
-	ida, _ := a.ID()
-	idb, _ := b.ID()
+	//invalidb:allow hotpathalloc only non-string primary keys are formatted; string keys, which every stored record has, come back as they are
+	ida, idb := primaryKey(a), primaryKey(b)
 	switch {
 	case ida < idb:
 		return -1
@@ -189,13 +201,18 @@ func (q *Query) Compare(a, b document.Document) int {
 	}
 }
 
+func primaryKey(d document.Document) string {
+	id, _ := d.ID()
+	return id
+}
+
 // Project applies the query's projection to a document (identity when the
 // query has no projection).
 func (q *Query) Project(d document.Document) document.Document {
 	if len(q.Projection) == 0 {
 		return d
 	}
-	return document.Project(d, q.Projection, true)
+	return document.Project(d, q.projPaths, true)
 }
 
 // Rewritten returns the bootstrap form of a sorted query as registered with

@@ -13,7 +13,7 @@ import (
 // Multi-valued paths (arrays) index every element, like MongoDB's multikey
 // indexes.
 type hashIndex struct {
-	path    string
+	path    document.Path
 	entries map[string]map[string]struct{}
 }
 
@@ -44,7 +44,7 @@ func (c *Collection) EnsureIndex(path string) error {
 	if _, exists := c.indexes[path]; exists {
 		return nil
 	}
-	idx := &hashIndex{path: path, entries: map[string]map[string]struct{}{}}
+	idx := &hashIndex{path: document.ParsePath(path), entries: map[string]map[string]struct{}{}}
 	for _, s := range c.shards {
 		for key, rec := range s.docs {
 			idx.add(key, rec.doc)
@@ -66,29 +66,29 @@ func (c *Collection) Indexes() []string {
 	return out
 }
 
+// keyCollector gathers the distinct canonical encodings of the values an
+// indexed path reaches.
+type keyCollector struct {
+	seen map[string]struct{}
+	keys []string
+}
+
+func (c *keyCollector) Visit(v any) bool {
+	if document.IsMissing(v) {
+		return false
+	}
+	k := string(document.MarshalCanonical(v))
+	if _, dup := c.seen[k]; !dup {
+		c.seen[k] = struct{}{}
+		c.keys = append(c.keys, k)
+	}
+	return false
+}
+
 func (idx *hashIndex) keysFor(d document.Document) []string {
-	vals := document.Lookup(d, idx.path)
-	seen := map[string]struct{}{}
-	var out []string
-	add := func(v any) {
-		if document.IsMissing(v) {
-			return
-		}
-		k := string(document.MarshalCanonical(v))
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			out = append(out, k)
-		}
-	}
-	for _, v := range vals {
-		add(v)
-		if arr, ok := v.([]any); ok {
-			for _, e := range arr {
-				add(e)
-			}
-		}
-	}
-	return out
+	c := keyCollector{seen: map[string]struct{}{}}
+	idx.path.WalkLeaves(d, &c)
+	return c.keys
 }
 
 func (idx *hashIndex) add(key string, d document.Document) {

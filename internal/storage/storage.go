@@ -155,8 +155,9 @@ var ErrDuplicateKey = fmt.Errorf("storage: duplicate key")
 var ErrNotFound = fmt.Errorf("storage: not found")
 
 // Insert stores a new document and returns its after-image. The document
-// must carry an "_id"; it is deep-copied, so the caller keeps ownership of
-// its value.
+// must carry an "_id"; it is deep-copied (Normalize returns a private copy),
+// so the caller keeps ownership of its value. The after-image shares the
+// stored record's document — see AfterImage.Doc for the contract.
 func (c *Collection) Insert(d document.Document) (*document.AfterImage, error) {
 	d = document.Normalize(d)
 	key, ok := d.ID()
@@ -169,14 +170,13 @@ func (c *Collection) Insert(d document.Document) (*document.AfterImage, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s/%s", ErrDuplicateKey, c.name, key)
 	}
-	stored := d.Clone()
 	ver := c.db.nextSeq()
-	s.docs[key] = &record{doc: stored, version: ver}
+	s.docs[key] = &record{doc: d, version: ver}
 	s.keyGen++
-	c.indexAdd(key, stored)
+	c.indexAdd(key, d)
 	s.mu.Unlock()
 
-	ai := &document.AfterImage{Collection: c.name, Key: key, Version: ver, Op: document.OpInsert, Doc: stored.Clone()}
+	ai := &document.AfterImage{Collection: c.name, Key: key, Version: ver, Op: document.OpInsert, Doc: d}
 	c.db.commit(ai)
 	return ai, nil
 }
@@ -195,16 +195,14 @@ func (c *Collection) Replace(key string, d document.Document) (*document.AfterIm
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, c.name, key)
 	}
-	old := rec.doc
-	stored := d.Clone()
-	stored["_id"] = key
+	d["_id"] = key
 	ver := c.db.nextSeq()
-	s.docs[key] = &record{doc: stored, version: ver}
-	c.indexRemove(key, old)
-	c.indexAdd(key, stored)
+	s.docs[key] = &record{doc: d, version: ver}
+	c.indexRemove(key, rec.doc)
+	c.indexAdd(key, d)
 	s.mu.Unlock()
 
-	ai := &document.AfterImage{Collection: c.name, Key: key, Version: ver, Op: document.OpUpdate, Doc: stored.Clone()}
+	ai := &document.AfterImage{Collection: c.name, Key: key, Version: ver, Op: document.OpUpdate, Doc: d}
 	c.db.commit(ai)
 	return ai, nil
 }
@@ -250,7 +248,7 @@ func (c *Collection) FindAndModify(key string, update map[string]any, upsert boo
 	c.indexAdd(key, updated)
 	s.mu.Unlock()
 
-	ai := &document.AfterImage{Collection: c.name, Key: key, Version: ver, Op: op, Doc: updated.Clone()}
+	ai := &document.AfterImage{Collection: c.name, Key: key, Version: ver, Op: op, Doc: updated}
 	c.db.commit(ai)
 	return ai, nil
 }
@@ -349,8 +347,10 @@ func (c *Collection) FindEntries(q *query.Query) ([]Entry, error) {
 
 // scanned is a point-in-time reference to a stored record. Records are
 // immutable once stored (writes replace the *record pointer under the shard
-// lock), so a snapshot taken under RLock can be matched and cloned after the
-// lock is released without racing concurrent writers.
+// lock; an update works on a clone of the old document), so a snapshot taken
+// under RLock can be matched and cloned after the lock is released without
+// racing concurrent writers — and a write's after-image can share the
+// record's document instead of owning another copy.
 type scanned struct {
 	key string
 	rec *record
