@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test race bench-smoke alloc-smoke fuzz-smoke chaos obs-smoke resize-smoke fanout-smoke bench-pairs check
+.PHONY: all build vet staticcheck lint loc test race bench-smoke alloc-smoke fuzz-smoke chaos obs-smoke resize-smoke fanout-smoke bench-pairs check
 
 all: check lint
 
@@ -23,12 +23,23 @@ staticcheck:
 	fi
 
 # InvaliDB's own analyzer suite (internal/analysis): hot-path allocation,
-# lock-discipline, metric-key, pooled-lifecycle, coarse-clock, wire-kind,
+# lock-discipline, metric-key, pooled-lifecycle, coarse-clock,
 # epoch-capture, goroutine-leak and directive checks over the whole module,
 # interprocedurally (DESIGN.md §9). Its own CI job (and deliberately not
 # part of `check`, so the two run in parallel there); `make all` runs both.
 lint:
 	$(GO) run ./cmd/invalidb-vet ./...
+
+# ROADMAP's tracked size numbers: non-test, non-testdata Go lines per
+# internal/* package, for cmd/ and for the root package, the two files of the
+# wire codec, and the number of //invalidb:allow exceptions in force (the
+# analyzer fixtures under internal/analysis/testdata are not exceptions).
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
+	for d in internal/*/ cmd/; do printf '%-28s %6d\n' "$${d%/}" "$$(count $$d)"; done; \
+	printf '%-28s %6d\n' "(root package)" "$$(count . -maxdepth 1)"; \
+	printf '%-28s %6d\n' "core: wire.go + messages.go" "$$(cat internal/core/wire.go internal/core/messages.go | wc -l)"; \
+	printf '%-28s %6d\n' "//invalidb:allow" "$$(grep -rE '^[[:space:]]*//invalidb:allow' --include='*.go' --exclude-dir=testdata --exclude-dir=.build . | wc -l)"
 
 test:
 	$(GO) test ./...
@@ -66,6 +77,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzMatch -fuzztime 2000x
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzApplyUpdate -fuzztime 2000x
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEnvelopeWire -fuzztime 2000x
+	$(GO) test ./internal/coordinator -run '^$$' -fuzz FuzzCoordinatorHandle -fuzztime 2000x
 
 # Observability smoke: boot a broker + cluster with -obs-addr and assert
 # /metrics and /healthz answer with real content.
@@ -132,4 +144,4 @@ bench-pairs:
 	done; \
 	bash benchmark/run.sh compare "$$dir/parent" "$$dir/change"
 
-check: vet staticcheck build race bench-smoke alloc-smoke
+check: vet staticcheck build race bench-smoke alloc-smoke loc

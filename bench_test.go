@@ -598,7 +598,7 @@ func BenchmarkWriteBatchIngest(b *testing.B) {
 				if !ok {
 					b.Fatal("notification stream closed")
 				}
-				env, err := core.DecodeEnvelope(msg.Payload)
+				env, err := core.DecodeWire(msg.Payload)
 				if err != nil || env.Kind != core.KindNotification {
 					continue // heartbeats
 				}

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"invalidb/internal/appserver"
-	"invalidb/internal/core"
 	"invalidb/internal/eventlayer/tcp"
 	"invalidb/internal/gateway"
 	"invalidb/internal/obs"
@@ -36,7 +35,6 @@ func main() {
 		journal = flag.String("journal", "", "write-ahead log path (empty = volatile database)")
 		obsAddr = flag.String("obs-addr", "", "observability HTTP address for /metrics, /healthz, /debug/pprof (empty disables; unauthenticated — \":port\" binds loopback, use an explicit host like 0.0.0.0:9090 to expose)")
 		stats   = flag.Duration("stats", 10*time.Second, "stats print interval (0 disables)")
-		wire    = flag.String("wire", core.WireBinary, "wire format for envelopes: binary|json (decode auto-detects either)")
 
 		outBudget = flag.Int("client-out-budget", 64<<10, "per-client outbound queue budget in bytes before events are shed")
 		maxConns  = flag.Int("max-conns-per-tenant", 0, "cap on concurrent connections per tenant (0 = unlimited)")
@@ -45,9 +43,6 @@ func main() {
 		subRate   = flag.Float64("sub-rate-per-tenant", 0, "new subscriptions per second per tenant (0 = unlimited)")
 	)
 	flag.Parse()
-	if err := core.SetWireFormat(*wire); err != nil {
-		fatal(err)
-	}
 
 	db := storage.Open(storage.Options{})
 	if *journal != "" {

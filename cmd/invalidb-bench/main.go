@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"invalidb/internal/core"
 	"invalidb/internal/experiments"
 )
 
@@ -37,16 +36,12 @@ func main() {
 		notifs     = flag.Int("notifs", 50, "matching notifications per second (latency samples)")
 		partitions = flag.String("partitions", "1,2,4,8", "cluster sizes to sweep")
 		verbose    = flag.Bool("v", false, "print per-point progress")
-		wire       = flag.String("wire", core.WireBinary, "wire format for envelopes: binary|json (decode auto-detects either)")
 		fanClients = flag.Int("fanout-clients", experiments.FanoutClients, "fanout: concurrent mock clients")
 		fanQueries = flag.Int("fanout-queries", experiments.FanoutQueries, "fanout: distinct queries the clients share")
 		fanRate    = flag.Int("fanout-rate", experiments.FanoutEventRate, "fanout: sustained writes per second")
 		fanNoisy   = flag.Bool("fanout-noisy", true, "fanout: add a quota-capped noisy tenant mid-run")
 	)
 	flag.Parse()
-	if err := core.SetWireFormat(*wire); err != nil {
-		fatal(err)
-	}
 
 	cfg := experiments.Config{
 		NodeCapacity:       *capacity,

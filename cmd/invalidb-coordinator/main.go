@@ -37,12 +37,8 @@ func main() {
 		wp     = flag.Int("wp", 1, "initial write partitions")
 		resize = flag.String("resize", "", "one-shot: publish a resize request (qp|wp) to the running coordinator and exit")
 		stats  = flag.Duration("stats", 10*time.Second, "status print interval (0 disables)")
-		wire   = flag.String("wire", core.WireBinary, "wire format for envelopes: binary|json (decode auto-detects either)")
 	)
 	flag.Parse()
-	if err := core.SetWireFormat(*wire); err != nil {
-		fatal(err)
-	}
 	bus, err := tcp.Dial(*broker, tcp.ClientOptions{})
 	if err != nil {
 		fatal(err)

@@ -35,12 +35,8 @@ func main() {
 		ns       = flag.String("namespace", "invalidb", "event-layer topic namespace")
 		obsAddr  = flag.String("obs-addr", "", "observability HTTP address for /metrics, /healthz, /debug/pprof (empty disables; unauthenticated — \":port\" binds loopback, use an explicit host like 0.0.0.0:9090 to expose)")
 		stats    = flag.Duration("stats", 10*time.Second, "stats print interval (0 disables)")
-		wire     = flag.String("wire", core.WireBinary, "wire format for envelopes: binary|json (decode auto-detects either)")
 	)
 	flag.Parse()
-	if err := core.SetWireFormat(*wire); err != nil {
-		fatal(err)
-	}
 
 	bus, err := tcp.Dial(*broker, tcp.ClientOptions{})
 	if err != nil {

@@ -79,7 +79,7 @@ func main() {
 	for {
 		select {
 		case msg := <-notif.C():
-			env, err := core.DecodeEnvelope(msg.Payload)
+			env, err := core.DecodeWire(msg.Payload)
 			if err != nil || env.Kind != core.KindNotification {
 				continue
 			}

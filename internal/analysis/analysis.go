@@ -62,7 +62,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	PkgPath   string
-	Dir       string
 	TypesInfo *types.Info
 
 	// ResultOf holds the results of the analyzers named in

@@ -28,7 +28,6 @@ var knownAnalyzerNames = map[string]bool{
 	"pooledlifecycle": true,
 	"coarseclock":     true,
 	"directive":       true,
-	"wirekind":        true,
 	"epochcapture":    true,
 	"goroleak":        true,
 }

@@ -92,7 +92,6 @@ func runPackage(pkg *Package, analyzers []*Analyzer, facts *factStore) ([]Diagno
 			Files:       pkg.Files,
 			Pkg:         pkg.Types,
 			PkgPath:     pkg.PkgPath,
-			Dir:         pkg.Dir,
 			TypesInfo:   pkg.Info,
 			ResultOf:    results,
 			diagnostics: sink,

@@ -54,7 +54,7 @@ func loadFixture(t *testing.T, dir, pkgPath string) *Package {
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", dir, err)
 	}
-	return &Package{PkgPath: pkgPath, Dir: dir, Fset: fset, Files: files, Types: typesPkg, Info: info}
+	return &Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: typesPkg, Info: info}
 }
 
 type wantSpec struct {
@@ -153,10 +153,6 @@ func TestCoarseClockHotpathFixture(t *testing.T) {
 	runFixture(t, CoarseClock, "testdata/src/coarseclock_hotpath", "fixture/coarseclock")
 }
 
-func TestWireKindFixture(t *testing.T) {
-	runFixture(t, WireKind, "testdata/src/wirekind", "fixture/wirekind")
-}
-
 func TestEpochCaptureFixture(t *testing.T) {
 	runFixture(t, EpochCapture, "testdata/src/epochcapture", "fixture/epochcapture")
 }
@@ -240,7 +236,6 @@ func TestAllowDirectiveSuppression(t *testing.T) {
 			Files:       pkg.Files,
 			Pkg:         pkg.Types,
 			PkgPath:     pkg.PkgPath,
-			Dir:         pkg.Dir,
 			TypesInfo:   pkg.Info,
 			ResultOf:    results,
 			diagnostics: &raw,

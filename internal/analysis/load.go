@@ -17,7 +17,6 @@ import (
 // Package is one loaded, parsed, type-checked package.
 type Package struct {
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -94,7 +93,6 @@ func Load(patterns []string) ([]*Package, error) {
 		}
 		out = append(out, &Package{
 			PkgPath: lp.ImportPath,
-			Dir:     lp.Dir,
 			Fset:    fset,
 			Files:   files,
 			Types:   pkg,

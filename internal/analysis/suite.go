@@ -10,7 +10,6 @@ var Suite = []*Analyzer{
 	MetricKey,
 	PooledLifecycle,
 	CoarseClock,
-	WireKind,
 	EpochCapture,
 	GoroLeak,
 }

@@ -532,7 +532,7 @@ func (s *Server) notifLoop() {
 			if !ok {
 				return
 			}
-			env, err := core.DecodeEnvelope(msg.Payload)
+			env, err := core.DecodeWire(msg.Payload)
 			if err != nil {
 				continue
 			}

@@ -146,7 +146,7 @@ type chunkDropBus struct {
 
 func (b *chunkDropBus) Publish(topic string, payload []byte) error {
 	if b.dropChunks.Load() {
-		if env, err := core.DecodeEnvelope(payload); err == nil && env.Kind == core.KindBackfillChunk {
+		if env, err := core.DecodeWire(payload); err == nil && env.Kind == core.KindBackfillChunk {
 			return nil
 		}
 	}

@@ -166,7 +166,7 @@ func (c *Coordinator) loop() {
 }
 
 func (c *Coordinator) handle(payload []byte) {
-	env, err := core.DecodeEnvelope(payload)
+	env, err := core.DecodeWire(payload)
 	if err != nil {
 		return
 	}

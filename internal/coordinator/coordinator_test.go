@@ -212,3 +212,27 @@ func TestNodeExpiry(t *testing.T) {
 		t.Fatal("AddQueryPartition placed a row on an expired node")
 	}
 }
+
+// TestUnnamedHelloDoesNotWedgePlacement: pickNode answers "" for "no node
+// has a free slot", so a hello from a node named "" with the most free slots
+// used to read as no capacity for as long as it kept arriving. No grid
+// process sends one; the codec rejects it, and the fleet gets its map.
+func TestUnnamedHelloDoesNotWedgePlacement(t *testing.T) {
+	bus := eventlayer.NewMemBus(eventlayer.MemBusOptions{})
+	defer bus.Close()
+	c := startCoordinator(t, bus, testOptions())
+	hello(t, bus, "", 64, 2, nil)
+	hello(t, bus, "a", 2, 2, nil)
+	m := waitMap(t, c, "initial placement", 5*time.Second, func(m *core.PartitionMap) bool { return m.Epoch == 1 })
+	for _, r := range m.Rows {
+		if r.Node != "a" {
+			t.Fatalf("row placed on %q: %+v", r.Node, m)
+		}
+	}
+	if nodes := c.Nodes(); len(nodes) != 1 || nodes[0] != "a" {
+		t.Fatalf("announced nodes = %q, want only a", nodes)
+	}
+	if err := c.AddQueryPartition(); err == nil {
+		t.Fatal("AddQueryPartition placed a third row on a two-slot fleet")
+	}
+}

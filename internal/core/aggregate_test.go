@@ -85,7 +85,7 @@ func (e *aggEnv) nextAggregate() document.Document {
 			if !ok {
 				e.t.Fatal("notification stream closed")
 			}
-			env, err := DecodeEnvelope(msg.Payload)
+			env, err := DecodeWire(msg.Payload)
 			if err != nil || env.Kind != KindNotification {
 				continue
 			}

@@ -130,10 +130,10 @@ func TestHandleWriteFullScanNoAllocs(t *testing.T) {
 	}
 }
 
-// TestIngestDoesNotCopyDecodedImage: the envelope decoders are the door
-// documents enter the cluster by — binary is canonical by construction, JSON
-// normalises — so the engine's DecodeImage validates and hands the very same
-// document on, without re-allocating its maps and slices.
+// TestIngestDoesNotCopyDecodedImage: DecodeWire is the door documents enter
+// the cluster by and yields canonical values by construction, so the engine's
+// DecodeImage validates and hands the very same document on, without
+// re-allocating its maps and slices.
 func TestIngestDoesNotCopyDecodedImage(t *testing.T) {
 	env := &Envelope{Kind: KindWrite, Write: &WriteEvent{Tenant: "t", Image: &document.AfterImage{
 		Collection: "c", Key: "k", Version: 3, Op: document.OpUpdate,
@@ -141,32 +141,29 @@ func TestIngestDoesNotCopyDecodedImage(t *testing.T) {
 			"user":  map[string]any{"tags": []any{"a", int64(1)}},
 			"items": []any{map[string]any{"qty": int64(2)}}},
 	}}}
-	for name, encode := range map[string]func() ([]byte, error){"binary": env.EncodeBinary, "json": env.EncodeJSON} {
-		data, err := encode()
-		if err != nil {
+	data, err := env.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeWire(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := dec.Write.Image
+	doc := in.Doc
+	var out *document.AfterImage
+	if n := testing.AllocsPerRun(100, func() {
+		if out, err = (MongoEngine{}).DecodeImage(in); err != nil {
 			t.Fatal(err)
 		}
-		dec, err := DecodeEnvelope(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		in := dec.Write.Image
-		doc := in.Doc
-		var out *document.AfterImage
-		if n := testing.AllocsPerRun(100, func() {
-			if out, err = (MongoEngine{}).DecodeImage(in); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("%s: DecodeImage allocates %.0f/op on an already decoded image, want 0", name, n)
-		}
-		if reflect.ValueOf(out.Doc).Pointer() != reflect.ValueOf(doc).Pointer() {
-			t.Errorf("%s: DecodeImage copied the document", name)
-		}
-		// The door did the normalising: integers are int64 whichever codec.
-		if out.Doc["n"] != int64(5) || out.Doc["items"].([]any)[0].(map[string]any)["qty"] != int64(2) {
-			t.Errorf("%s: decoded image is not canonical: %#v", name, out.Doc)
-		}
+	}); n != 0 {
+		t.Errorf("DecodeImage allocates %.0f/op on an already decoded image, want 0", n)
+	}
+	if reflect.ValueOf(out.Doc).Pointer() != reflect.ValueOf(doc).Pointer() {
+		t.Error("DecodeImage copied the document")
+	}
+	if out.Doc["n"] != int64(5) || out.Doc["items"].([]any)[0].(map[string]any)["qty"] != int64(2) {
+		t.Errorf("decoded image is not canonical: %#v", out.Doc)
 	}
 	if _, err := (MongoEngine{}).DecodeImage(&document.AfterImage{Collection: "c", Key: "k", Op: document.OpInsert}); err == nil {
 		t.Error("DecodeImage accepted an after-image with no version and no document")

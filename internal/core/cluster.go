@@ -507,7 +507,7 @@ func (c *Cluster) controlLoop(sub eventlayer.Subscription) {
 			if !ok {
 				return
 			}
-			env, err := DecodeEnvelope(msg.Payload)
+			env, err := DecodeWire(msg.Payload)
 			if err != nil || env.Kind != KindPartitionMap || env.Map == nil {
 				continue
 			}

@@ -36,10 +36,10 @@ func (MongoEngine) Compile(spec query.Spec) (*query.Query, error) {
 }
 
 // DecodeImage implements Engine: it validates structural invariants only.
-// Documents are normalised at the doors they enter the system by — the
-// envelope decoders (binary is canonical by construction, JSON normalises
-// Write.Image.Doc) and storage writes — so copying them again here would
-// only re-allocate every map and slice of every write.
+// Documents are normalised at the doors they enter the system by — storage
+// writes and DecodeWire, which yields canonical values by construction — so
+// copying them again here would only re-allocate every map and slice of
+// every write.
 func (MongoEngine) DecodeImage(img *document.AfterImage) (*document.AfterImage, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err

@@ -178,7 +178,7 @@ func (b *queryIngestBolt) Execute(t *topology.Tuple) {
 	if !ok {
 		return
 	}
-	env, err := DecodeEnvelope(data)
+	env, err := DecodeWire(data)
 	if err != nil {
 		return
 	}
@@ -528,7 +528,7 @@ func (b *writeIngestBolt) Execute(t *topology.Tuple) {
 		b.out.Ack(t)
 		return
 	}
-	env, err := DecodeEnvelope(data)
+	env, err := DecodeWire(data)
 	if err != nil {
 		b.out.Ack(t)
 		return

@@ -12,8 +12,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"invalidb/internal/document"
@@ -55,36 +53,12 @@ func (m MatchType) String() string {
 	return fmt.Sprintf("MatchType(%d)", uint8(m))
 }
 
-// MarshalJSON encodes the symbolic name.
-func (m MatchType) MarshalJSON() ([]byte, error) {
-	s, ok := matchTypeNames[m]
-	if !ok {
-		return nil, fmt.Errorf("core: invalid match type %d", uint8(m))
-	}
-	return json.Marshal(s)
-}
-
-// UnmarshalJSON decodes the symbolic name.
-func (m *MatchType) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	for k, v := range matchTypeNames {
-		if v == s {
-			*m = k
-			return nil
-		}
-	}
-	return fmt.Errorf("core: unknown match type %q", s)
-}
-
 // ResultEntry is one versioned member of a bootstrap result, in engine sort
 // order.
 type ResultEntry struct {
-	Key     string            `json:"k"`
-	Version uint64            `json:"v"`
-	Doc     document.Document `json:"d"`
+	Key     string
+	Version uint64
+	Doc     document.Document
 }
 
 // SubscribeRequest activates a real-time query. The application server has
@@ -93,90 +67,90 @@ type ResultEntry struct {
 // bootstrap result. Re-subscribing an active query is a renewal: the sorting
 // stage diffs old against new state and emits the incremental transition.
 type SubscribeRequest struct {
-	Tenant         string        `json:"tenant"`
-	SubscriptionID string        `json:"sid"`
-	Query          query.Spec    `json:"query"`
-	Slack          int           `json:"slack,omitempty"`
-	TTLMillis      int64         `json:"ttlMs"`
-	Result         []ResultEntry `json:"result"`
+	Tenant         string
+	SubscriptionID string
+	Query          query.Spec
+	Slack          int
+	TTLMillis      int64
+	Result         []ResultEntry
 	// Epoch stamps the partition-map epoch the sender routed by; zero means
 	// "current". The owning node under the map at that epoch installs the
 	// subscription (DESIGN.md §13).
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 }
 
 // CancelRequest deactivates one subscription of a query. It carries the
 // query hash remembered by the application server, because the hash cannot
 // be derived from anything but the original subscription (§5.1).
 type CancelRequest struct {
-	Tenant         string `json:"tenant"`
-	SubscriptionID string `json:"sid"`
-	QueryHash      uint64 `json:"qh"`
+	Tenant         string
+	SubscriptionID string
+	QueryHash      uint64
 	// Epoch addresses the cancel at the map epoch the subscription was
 	// installed under, so a migration tears down the OLD owner's install
 	// without touching the new one (zero = current epoch).
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 }
 
 // ExtendRequest pushes a subscription's TTL deadline out (§5: "TTL extension
 // requests are periodically issued by the application server").
 type ExtendRequest struct {
-	Tenant         string `json:"tenant"`
-	SubscriptionID string `json:"sid"`
-	QueryHash      uint64 `json:"qh"`
-	TTLMillis      int64  `json:"ttlMs"`
+	Tenant         string
+	SubscriptionID string
+	QueryHash      uint64
+	TTLMillis      int64
 	// Epoch is the sender's view of the map epoch (zero = current). Extends
 	// are deliberately processed by the owner under the current AND previous
 	// epoch, keeping the old install alive mid-migration.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 }
 
 // WriteEvent carries one after-image from an application server to the
 // cluster.
 type WriteEvent struct {
-	Tenant string               `json:"tenant"`
-	Image  *document.AfterImage `json:"img"`
+	Tenant string
+	Image  *document.AfterImage
 	// SentNs is the publisher's wall clock (UnixNano) at send time; zero
 	// when the publisher predates stage tracing. It seeds the per-stage
 	// latency breakdown carried through to notifications.
-	SentNs int64 `json:"sentNs,omitempty"`
+	SentNs int64
 	// IngestNs is stamped by the write-ingest bolt when the event enters
 	// the matching grid. Local to the cluster process, never serialized.
-	IngestNs int64 `json:"-"`
+	IngestNs int64
 }
 
 // Notification is one change delta for a query result, pushed from the
 // cluster to all subscribed application servers over the tenant's
 // notification topic.
 type Notification struct {
-	Tenant  string            `json:"tenant"`
-	QueryID string            `json:"qid"`
-	Type    MatchType         `json:"type"`
-	Key     string            `json:"key,omitempty"`
-	Doc     document.Document `json:"doc,omitempty"`
-	Version uint64            `json:"ver,omitempty"`
+	Tenant  string
+	QueryID string
+	Type    MatchType
+	Key     string
+	Doc     document.Document
+	Version uint64
 	// Index is the item's position within the visible result for sorted
 	// queries, -1 for unsorted queries.
-	Index int `json:"idx"`
+	Index int
 	// Seq orders notifications emitted for the same query by the same node.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Origin identifies the emitting node instance ("m3.0" = matching
 	// task 3, incarnation 0). Together with Seq it lets application
 	// servers deduplicate redelivered notifications without mistaking a
 	// restarted node's reset sequence counter for stale duplicates.
-	Origin string `json:"org,omitempty"`
+	Origin string
 	// Error carries the maintenance-error message for MatchError
 	// notifications, which double as query renewal requests.
-	Error string `json:"err,omitempty"`
+	Error string
 	// WriteNs/IngestNs/MatchNs are the stage timestamps (UnixNano) of the
 	// originating write: publisher send time, write-ingest entry, and
 	// matching-node emit. Zero for notifications not caused by a traced
 	// write (bootstrap diffs, resync replays). Receivers subtract
 	// adjacent stamps for the per-stage latency Breakdown; cross-node
 	// skew can make individual stages negative.
-	WriteNs  int64 `json:"wNs,omitempty"`
-	IngestNs int64 `json:"iNs,omitempty"`
-	MatchNs  int64 `json:"mNs,omitempty"`
+	WriteNs  int64
+	IngestNs int64
+	MatchNs  int64
 }
 
 // Backfill watermark phases and certificate statuses (DESIGN.md §12).
@@ -199,17 +173,17 @@ const (
 // admitted client-side only once every chunk has been certified by every
 // cell of the query's grid row.
 type BackfillStart struct {
-	Tenant         string     `json:"tenant"`
-	SubscriptionID string     `json:"sid"`
+	Tenant         string
+	SubscriptionID string
 	// BackfillID distinguishes concurrent and restarted backfills of the
 	// same subscription; certificates echo it.
-	BackfillID string     `json:"bfid"`
-	Query      query.Spec `json:"query"`
-	Slack      int        `json:"slack,omitempty"`
-	TTLMillis  int64      `json:"ttlMs"`
+	BackfillID string
+	Query      query.Spec
+	Slack      int
+	TTLMillis  int64
 	// Epoch routes the backfill at a specific map epoch (zero = current);
 	// migrations stamp the NEW epoch so the new owner bootstraps.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 }
 
 // BackfillChunk carries one chunk of a subscription's initial result, read
@@ -218,22 +192,22 @@ type BackfillStart struct {
 // (Low, High) window — in-window deltas supersede chunk rows — and publish a
 // BackfillCert when the cut is certified.
 type BackfillChunk struct {
-	Tenant         string `json:"tenant"`
-	SubscriptionID string `json:"sid"`
-	BackfillID     string `json:"bfid"`
-	QueryHash      uint64 `json:"qh"`
+	Tenant         string
+	SubscriptionID string
+	BackfillID     string
+	QueryHash      uint64
 	// Chunk is the zero-based chunk index within the backfill.
-	Chunk int `json:"chunk"`
+	Chunk int
 	// Low and High are the watermark sequence numbers bracketing the chunk
 	// read; record versions draw from the same allocator, so any write that
 	// raced the read has a version strictly inside the window.
-	Low  uint64 `json:"low"`
-	High uint64 `json:"high"`
+	Low  uint64
+	High uint64
 	// Last marks the final chunk of the backfill.
-	Last    bool          `json:"last,omitempty"`
-	Entries []ResultEntry `json:"entries"`
+	Last    bool
+	Entries []ResultEntry
 	// Epoch routes the chunk at the same map epoch as its BackfillStart.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 }
 
 // BackfillMark travels the writes topic — in stream order with the
@@ -242,13 +216,13 @@ type BackfillChunk struct {
 // mark to every matching cell, so a cell that has seen a chunk's high mark
 // has also processed every write committed before it.
 type BackfillMark struct {
-	Tenant     string `json:"tenant"`
-	BackfillID string `json:"bfid"`
-	Chunk      int    `json:"chunk"`
+	Tenant     string
+	BackfillID string
+	Chunk      int
 	// Phase is BackfillPhaseLow or BackfillPhaseHigh.
-	Phase string `json:"phase"`
+	Phase string
 	// Seq is the watermark's global sequence number.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 }
 
 // BackfillCert is published on the tenant's notify topic by a matching cell
@@ -257,23 +231,23 @@ type BackfillMark struct {
 // "restart", Chunk -1). The application server admits the subscription once
 // it holds ok-certificates from all Cells distinct cells for every chunk.
 type BackfillCert struct {
-	Tenant         string `json:"tenant"`
-	SubscriptionID string `json:"sid"`
-	BackfillID     string `json:"bfid"`
-	QueryID        string `json:"qid"`
+	Tenant         string
+	SubscriptionID string
+	BackfillID     string
+	QueryID        string
 	// Chunk echoes the certified chunk index; -1 for restart certificates.
-	Chunk int `json:"chunk"`
+	Chunk int
 	// Cell is the certifying cell's write-partition index; Cells is the row
 	// width, so the receiver knows how many distinct certificates complete a
 	// chunk.
-	Cell  int  `json:"cell"`
-	Cells int  `json:"cells"`
-	Last  bool `json:"last,omitempty"`
+	Cell  int
+	Cells int
+	Last  bool
 	// Origin identifies the certifying node instance, like
 	// Notification.Origin.
-	Origin string `json:"org,omitempty"`
+	Origin string
 	// Status is BackfillStatusOK or BackfillStatusRestart.
-	Status string `json:"status"`
+	Status string
 }
 
 // ResyncRequest asks the cluster to re-broadcast active subscription state
@@ -284,9 +258,9 @@ type BackfillCert struct {
 type ResyncRequest struct {
 	// Component is the topology component that restarted ("match",
 	// "sort", ...).
-	Component string `json:"comp"`
+	Component string
 	// TaskID is the restarted task's index within the component.
-	TaskID int `json:"task"`
+	TaskID int
 }
 
 // Resize axes accepted by ResizeRequest.
@@ -303,56 +277,56 @@ const (
 // coordinator crash-recoverable — a replacement coordinator adopts the
 // highest epoch its nodes report instead of restarting from epoch 1.
 type NodeHello struct {
-	Node string `json:"node"`
+	Node string
 	// Slots is the number of local query-partition rows the process runs.
-	Slots int `json:"slots"`
+	Slots int
 	// MaxWritePartitions is the process's column capacity — the ceiling on
 	// any map's WritePartitions it can serve.
-	MaxWritePartitions int `json:"maxWp"`
+	MaxWritePartitions int
 	// Map is the highest-epoch partition map the node holds, if any.
-	Map *PartitionMap `json:"map,omitempty"`
+	Map *PartitionMap
 }
 
 // ResizeRequest asks the coordinator to grow the grid by one partition
 // along the given axis ("qp" or "wp"). Published on the coordinator topic
 // by operators (cmd/invalidb-coordinator -resize) or tests.
 type ResizeRequest struct {
-	Axis string `json:"axis"`
+	Axis string
 }
 
 // EpochAck is a node's confirmation that it installed a partition map
 // epoch; the coordinator uses it to track convergence of a resize.
 type EpochAck struct {
-	Node  string `json:"node"`
-	Epoch uint64 `json:"epoch"`
+	Node  string
+	Epoch uint64
 }
 
 // Heartbeat is periodically published on every tenant's notification topic;
 // application servers terminate subscriptions when heartbeats stop (§5.1).
 type Heartbeat struct {
-	Tenant     string `json:"tenant"`
-	TimeMillis int64  `json:"ts"`
+	Tenant     string
+	TimeMillis int64
 }
 
 // Envelope is the single wire format of the event layer: exactly one field
 // besides Kind is set.
 type Envelope struct {
-	Kind          string            `json:"kind"`
-	Subscribe     *SubscribeRequest `json:"sub,omitempty"`
-	Cancel        *CancelRequest    `json:"cancel,omitempty"`
-	Extend        *ExtendRequest    `json:"extend,omitempty"`
-	Write         *WriteEvent       `json:"write,omitempty"`
-	Notification  *Notification     `json:"notif,omitempty"`
-	Heartbeat     *Heartbeat        `json:"hb,omitempty"`
-	Resync        *ResyncRequest    `json:"resync,omitempty"`
-	BackfillStart *BackfillStart    `json:"bfs,omitempty"`
-	BackfillChunk *BackfillChunk    `json:"bfc,omitempty"`
-	BackfillMark  *BackfillMark     `json:"bfm,omitempty"`
-	BackfillCert  *BackfillCert     `json:"bfcert,omitempty"`
-	Map           *PartitionMap     `json:"map,omitempty"`
-	Hello         *NodeHello        `json:"hello,omitempty"`
-	Resize        *ResizeRequest    `json:"resize,omitempty"`
-	EpochAck      *EpochAck         `json:"ack,omitempty"`
+	Kind          string
+	Subscribe     *SubscribeRequest
+	Cancel        *CancelRequest
+	Extend        *ExtendRequest
+	Write         *WriteEvent
+	Notification  *Notification
+	Heartbeat     *Heartbeat
+	Resync        *ResyncRequest
+	BackfillStart *BackfillStart
+	BackfillChunk *BackfillChunk
+	BackfillMark  *BackfillMark
+	BackfillCert  *BackfillCert
+	Map           *PartitionMap
+	Hello         *NodeHello
+	Resize        *ResizeRequest
+	EpochAck      *EpochAck
 }
 
 // Envelope kinds.
@@ -374,181 +348,11 @@ const (
 	KindEpochAck      = "epochAck"
 )
 
-// Encode serializes an envelope for the event layer in the process-wide
-// wire format (binary by default; see SetWireFormat).
+// Encode serializes an envelope for the event layer (DESIGN.md §10) into a
+// fresh buffer; DecodeWire is its inverse. Publishers that reuse a buffer
+// call AppendEnvelope directly.
 func (e *Envelope) Encode() ([]byte, error) {
-	if wireFormatJSON.Load() {
-		return e.EncodeJSON()
-	}
-	return e.EncodeBinary()
-}
-
-// EncodeJSON serializes the envelope as JSON — the legacy wire format,
-// still accepted by every decoder for mixed-version interoperability.
-func (e *Envelope) EncodeJSON() ([]byte, error) {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode %s envelope: %w", e.Kind, err)
-	}
-	if tag := wireKindTag(e.Kind); tag != 0 {
-		countWire(&wireStats.encMsgs, &wireStats.encBytes, tag, len(b))
-	}
-	return b, nil
-}
-
-// DecodeEnvelope parses an envelope and validates that its kind matches the
-// populated payload. Both wire formats are accepted: binary envelopes are
-// recognized by their leading magic byte, anything else (legacy JSON starts
-// with '{') falls through to the JSON decoder.
-func DecodeEnvelope(data []byte) (*Envelope, error) {
-	return DecodeWire(data)
-}
-
-// DecodeWire parses an envelope in either wire format, auto-detected from
-// the first byte. Both paths apply the same per-kind validation, so a
-// decoded envelope always re-encodes cleanly in both formats.
-//
-//invalidb:hotpath
-func DecodeWire(data []byte) (*Envelope, error) {
-	if len(data) > 0 && data[0] == wireMagic {
-		return decodeBinaryEnvelope(data)
-	}
-	//invalidb:allow hotpathalloc the JSON fallback format allocates wholesale by design; binary is the hot format
-	return decodeJSONEnvelope(data)
-}
-
-func decodeJSONEnvelope(data []byte) (*Envelope, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var e Envelope
-	if err := dec.Decode(&e); err != nil {
-		return nil, fmt.Errorf("core: decode envelope: %w", err)
-	}
-	// Rebuild the envelope with only the payload matching its kind, so the
-	// "exactly one field besides Kind" invariant holds even for input that
-	// carried extra payload fields.
-	clean := Envelope{Kind: e.Kind}
-	var ok bool
-	switch e.Kind {
-	case KindSubscribe:
-		ok = e.Subscribe != nil
-		if ok {
-			for i := range e.Subscribe.Result {
-				e.Subscribe.Result[i].Doc = document.Normalize(e.Subscribe.Result[i].Doc)
-			}
-			e.Subscribe.Query.Filter = normalizeFilter(e.Subscribe.Query.Filter)
-			clean.Subscribe = e.Subscribe
-		}
-	case KindCancel:
-		ok = e.Cancel != nil
-		clean.Cancel = e.Cancel
-	case KindExtend:
-		ok = e.Extend != nil
-		clean.Extend = e.Extend
-	case KindWrite:
-		ok = e.Write != nil && e.Write.Image != nil
-		if ok {
-			if e.Write.Image.Doc != nil {
-				e.Write.Image.Doc = document.Normalize(e.Write.Image.Doc)
-			}
-			if err := e.Write.Image.Validate(); err != nil {
-				return nil, err
-			}
-			clean.Write = e.Write
-		}
-	case KindNotification:
-		ok = e.Notification != nil
-		if ok {
-			if e.Notification.Type < MatchAdd || e.Notification.Type > MatchError {
-				return nil, fmt.Errorf("core: notification with invalid match type %d", uint8(e.Notification.Type))
-			}
-			if e.Notification.Doc != nil {
-				e.Notification.Doc = document.Normalize(e.Notification.Doc)
-			}
-			clean.Notification = e.Notification
-		}
-	case KindHeartbeat:
-		ok = e.Heartbeat != nil
-		clean.Heartbeat = e.Heartbeat
-	case KindResync:
-		ok = e.Resync != nil
-		clean.Resync = e.Resync
-	case KindBackfillStart:
-		ok = e.BackfillStart != nil
-		if ok {
-			e.BackfillStart.Query.Filter = normalizeFilter(e.BackfillStart.Query.Filter)
-			clean.BackfillStart = e.BackfillStart
-		}
-	case KindBackfillChunk:
-		ok = e.BackfillChunk != nil
-		if ok {
-			for i := range e.BackfillChunk.Entries {
-				e.BackfillChunk.Entries[i].Doc = document.Normalize(e.BackfillChunk.Entries[i].Doc)
-			}
-			clean.BackfillChunk = e.BackfillChunk
-		}
-	case KindBackfillMark:
-		ok = e.BackfillMark != nil
-		if ok {
-			if p := e.BackfillMark.Phase; p != BackfillPhaseLow && p != BackfillPhaseHigh {
-				return nil, fmt.Errorf("core: backfill mark with invalid phase %q", p)
-			}
-			clean.BackfillMark = e.BackfillMark
-		}
-	case KindBackfillCert:
-		ok = e.BackfillCert != nil
-		if ok {
-			if s := e.BackfillCert.Status; s != BackfillStatusOK && s != BackfillStatusRestart {
-				return nil, fmt.Errorf("core: backfill cert with invalid status %q", s)
-			}
-			clean.BackfillCert = e.BackfillCert
-		}
-	case KindPartitionMap:
-		ok = e.Map != nil
-		if ok {
-			if err := e.Map.validate(); err != nil {
-				return nil, err
-			}
-			clean.Map = e.Map
-		}
-	case KindNodeHello:
-		ok = e.Hello != nil
-		if ok {
-			if e.Hello.Map != nil {
-				if err := e.Hello.Map.validate(); err != nil {
-					return nil, err
-				}
-			}
-			clean.Hello = e.Hello
-		}
-	case KindResize:
-		ok = e.Resize != nil
-		if ok {
-			if a := e.Resize.Axis; a != ResizeAxisQP && a != ResizeAxisWP {
-				return nil, fmt.Errorf("core: resize request with invalid axis %q", a)
-			}
-			clean.Resize = e.Resize
-		}
-	case KindEpochAck:
-		ok = e.EpochAck != nil
-		clean.EpochAck = e.EpochAck
-	default:
-		return nil, fmt.Errorf("core: unknown envelope kind %q", e.Kind)
-	}
-	if !ok {
-		return nil, fmt.Errorf("core: %s envelope without payload", e.Kind)
-	}
-	if tag := wireKindTag(clean.Kind); tag != 0 {
-		countWire(&wireStats.decMsgs, &wireStats.decBytes, tag, len(data))
-	}
-	return &clean, nil
-}
-
-func normalizeFilter(f map[string]any) map[string]any {
-	if f == nil {
-		return nil
-	}
-	return map[string]any(document.Normalize(document.Document(f)))
+	return AppendEnvelope(make([]byte, 0, 192), e)
 }
 
 // Topics used on the event layer, namespaced per cluster.

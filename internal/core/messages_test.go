@@ -8,29 +8,9 @@ import (
 	"invalidb/internal/query"
 )
 
-func TestMatchTypeJSONRoundTrip(t *testing.T) {
-	for _, mt := range []MatchType{MatchAdd, MatchChange, MatchChangeIndex, MatchRemove, MatchError} {
-		b, err := mt.MarshalJSON()
-		if err != nil {
-			t.Fatalf("%v: %v", mt, err)
-		}
-		var got MatchType
-		if err := got.UnmarshalJSON(b); err != nil {
-			t.Fatalf("%v: %v", mt, err)
-		}
-		if got != mt {
-			t.Fatalf("round trip %v -> %v", mt, got)
-		}
-	}
-	var mt MatchType
-	if err := mt.UnmarshalJSON([]byte(`"bogus"`)); err == nil {
-		t.Fatal("unknown match type accepted")
-	}
-	if _, err := MatchType(99).MarshalJSON(); err == nil {
-		t.Fatal("invalid match type marshalled")
-	}
-	if !strings.Contains(MatchType(99).String(), "99") {
-		t.Fatal("String for invalid type")
+func TestMatchTypeString(t *testing.T) {
+	if MatchChangeIndex.String() != "changeIndex" || !strings.Contains(MatchType(99).String(), "99") {
+		t.Fatalf("String: %v, %v", MatchChangeIndex, MatchType(99))
 	}
 }
 
@@ -58,43 +38,12 @@ func TestEnvelopeRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", env.Kind, err)
 		}
-		got, err := DecodeEnvelope(data)
+		got, err := DecodeWire(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", env.Kind, err)
 		}
 		if got.Kind != env.Kind {
 			t.Fatalf("kind %s -> %s", env.Kind, got.Kind)
-		}
-	}
-}
-
-func TestEnvelopeNumberNormalization(t *testing.T) {
-	env := &Envelope{Kind: KindWrite, Write: &WriteEvent{Tenant: "t", Image: &document.AfterImage{
-		Collection: "c", Key: "k", Version: 1, Op: document.OpInsert,
-		Doc: document.Document{"_id": "k", "n": 3},
-	}}}
-	data, _ := env.Encode()
-	got, err := DecodeEnvelope(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := got.Write.Image.Doc["n"].(int64); !ok {
-		t.Fatalf("decoded number type: %T", got.Write.Image.Doc["n"])
-	}
-}
-
-func TestEnvelopeRejectsGarbage(t *testing.T) {
-	bad := [][]byte{
-		[]byte(`{`),
-		[]byte(`{"kind":"nope"}`),
-		[]byte(`{"kind":"subscribe"}`),
-		[]byte(`{"kind":"write"}`),
-		[]byte(`{"kind":"write","write":{"tenant":"t"}}`),
-		[]byte(`{"kind":"write","write":{"tenant":"t","img":{"c":"c","k":"","v":1,"o":1}}}`),
-	}
-	for i, b := range bad {
-		if _, err := DecodeEnvelope(b); err == nil {
-			t.Errorf("case %d: garbage envelope accepted", i)
 		}
 	}
 }

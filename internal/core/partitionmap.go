@@ -18,8 +18,8 @@ import (
 // process (empty = the local process, single-process deployments) and the
 // local slot index the row occupies inside that process's grid.
 type RowAssignment struct {
-	Node string `json:"node,omitempty"`
-	Slot int    `json:"slot"`
+	Node string
+	Slot int
 }
 
 // PartitionMap is one epoch of the grid's routing state: the grid
@@ -28,13 +28,13 @@ type RowAssignment struct {
 // against the map that was current at that epoch, so a resize never
 // misroutes in-flight requests.
 type PartitionMap struct {
-	Epoch           uint64          `json:"epoch"`
-	QueryPartitions int             `json:"qp"`
-	WritePartitions int             `json:"wp"`
-	Rows            []RowAssignment `json:"rows"`
+	Epoch           uint64
+	QueryPartitions int
+	WritePartitions int
+	Rows            []RowAssignment
 }
 
-// validate enforces the structural invariants both wire decoders share: at
+// validate enforces the structural invariants of a map on the wire: at
 // least one row, one row assignment per query partition, a positive write
 // partition count, and slots that are non-negative.
 func (m *PartitionMap) validate() error {

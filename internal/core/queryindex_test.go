@@ -283,7 +283,7 @@ func (e *aggEnv) nextNotification() *Notification {
 			if !ok {
 				e.t.Fatal("notification stream closed")
 			}
-			env, err := DecodeEnvelope(msg.Payload)
+			env, err := DecodeWire(msg.Payload)
 			if err != nil || env.Kind != KindNotification {
 				continue
 			}

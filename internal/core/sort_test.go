@@ -103,7 +103,7 @@ func (h *sortHarness) drain() []*Notification {
 	for {
 		select {
 		case msg := <-h.notif.C():
-			env, err := DecodeEnvelope(msg.Payload)
+			env, err := DecodeWire(msg.Payload)
 			if err != nil || env.Kind != KindNotification {
 				continue
 			}

@@ -83,7 +83,7 @@ func TestStageTimestampsPropagate(t *testing.T) {
 	for n == nil {
 		select {
 		case msg := <-sub.C():
-			env, err := DecodeEnvelope(msg.Payload)
+			env, err := DecodeWire(msg.Payload)
 			if err != nil || env.Kind != KindNotification {
 				continue
 			}

@@ -2,12 +2,12 @@ package core
 
 import "testing"
 
-// BenchmarkEnvelopeWire compares the binary codec against the JSON path
-// for the two hot envelope kinds (writes into the cluster, notifications
-// out of it). The binary encode reuses its buffer — the same pattern the
-// TCP write path uses — and must run allocation-free; wire-bytes reports
-// the encoded size. CI runs this with -benchtime=1x so the suite cannot
-// bit-rot; EXPERIMENTS.md records representative numbers.
+// BenchmarkEnvelopeWire times the codec on the two hot envelope kinds
+// (writes into the cluster, notifications out of it). The encode reuses its
+// buffer — the same pattern the TCP write path uses — and must run
+// allocation-free; wire-bytes reports the encoded size. CI runs this with
+// -benchtime=1x so the suite cannot bit-rot; EXPERIMENTS.md records
+// representative numbers.
 func BenchmarkEnvelopeWire(b *testing.B) {
 	for _, env := range wireTestEnvelopes() {
 		if env.Kind != KindWrite && env.Kind != KindNotification {
@@ -17,11 +17,7 @@ func BenchmarkEnvelopeWire(b *testing.B) {
 		if env.Kind == KindNotification && env.Notification.Type == MatchError {
 			continue // bench the data-carrying notification only
 		}
-		bin, err := env.EncodeBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
-		js, err := env.EncodeJSON()
+		bin, err := env.Encode()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,30 +35,10 @@ func BenchmarkEnvelopeWire(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(buf)), "wire-bytes")
 		})
-		b.Run(env.Kind+"/encode/json", func(b *testing.B) {
-			b.ReportAllocs()
-			var out []byte
-			for i := 0; i < b.N; i++ {
-				var err error
-				out, err = env.EncodeJSON()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(out)), "wire-bytes")
-		})
 		b.Run(env.Kind+"/decode/binary", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := DecodeWire(bin); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(env.Kind+"/decode/json", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeWire(js); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,28 +5,19 @@ import (
 	"testing"
 )
 
-// FuzzEnvelopeWire checks the codec's two contracts on arbitrary input:
-// corrupt or truncated bytes must error without panicking, and any
-// envelope that does decode — from either wire format — must round-trip
-// identically through both formats. "Identically" covers failure too: if
-// one format's round trip rejects the envelope (e.g. a write whose
-// empty document collapses to nil and then fails image validation), the
-// other must reject it as well.
+// FuzzEnvelopeWire checks the codec's contract on arbitrary input: corrupt
+// or truncated bytes error without panicking, and whatever does decode
+// re-encodes, and decodes again to the identical envelope — value types,
+// nil versus empty documents and result lists included.
 func FuzzEnvelopeWire(f *testing.F) {
-	for _, env := range wireTestEnvelopes() {
-		bin, err := env.EncodeBinary()
+	for _, env := range append(wireTestEnvelopes(), wireCornerEnvelopes()...) {
+		data, err := env.Encode()
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(bin)
-		js, err := env.EncodeJSON()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(js)
+		f.Add(data)
 	}
 	f.Add([]byte{wireMagic, wireTagWrite, 0, 0})
-	f.Add([]byte(`{"kind":"write","write":{}}`))
 	f.Add([]byte{wireMagic, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -34,24 +25,16 @@ func FuzzEnvelopeWire(f *testing.F) {
 		if err != nil {
 			return // rejected without panicking — that's the contract
 		}
-		bin, errB := env.EncodeBinary()
-		js, errJ := env.EncodeJSON()
-		if (errB == nil) != (errJ == nil) {
-			t.Fatalf("encode disagreement: binary err=%v, json err=%v for %#v", errB, errJ, env)
+		again, err := env.Encode()
+		if err != nil {
+			t.Fatalf("decoded envelope does not re-encode: %v\n%#v", err, env)
 		}
-		if errB != nil {
-			return
+		rt, err := DecodeWire(again)
+		if err != nil {
+			t.Fatalf("re-encoded envelope does not decode: %v\n%#v", err, env)
 		}
-		rtBin, errB := DecodeWire(bin)
-		rtJSON, errJ := DecodeWire(js)
-		if (errB == nil) != (errJ == nil) {
-			t.Fatalf("round-trip decode disagreement: binary err=%v, json err=%v for %#v", errB, errJ, env)
-		}
-		if errB != nil {
-			return
-		}
-		if !reflect.DeepEqual(rtBin, rtJSON) {
-			t.Fatalf("round trips disagree:\nbinary: %#v\njson:   %#v", rtBin, rtJSON)
+		if !reflect.DeepEqual(rt, env) {
+			t.Fatalf("round trip changed the envelope:\nfirst:  %#v\nsecond: %#v", env, rt)
 		}
 	})
 }

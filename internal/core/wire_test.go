@@ -1,7 +1,12 @@
 package core
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"invalidb/internal/document"
@@ -152,155 +157,305 @@ func wireTestEnvelopes() []*Envelope {
 	}
 }
 
-// TestWireBinaryRoundTrip: binary encode → decode must reproduce the
-// envelope, and must agree exactly with the JSON round trip.
-func TestWireBinaryRoundTrip(t *testing.T) {
-	for _, env := range wireTestEnvelopes() {
-		bin, err := env.EncodeBinary()
-		if err != nil {
-			t.Fatalf("%s: binary encode: %v", env.Kind, err)
-		}
-		if bin[0] != wireMagic {
-			t.Fatalf("%s: binary encoding does not start with magic: % x", env.Kind, bin[:2])
-		}
-		js, err := env.EncodeJSON()
-		if err != nil {
-			t.Fatalf("%s: json encode: %v", env.Kind, err)
-		}
-		fromBin, err := DecodeWire(bin)
-		if err != nil {
-			t.Fatalf("%s: binary decode: %v", env.Kind, err)
-		}
-		fromJSON, err := DecodeWire(js)
-		if err != nil {
-			t.Fatalf("%s: json decode: %v", env.Kind, err)
-		}
-		if !reflect.DeepEqual(fromBin, fromJSON) {
-			t.Fatalf("%s: binary and JSON round trips disagree:\nbinary: %#v\njson:   %#v",
-				env.Kind, fromBin, fromJSON)
-		}
-		if !reflect.DeepEqual(fromBin, env) {
-			t.Fatalf("%s: binary round trip mutated the envelope:\nin:  %#v\nout: %#v",
-				env.Kind, env, fromBin)
-		}
-	}
-}
-
-// TestWireEncodeDispatch: Encode follows the process-wide format
-// selector, and the selector rejects unknown names.
-func TestWireEncodeDispatch(t *testing.T) {
-	env := &Envelope{Kind: KindHeartbeat, Heartbeat: &Heartbeat{Tenant: "t", TimeMillis: 1}}
-	if WireFormat() != WireBinary {
-		t.Fatalf("default wire format = %q, want binary", WireFormat())
-	}
-	b, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != wireMagic {
-		t.Fatalf("binary-mode Encode produced % x", b[:1])
-	}
-	if err := SetWireFormat(WireJSON); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := SetWireFormat(WireBinary); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	j, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j[0] != '{' {
-		t.Fatalf("json-mode Encode produced % x", j[:1])
-	}
-	if _, err := DecodeWire(j); err != nil {
-		t.Fatalf("decode of json-mode output: %v", err)
-	}
-	if err := SetWireFormat("protobuf"); err == nil {
-		t.Fatal("unknown wire format accepted")
-	}
-}
-
-// TestWireFloatCollapse: integral floats must collapse to int64 exactly
-// like the JSON path (json.Number round trip), so query hashes agree
-// across formats.
-func TestWireFloatCollapse(t *testing.T) {
-	env := &Envelope{Kind: KindWrite, Write: &WriteEvent{
-		Tenant: "t",
-		Image: &document.AfterImage{
+// wireCornerEnvelopes are the values a lossy codec gets wrong: floats that
+// happen to be integral, the sign of zero, floats beyond int64, and the
+// difference between no document and an empty one.
+func wireCornerEnvelopes() []*Envelope {
+	negZero := math.Copysign(0, -1)
+	return []*Envelope{
+		{Kind: KindWrite, Write: &WriteEvent{Tenant: "t", Image: &document.AfterImage{
 			Collection: "c", Key: "k", Version: 1, Op: document.OpInsert,
 			Doc: document.Document{
-				"intish":  3.0,
-				"negzero": math_NegZero(),
-				"frac":    3.5,
-				"big":     1e300,
-				"hugeint": 1e19, // integral but beyond int64: stays float
+				"intish": 3.0, "int": int64(3), "negzero": negZero, "frac": 3.5,
+				"big": 1e300, "hugeint": 1e19, "maxint": float64(1 << 62),
+				"arr": []any{1.0, int64(1), []any{}, map[string]any{}},
 			},
-		},
-	}}
-	bin, err := env.EncodeBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := DecodeWire(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := env.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := DecodeWire(js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromBin, fromJSON) {
-		t.Fatalf("float handling diverges:\nbinary: %#v\njson:   %#v",
-			fromBin.Write.Image.Doc, fromJSON.Write.Image.Doc)
-	}
-	doc := fromBin.Write.Image.Doc
-	if v, ok := doc["intish"].(int64); !ok || v != 3 {
-		t.Fatalf("intish = %#v, want int64(3)", doc["intish"])
-	}
-	if v, ok := doc["frac"].(float64); !ok || v != 3.5 {
-		t.Fatalf("frac = %#v, want float64(3.5)", doc["frac"])
-	}
-	if v, ok := doc["hugeint"].(float64); !ok || v != 1e19 {
-		t.Fatalf("hugeint = %#v, want float64(1e19)", doc["hugeint"])
+		}}},
+		{Kind: KindWrite, Write: &WriteEvent{Tenant: "t", Image: &document.AfterImage{
+			Collection: "c", Key: "k", Version: 2, Op: document.OpUpdate, Doc: document.Document{},
+		}}},
+		{Kind: KindWrite, Write: &WriteEvent{Tenant: "t", Image: &document.AfterImage{
+			Collection: "c", Key: "k", Version: 3, Op: document.OpDelete,
+		}}},
+		{Kind: KindNotification, Notification: &Notification{
+			Tenant: "t", QueryID: "q0000000000000001", Type: MatchChange, Key: "k",
+			Doc: document.Document{"x": 3.0, "y": negZero}, Version: 2, Index: -1,
+		}},
+		{Kind: KindNotification, Notification: &Notification{
+			Tenant: "t", QueryID: "q0000000000000001", Type: MatchAdd, Key: "k", Doc: document.Document{},
+		}},
+		{Kind: KindSubscribe, Subscribe: &SubscribeRequest{
+			Tenant: "t", SubscriptionID: "s",
+			Query:  query.Spec{Collection: "c", Filter: map[string]any{}},
+			Result: []ResultEntry{},
+		}},
+		{Kind: KindSubscribe, Subscribe: &SubscribeRequest{
+			Tenant: "t", SubscriptionID: "s",
+			Query: query.Spec{Collection: "c", Filter: map[string]any{"x": map[string]any{"$gte": 3.0}}},
+		}},
+		{Kind: KindBackfillChunk, BackfillChunk: &BackfillChunk{
+			Tenant: "t", SubscriptionID: "s", BackfillID: "b", Entries: []ResultEntry{},
+		}},
 	}
 }
 
-// math_NegZero returns -0.0 without tripping constant folding.
-func math_NegZero() float64 {
-	z := 0.0
-	return -z
+// TestWireRoundTrip: decode(encode(e)) = e, value types included — the
+// codec's whole contract for well-formed envelopes.
+func TestWireRoundTrip(t *testing.T) {
+	for _, env := range append(wireTestEnvelopes(), wireCornerEnvelopes()...) {
+		data, err := env.Encode()
+		if err != nil {
+			t.Fatalf("%s: encode: %v", env.Kind, err)
+		}
+		if data[0] != wireMagic {
+			t.Fatalf("%s: encoding does not start with magic: % x", env.Kind, data[:2])
+		}
+		got, err := DecodeWire(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", env.Kind, err)
+		}
+		if !reflect.DeepEqual(got, env) {
+			t.Fatalf("%s: round trip changed the envelope:\nin:  %#v\nout: %#v", env.Kind, env, got)
+		}
+	}
+	// DeepEqual cannot see the sign of zero.
+	data, _ := wireCornerEnvelopes()[0].Encode()
+	got, _ := DecodeWire(data)
+	if z, ok := got.Write.Image.Doc["negzero"].(float64); !ok || !math.Signbit(z) {
+		t.Fatalf("negzero = %#v, want float64(-0)", got.Write.Image.Doc["negzero"])
+	}
 }
 
-// TestWireRejectsCorruptBinary: corrupt and truncated binary input must
-// error, never panic.
+// readSeed parses a `go test fuzz v1` corpus file holding one []byte.
+func readSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit = strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")")
+	data, err := strconv.Unquote(lit)
+	if !ok || err != nil {
+		t.Fatalf("%s: not a one-value []byte corpus file: %v", path, err)
+	}
+	return []byte(data)
+}
+
+const wireSeedDir = "testdata/fuzz/FuzzEnvelopeWire"
+
+// TestEveryWireKindHasSeedAndRoundTrips walks the kind table: every row is
+// complete, has a sample in wireTestEnvelopes that round-trips, and has a
+// fuzz seed that decodes to it — what the build cannot check about a new
+// kind.
+func TestEveryWireKindHasSeedAndRoundTrips(t *testing.T) {
+	if wireKinds[0].name != "" {
+		t.Fatal("tag 0 must stay unassigned")
+	}
+	seen := map[string]bool{}
+	for tag := 1; tag < len(wireKinds); tag++ {
+		k := wireKinds[tag]
+		if k.name == "" || k.append == nil || k.decode == nil || seen[k.name] {
+			t.Fatalf("tag %d: incomplete or duplicate row %q", tag, k.name)
+		}
+		seen[k.name] = true
+		if got := wireKindTag(k.name); int(got) != tag {
+			t.Errorf("%s: wireKindTag = %d, want %d", k.name, got, tag)
+		}
+		sampled := false
+		for _, env := range wireTestEnvelopes() {
+			if env.Kind != k.name {
+				continue
+			}
+			sampled = true
+			data, err := env.Encode()
+			if err != nil || data[1] != byte(tag) {
+				t.Fatalf("%s: sample encodes to tag %d, err %v", k.name, data[1], err)
+			}
+			if got, err := DecodeWire(data); err != nil || !reflect.DeepEqual(got, env) {
+				t.Errorf("%s: sample does not round-trip: %v", k.name, err)
+			}
+		}
+		if !sampled {
+			t.Errorf("%s: no sample in wireTestEnvelopes", k.name)
+		}
+		seeds, _ := filepath.Glob(filepath.Join(wireSeedDir, "seed-"+strings.ToLower(k.name)+"-*"))
+		seeded := false
+		for _, path := range seeds {
+			if env, err := DecodeWire(readSeed(t, path)); err == nil && env.Kind == k.name {
+				seeded = true
+			}
+		}
+		if !seeded {
+			t.Errorf("%s: no decodable fuzz seed %s/seed-%s-*", k.name, wireSeedDir, strings.ToLower(k.name))
+		}
+	}
+}
+
+// TestWireRejectsNonEnvelopes: a payload that does not start with the magic
+// byte is not an envelope, whatever follows — the JSON envelopes of the
+// format this codec replaced included.
+func TestWireRejectsNonEnvelopes(t *testing.T) {
+	inputs := [][]byte{nil, {}, []byte("{"), []byte(`{"kind":"write","write":{}}`),
+		[]byte(`{"kind":"heartbeat","hb":{"tenant":"t","ts":1}}`)}
+	good, err := wireTestEnvelopes()[0].Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for first := 0; first < 256; first++ {
+		if first != wireMagic {
+			inputs = append(inputs, append([]byte{byte(first)}, good[1:]...))
+		}
+	}
+	legacy, _ := filepath.Glob(filepath.Join(wireSeedDir, "seed-*-json"))
+	if len(legacy) == 0 {
+		t.Fatal("legacy JSON seeds missing from the corpus")
+	}
+	for _, path := range legacy {
+		inputs = append(inputs, readSeed(t, path))
+	}
+	for _, in := range inputs {
+		if _, err := DecodeWire(in); err == nil {
+			t.Errorf("non-envelope accepted: %q", in)
+		}
+	}
+}
+
+// TestWireValidation pins, per kind, what the codec refuses to carry in
+// either direction: a bad value fails at its publisher's Encode and, when it
+// arrives as bytes, at the receiver's DecodeWire.
+func TestWireValidation(t *testing.T) {
+	badMap := &PartitionMap{Epoch: 1, QueryPartitions: 2, WritePartitions: 1, Rows: []RowAssignment{{Node: "a"}}}
+	img := &document.AfterImage{Collection: "c", Key: "k", Version: 1, Op: document.OpInsert, Doc: document.Document{}}
+	unencodable := map[string]*Envelope{
+		"match type 0":        {Kind: KindNotification, Notification: &Notification{Tenant: "t"}},
+		"match type 99":       {Kind: KindNotification, Notification: &Notification{Tenant: "t", Type: 99}},
+		"mark phase":          {Kind: KindBackfillMark, BackfillMark: &BackfillMark{Phase: "mid"}},
+		"cert status":         {Kind: KindBackfillCert, BackfillCert: &BackfillCert{Status: "maybe"}},
+		"resize axis":         {Kind: KindResize, Resize: &ResizeRequest{Axis: "depth"}},
+		"map rows != qp":      {Kind: KindPartitionMap, Map: badMap},
+		"map 0 x 0":           {Kind: KindPartitionMap, Map: &PartitionMap{}},
+		"map negative slot":   {Kind: KindPartitionMap, Map: &PartitionMap{QueryPartitions: 1, WritePartitions: 1, Rows: []RowAssignment{{Slot: -1}}}},
+		"hello with bad map":  {Kind: KindNodeHello, Hello: &NodeHello{Node: "a", Map: badMap}},
+		"write without image": {Kind: KindWrite, Write: &WriteEvent{Tenant: "t"}},
+		"NaN":                 {Kind: KindWrite, Write: &WriteEvent{Image: &document.AfterImage{Key: "k", Version: 1, Doc: document.Document{"x": math.NaN()}}}},
+		"+Inf":                {Kind: KindNotification, Notification: &Notification{Type: MatchAdd, Doc: document.Document{"x": math.Inf(1)}}},
+		"non-document value":  {Kind: KindNotification, Notification: &Notification{Type: MatchAdd, Doc: document.Document{"x": struct{}{}}}},
+		"unknown kind":        {Kind: "nope", Heartbeat: &Heartbeat{}},
+		"no kind":             {Heartbeat: &Heartbeat{}},
+	}
+	// Exactly one payload per kind, and it is the kind's own.
+	for tag := 1; tag < len(wireKinds); tag++ {
+		unencodable[wireKinds[tag].name+" without payload"] = &Envelope{Kind: wireKinds[tag].name}
+	}
+	unencodable["heartbeat carrying a write"] = &Envelope{Kind: KindHeartbeat, Write: &WriteEvent{Tenant: "t", Image: img}}
+	for name, env := range unencodable {
+		if data, err := env.Encode(); err == nil {
+			t.Errorf("%s: encoded to % x", name, data)
+		}
+	}
+
+	str := func(s string) []byte { return appendString(nil, s) }
+	cat := func(parts ...[]byte) (out []byte) {
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	badMapBytes := cat([]byte{1, 4, 2, 1}, str("a"), []byte{0}) // epoch 1, 2 x 1, one row
+	undecodable := map[string][]byte{
+		"match type 0":       cat([]byte{wireMagic, wireTagNotification}, str("t"), str("q"), []byte{0}, make([]byte, 10)),
+		"match type 9":       cat([]byte{wireMagic, wireTagNotification}, str("t"), str("q"), []byte{9}, make([]byte, 10)),
+		"mark phase 2":       cat([]byte{wireMagic, wireTagBackfillMark}, str("t"), str("b"), []byte{0, 2, 0}),
+		"cert status 2":      cat([]byte{wireMagic, wireTagBackfillCert}, str("t"), str("s"), str("b"), str("q"), []byte{0, 0, 0, 0}, str("o"), []byte{2}),
+		"cert last 2":        cat([]byte{wireMagic, wireTagBackfillCert}, str("t"), str("s"), str("b"), str("q"), []byte{0, 0, 0, 2}, str("o"), []byte{0}),
+		"resize axis 2":      {wireMagic, wireTagResize, 2},
+		"map rows != qp":     cat([]byte{wireMagic, wireTagPartitionMap}, badMapBytes),
+		"hello with bad map": cat([]byte{wireMagic, wireTagNodeHello}, str("a"), []byte{2, 2, 1}, badMapBytes),
+		"hello presence 2":   cat([]byte{wireMagic, wireTagNodeHello}, str("a"), []byte{2, 2, 2}),
+		"hello unnamed":      cat([]byte{wireMagic, wireTagNodeHello}, str(""), []byte{2, 2, 0}),
+		"hello slots -1":     cat([]byte{wireMagic, wireTagNodeHello}, str("a"), []byte{1, 2, 0}),
+		"hello max wp -1":    cat([]byte{wireMagic, wireTagNodeHello}, str("a"), []byte{2, 1, 0}),
+		"ack unnamed":        cat([]byte{wireMagic, wireTagEpochAck}, str(""), []byte{7}),
+		"write empty key":    cat([]byte{wireMagic, wireTagWrite}, str("t"), []byte{0}, str("c"), str(""), []byte{1, 1, wireValObject, 0}),
+		"write version 0":    cat([]byte{wireMagic, wireTagWrite}, str("t"), []byte{0}, str("c"), str("k"), []byte{0, 1, wireValObject, 0}),
+		"write op 9":         cat([]byte{wireMagic, wireTagWrite}, str("t"), []byte{0}, str("c"), str("k"), []byte{1, 9, wireValObject, 0}),
+		"insert without doc": cat([]byte{wireMagic, wireTagWrite}, str("t"), []byte{0}, str("c"), str("k"), []byte{1, 1, wireValNull}),
+		"delete with doc":    cat([]byte{wireMagic, wireTagWrite}, str("t"), []byte{0}, str("c"), str("k"), []byte{1, 3, wireValObject, 0}),
+		"doc is a string":    cat([]byte{wireMagic, wireTagWrite}, str("t"), []byte{0}, str("c"), str("k"), []byte{1, 1, wireValString, 0}),
+		"sort desc 2":        cat([]byte{wireMagic, wireTagBackfillStart}, str("t"), str("s"), str("b"), []byte{0, 0}, str("c"), []byte{wireValNull, 1}, str("x"), []byte{2, 0, 0, 0, 0}),
+		"tag 0":              {wireMagic, 0},
+		"tag 16":             {wireMagic, byte(len(wireKinds)), 0},
+		"tag 255":            {wireMagic, 0xFF, 0xFF},
+	}
+	for _, env := range wireTestEnvelopes() {
+		data, err := env.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		undecodable[env.Kind+" with a trailing byte"] = append(data, 0)
+	}
+	for name, in := range undecodable {
+		if env, err := DecodeWire(in); err == nil {
+			t.Errorf("%s: % x decoded to %#v", name, in, env)
+		}
+	}
+	// The hand-built layouts above are right up to the one bad byte.
+	for name, fix := range map[string]func(b []byte){
+		"mark phase 2": func(b []byte) { b[len(b)-2] = 1 }, "cert status 2": func(b []byte) { b[len(b)-1] = 1 },
+		"resize axis 2": func(b []byte) { b[2] = 1 }, "hello presence 2": func(b []byte) { b[len(b)-1] = 0 },
+		"write op 9": func(b []byte) { b[len(b)-3] = 2 }, "sort desc 2": func(b []byte) { b[len(b)-5] = 1 },
+	} {
+		in := append([]byte(nil), undecodable[name]...)
+		fix(in)
+		if _, err := DecodeWire(in); err != nil {
+			t.Errorf("%s: still rejected with the bad byte fixed: %v", name, err)
+		}
+	}
+
+	// A decoded envelope carries its kind's payload and no other.
+	for _, env := range wireTestEnvelopes() {
+		data, _ := env.Encode()
+		got, err := DecodeWire(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, set := reflect.ValueOf(*got), 0
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Pointer && !f.IsNil() {
+				set++
+			}
+		}
+		if set != 1 {
+			t.Errorf("%s: decoded envelope has %d payloads", env.Kind, set)
+		}
+	}
+}
+
+// TestWireRejectsCorruptBinary: corrupt and truncated input must error,
+// never panic.
 func TestWireRejectsCorruptBinary(t *testing.T) {
-	good, err := wireTestEnvelopes()[0].EncodeBinary()
+	good, err := wireTestEnvelopes()[0].Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := [][]byte{
-		{wireMagic},                      // magic only
-		{wireMagic, 0},                   // kind 0
-		{wireMagic, 99},                  // unknown kind
-		{wireMagic, wireTagHeartbeat},    // truncated payload
-		{wireMagic, wireTagNotification}, // truncated payload
-		good[:len(good)/2],               // truncated mid-payload
-		append(append([]byte{}, good...), 0xFF), // trailing garbage
-		{wireMagic, wireTagHeartbeat, 1, 't', 2, 0xFF}, // bad varint tail
-		{wireMagic, wireTagWrite, 0, 0, 0, 0, 0, 0, 0}, // fails image validation
-		{wireMagic, wireTagNotification, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // bad match type
-		{wireMagic, wireTagHeartbeat, 2, 0xFF, 0xFE, 0},                         // invalid UTF-8 tenant
+		{wireMagic},                                     // magic only
+		{wireMagic, wireTagHeartbeat},                   // truncated payload
+		{wireMagic, wireTagNotification},                // truncated payload
+		good[:len(good)/2],                              // truncated mid-payload
+		{wireMagic, wireTagHeartbeat, 1, 't', 2, 0xFF},  // bad varint tail
+		{wireMagic, wireTagHeartbeat, 2, 0xFF, 0xFE, 0}, // invalid UTF-8 tenant
+	}
+	for _, pattern := range []string{"seed-*-corrupt", "seed-*-trunc"} {
+		seeds, _ := filepath.Glob(filepath.Join(wireSeedDir, pattern))
+		for _, path := range seeds {
+			cases = append(cases, readSeed(t, path))
+		}
 	}
 	for i, in := range cases {
 		if _, err := DecodeWire(in); err == nil {
-			t.Errorf("case %d (% x): corrupt binary accepted", i, in)
+			t.Errorf("case %d (% x): corrupt input accepted", i, in)
 		}
 	}
 	// A huge declared count must error before allocating.
@@ -308,29 +463,6 @@ func TestWireRejectsCorruptBinary(t *testing.T) {
 		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F} // absurd uvarint
 	if _, err := DecodeWire(bomb); err == nil {
 		t.Error("allocation-bomb count accepted")
-	}
-}
-
-// TestWireBinarySmaller: the binary encoding must be at most half the
-// JSON size for representative write and notification envelopes (the
-// acceptance bar for the codec).
-func TestWireBinarySmaller(t *testing.T) {
-	for _, env := range wireTestEnvelopes() {
-		if env.Kind != KindWrite && env.Kind != KindNotification {
-			continue
-		}
-		bin, err := env.EncodeBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := env.EncodeJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bin)*2 > len(js) {
-			t.Errorf("%s: binary %d bytes vs JSON %d bytes — not ≥2× smaller",
-				env.Kind, len(bin), len(js))
-		}
 	}
 }
 

@@ -219,7 +219,7 @@ func runPoint(cfg Config, opts core.Options, w workload, collection string,
 	go func() {
 		defer close(done)
 		for msg := range notifSub.C() {
-			env, err := core.DecodeEnvelope(msg.Payload)
+			env, err := core.DecodeWire(msg.Payload)
 			if err != nil || env.Kind != core.KindNotification {
 				continue
 			}
