@@ -32,14 +32,21 @@ lint:
 
 # ROADMAP's tracked size numbers: non-test, non-testdata Go lines per
 # internal/* package, for cmd/ and for the root package, the two files of the
-# wire codec, and the number of //invalidb:allow exceptions in force (the
-# analyzer fixtures under internal/analysis/testdata are not exceptions).
+# wire codec, the number of //invalidb:allow exceptions in force (the
+# analyzer fixtures under internal/analysis/testdata are not exceptions), and
+# the number of independently settable options: exported fields of
+# core.Options, topology.Config, appserver.Options and gateway.Options plus
+# the flag definitions under cmd/.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
+	fields() { awk -v decl="type $$2 struct {" '$$0 == decl {on=1; next} on && /^}/ {on=0} on && /^\t[A-Z][A-Za-z0-9]*[ \t]/ {n++} END {print n+0}' "$$1"; }; \
 	for d in internal/*/ cmd/; do printf '%-28s %6d\n' "$${d%/}" "$$(count $$d)"; done; \
 	printf '%-28s %6d\n' "(root package)" "$$(count . -maxdepth 1)"; \
 	printf '%-28s %6d\n' "core: wire.go + messages.go" "$$(cat internal/core/wire.go internal/core/messages.go | wc -l)"; \
-	printf '%-28s %6d\n' "//invalidb:allow" "$$(grep -rE '^[[:space:]]*//invalidb:allow' --include='*.go' --exclude-dir=testdata --exclude-dir=.build . | wc -l)"
+	printf '%-28s %6d\n' "//invalidb:allow" "$$(grep -rE '^[[:space:]]*//invalidb:allow' --include='*.go' --exclude-dir=testdata --exclude-dir=.build . | wc -l)"; \
+	printf '%-28s %6d\n' "options" "$$(( $$(fields internal/core/cluster.go Options) + $$(fields internal/topology/topology.go Config) \
+		+ $$(fields internal/appserver/appserver.go Options) + $$(fields internal/gateway/gateway.go Options) \
+		+ $$(grep -rhoE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var)\(' cmd | wc -l) ))"
 
 test:
 	$(GO) test ./...
@@ -49,7 +56,7 @@ race:
 
 # Fault-injection suite: the full stack under event-layer drops, delays,
 # duplicates, reordering and partitions, plus an injected matching-node
-# panic — all with tuple acking enabled, under the race detector.
+# panic — the configuration every binary runs, under the race detector.
 chaos:
 	$(GO) test -race ./internal/chaostest/ -count=1
 

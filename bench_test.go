@@ -443,15 +443,13 @@ type routeBenchSpout struct {
 func (s *routeBenchSpout) Open(ctx *topology.SpoutContext) error { s.ctx = ctx; return nil }
 func (s *routeBenchSpout) Next() {
 	if s.sent >= s.n {
-		s.ctx.Park()
+		<-s.ctx.Done
 		return
 	}
 	s.ctx.Emit(s.vals[s.sent&1023])
 	s.sent++
 }
-func (s *routeBenchSpout) Ack(topology.MsgID)  {}
-func (s *routeBenchSpout) Fail(topology.MsgID) {}
-func (s *routeBenchSpout) Close()              {}
+func (s *routeBenchSpout) Close() {}
 
 type benchSpout struct {
 	n, sent int
@@ -461,29 +459,22 @@ type benchSpout struct {
 func (s *benchSpout) Open(ctx *topology.SpoutContext) error { s.ctx = ctx; return nil }
 func (s *benchSpout) Next() {
 	if s.sent >= s.n {
-		s.ctx.Park()
+		<-s.ctx.Done
 		return
 	}
 	s.ctx.Emit(topology.Values{s.sent & 1023})
 	s.sent++
 }
-func (s *benchSpout) Ack(topology.MsgID)  {}
-func (s *benchSpout) Fail(topology.MsgID) {}
-func (s *benchSpout) Close()              {}
+func (s *benchSpout) Close() {}
 
 type benchBolt struct {
 	target int
 	count  *int
 	done   chan struct{}
-	out    topology.Collector
 }
 
-func (bb *benchBolt) Prepare(ctx *topology.BoltContext, out topology.Collector) error {
-	bb.out = out
-	return nil
-}
+func (bb *benchBolt) Prepare(ctx *topology.BoltContext, out topology.Collector) error { return nil }
 func (bb *benchBolt) Execute(t *topology.Tuple) {
-	bb.out.Ack(t)
 	*bb.count++
 	if *bb.count == bb.target {
 		close(bb.done)
@@ -645,43 +636,6 @@ func BenchmarkWriteBatchIngest(b *testing.B) {
 }
 
 // --- Ablations ---------------------------------------------------------------
-
-// BenchmarkAblationAcking quantifies the cost of Storm-style at-least-once
-// delivery (the XOR acker ledger) on the routing substrate — the trade-off
-// behind the paper's choice of an at-least-once stream processor (§5.4).
-func BenchmarkAblationAcking(b *testing.B) {
-	for _, acking := range []bool{false, true} {
-		name := "acking-off"
-		if acking {
-			name = "acking-on"
-		}
-		b.Run(name, func(b *testing.B) {
-			done := make(chan struct{})
-			var count int
-			spout := &benchSpout{n: b.N}
-			builder := topology.NewBuilder()
-			builder.SetSpout("src", func() topology.Spout { return spout }, 1, "key")
-			builder.SetBolt("sink", func() topology.Bolt {
-				return &benchBolt{target: b.N, done: done, count: &count}
-			}, 1).FieldsGrouping("src", "key")
-			top, err := builder.Build(topology.Config{
-				QueueSize:    1 << 14,
-				EnableAcking: acking,
-				AckTimeout:   time.Minute,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			if err := top.Start(); err != nil {
-				b.Fatal(err)
-			}
-			<-done
-			b.StopTimer()
-			top.Stop()
-		})
-	}
-}
 
 // BenchmarkAblationSlack quantifies the §5.2 slack trade-off end to end:
 // renewal frequency under head-of-window deletions with minimal vs generous

@@ -43,7 +43,6 @@ func newGridEnv(t *testing.T, nodes map[string]int, maxWP, qp, wp int, serverOpt
 			NodeID:             name,
 			GridSlots:          slots,
 			MaxWritePartitions: maxWP,
-			EnableAcking:       true,
 			TickInterval:       20 * time.Millisecond,
 			HeartbeatInterval:  20 * time.Millisecond,
 			RetentionTime:      5 * time.Second,

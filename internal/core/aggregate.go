@@ -53,7 +53,6 @@ func (b *aggregateBolt) Prepare(ctx *topology.BoltContext, out topology.Collecto
 func (b *aggregateBolt) Cleanup() {}
 
 func (b *aggregateBolt) Execute(t *topology.Tuple) {
-	defer b.out.Ack(t)
 	if t.Component == "tick" {
 		return
 	}

@@ -52,25 +52,25 @@ func TestHandleWriteFilteredNoAllocs(t *testing.T) {
 	// steady-state capacity.
 	for i := 0; i < 4096; i++ {
 		we.Image.Version++
-		b.handleWrite(nil, we)
+		b.handleWrite(we)
 	}
 	// Prune retained images so the measured pushes reuse ring capacity; the
 	// tick also evicts the interned key, so re-warm briefly after it.
 	b.handleTick(b.now.Add(b.c.opts.RetentionTime + time.Minute))
 	for i := 0; i < 16; i++ {
 		we.Image.Version++
-		b.handleWrite(nil, we)
+		b.handleWrite(we)
 	}
 
 	if n := testing.AllocsPerRun(2000, func() {
 		we.Image.Version++
-		b.handleWrite(nil, we)
+		b.handleWrite(we)
 	}); n != 0 {
 		t.Fatalf("index-filtered write allocates %.2f/op, want 0", n)
 	}
 
 	if n := testing.AllocsPerRun(2000, func() {
-		b.handleWrite(nil, we) // version unchanged: staleness dedup path
+		b.handleWrite(we) // version unchanged: staleness dedup path
 	}); n != 0 {
 		t.Fatalf("stale-replay write allocates %.2f/op, want 0", n)
 	}
@@ -106,19 +106,19 @@ func TestHandleWriteFullScanNoAllocs(t *testing.T) {
 	}}
 	for i := 0; i < 4096; i++ { // steady-state capacity, as in the filtered test
 		we.Image.Version++
-		b.handleWrite(nil, we)
+		b.handleWrite(we)
 	}
 	b.handleTick(b.now.Add(b.c.opts.RetentionTime + time.Minute))
 	for i := 0; i < 16; i++ {
 		we.Image.Version++
-		b.handleWrite(nil, we)
+		b.handleWrite(we)
 	}
 
 	before := b.c.mCandEvaluated.Value()
 	const runs = 200
 	n := testing.AllocsPerRun(runs, func() {
 		we.Image.Version++
-		b.handleWrite(nil, we)
+		b.handleWrite(we)
 	})
 	if n != 0 {
 		t.Fatalf("full-scan write over %d queries allocates %.2f/op, want 0", perCollection, n)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"invalidb/internal/query"
-	"invalidb/internal/topology"
 )
 
 // This file is the matching-grid half of the watermark-certified backfill
@@ -77,7 +76,7 @@ func (b *matchBolt) backfillState(bfid string) *cellBackfill {
 // Marks are broadcast to all cells (write ingestion cannot know which rows
 // run backfills), so cells outside the query's row accumulate an empty
 // cellBackfill that the tick expiry reclaims.
-func (b *matchBolt) handleBackfillMark(t *topology.Tuple, m *BackfillMark) {
+func (b *matchBolt) handleBackfillMark(m *BackfillMark) {
 	cb := b.backfillState(m.BackfillID)
 	if m.Seq > cb.wmSeen {
 		cb.wmSeen = m.Seq
@@ -88,7 +87,7 @@ func (b *matchBolt) handleBackfillMark(t *topology.Tuple, m *BackfillMark) {
 	kept := cb.pending[:0]
 	for _, p := range cb.pending {
 		if p.high <= cb.wmSeen {
-			b.reconcileChunk(t, p)
+			b.reconcileChunk(p)
 		} else {
 			kept = append(kept, p)
 		}
@@ -102,10 +101,10 @@ func (b *matchBolt) handleBackfillMark(t *topology.Tuple, m *BackfillMark) {
 // handleBackfillChunk reconciles the chunk immediately when its window is
 // already closed (the high mark overtook the chunk on the queries topic),
 // otherwise parks it until the mark arrives.
-func (b *matchBolt) handleBackfillChunk(t *topology.Tuple, p *backfillChunkPayload) {
+func (b *matchBolt) handleBackfillChunk(p *backfillChunkPayload) {
 	cb := b.backfillState(p.bfid)
 	if p.high <= cb.wmSeen {
-		b.reconcileChunk(t, p)
+		b.reconcileChunk(p)
 		return
 	}
 	cb.pending = append(cb.pending, p)
@@ -114,7 +113,7 @@ func (b *matchBolt) handleBackfillChunk(t *topology.Tuple, p *backfillChunkPaylo
 		copy(cb.pending, cb.pending[1:])
 		cb.pending[len(cb.pending)-1] = nil
 		cb.pending = cb.pending[:len(cb.pending)-1]
-		b.reconcileChunk(t, oldest)
+		b.reconcileChunk(oldest)
 	}
 }
 
@@ -127,7 +126,7 @@ func (b *matchBolt) handleBackfillChunk(t *topology.Tuple, p *backfillChunkPaylo
 // replay idempotent). The cell then attests the cut with a certificate.
 //
 //invalidb:hotpath
-func (b *matchBolt) reconcileChunk(t *topology.Tuple, p *backfillChunkPayload) {
+func (b *matchBolt) reconcileChunk(p *backfillChunkPayload) {
 	mq := b.queries[p.hash]
 	if mq == nil {
 		// No live query at this cell: the subscribe tuple was lost or the
@@ -153,7 +152,7 @@ func (b *matchBolt) reconcileChunk(t *topology.Tuple, p *backfillChunkPayload) {
 	// and later images can supersede a chunk row, which bounds the replay by
 	// the chunk's window, never the whole retention ring — the counter is
 	// the migration tests' evidence of that bound.
-	b.c.mBackfillReplayed.Add(int64(b.replay(t, mq, p.low)))
+	b.c.mBackfillReplayed.Add(int64(b.replay(mq, p.low)))
 	b.c.mBackfillCertified.Inc()
 	//invalidb:allow hotpathalloc one certificate per chunk reconcile, amortized over the chunk's entries
 	b.c.publishBackfillCert(&BackfillCert{

@@ -71,9 +71,6 @@ type Options struct {
 	QueueSize int
 	// Engine is the pluggable query engine. Default MongoEngine.
 	Engine Engine
-	// EnableAcking turns on at-least-once tuple processing in the underlying
-	// stream processor.
-	EnableAcking bool
 	// EnableQueryIndex activates the multi-query optimization on matching
 	// nodes: queries with a numeric interval constraint are held in an
 	// interval tree and only candidate queries are evaluated per
@@ -87,10 +84,9 @@ type Options struct {
 	// selects the topology default (3); negative disables restarts.
 	MaxTaskRestarts int
 	// MatchHook, when set, is invoked at the top of every matching
-	// node's Execute with the task id and the tuple kind (before the
-	// tuple is acked). It exists for fault injection in tests — a hook
-	// that panics simulates a crashing matching node — and must be nil
-	// in production.
+	// node's Execute with the task id and the tuple kind. It exists for
+	// fault injection in tests — a hook that panics simulates a crashing
+	// matching node — and must be nil in production.
 	MatchHook func(taskID int, kind string)
 	// ExtraStages appends additional processing stages to the pipeline
 	// behind the filtering stage (paper §5.2: "the process of generating
@@ -337,8 +333,6 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 
 	top, err := b.Build(topology.Config{
 		QueueSize:       opts.QueueSize,
-		EnableAcking:    opts.EnableAcking,
-		AckTimeout:      30 * time.Second,
 		MaxTaskRestarts: opts.MaxTaskRestarts,
 		OnTaskRestart:   c.onTaskRestart,
 	})
@@ -396,10 +390,27 @@ func (c *Cluster) Topics() Topics { return c.topics }
 // NodeHello on the coordination topic.
 func (c *Cluster) Start() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.started {
+		c.mu.Unlock()
 		return fmt.Errorf("core: cluster already started")
 	}
+	c.started = true
+	// start runs outside c.mu: it calls into the bus and, when the topology
+	// fails to start, waits for the tasks already launched. Holding hbWG
+	// meanwhile makes a concurrent Stop wait for it as for the loops it starts.
+	c.hbWG.Add(1)
+	c.mu.Unlock()
+	defer c.hbWG.Done()
+	err := c.start()
+	if err != nil {
+		c.mu.Lock()
+		c.started = false
+		c.mu.Unlock()
+	}
+	return err
+}
+
+func (c *Cluster) start() error {
 	var ctl eventlayer.Subscription
 	if c.opts.NodeID != "" {
 		var err error
@@ -414,7 +425,6 @@ func (c *Cluster) Start() error {
 		}
 		return err
 	}
-	c.started = true
 	c.hbWG.Add(1)
 	go c.heartbeatLoop()
 	if ctl != nil {
@@ -730,9 +740,14 @@ func (c *Cluster) retryResyncs() {
 }
 
 // resyncHandled marks a recovering task's resync as delivered; called by
-// query ingestion when it processes the request.
-func (c *Cluster) resyncHandled(component string, taskID int) {
+// query ingestion when it processes the request. It reports whether this
+// process was waiting for it: a request for another process's task, or a
+// retried duplicate of one already served, is not.
+func (c *Cluster) resyncHandled(component string, taskID int) bool {
+	key := resyncKey(component, taskID)
 	c.resyncMu.Lock()
-	delete(c.pendingResync, resyncKey(component, taskID))
+	_, pending := c.pendingResync[key]
+	delete(c.pendingResync, key)
 	c.resyncMu.Unlock()
+	return pending
 }

@@ -42,10 +42,10 @@ func (s *busSpout) Next() {
 	}
 }
 
-// wait parks on the subscription until a message arrives or the runtime needs
-// the goroutine back. A published message is therefore ingested the moment
-// the bus delivers it — the spout is never deaf — and an idle cluster performs
-// no wake-ups at all (DESIGN.md §7).
+// wait parks on the subscription until a message arrives or the topology
+// stops. A published message is therefore ingested the moment the bus delivers
+// it — the spout is never deaf — and an idle cluster performs no wake-ups at
+// all (DESIGN.md §7).
 //
 //invalidb:hotpath
 func (s *busSpout) wait() (eventlayer.Message, bool) {
@@ -53,21 +53,14 @@ func (s *busSpout) wait() (eventlayer.Message, bool) {
 	case msg, ok := <-s.src:
 		if !ok {
 			// A closed subscription stays readable forever; a nil channel
-			// never is, so from here on the spout parks on the runtime alone.
+			// never is, so from here on the spout parks until the topology stops.
 			s.src = nil
 		}
 		return msg, ok
-	case <-s.ctx.Wake:
 	case <-s.ctx.Done:
 	}
 	return eventlayer.Message{}, false
 }
-
-// Ack and Fail are no-ops: the event layer is fire-and-forget, so there is
-// nothing to replay from (the retention buffer in the matching nodes covers
-// short gaps instead).
-func (s *busSpout) Ack(topology.MsgID)  {}
-func (s *busSpout) Fail(topology.MsgID) {}
 
 func (s *busSpout) Close() {
 	if s.sub != nil {
@@ -98,13 +91,9 @@ func (s *tickSpout) Next() {
 	select {
 	case now := <-s.ticker.C:
 		s.ctx.Emit(topology.Values{now})
-	case <-s.ctx.Wake:
 	case <-s.ctx.Done:
 	}
 }
-
-func (s *tickSpout) Ack(topology.MsgID)  {}
-func (s *tickSpout) Fail(topology.MsgID) {}
 
 func (s *tickSpout) Close() {
 	if s.ticker != nil {
@@ -172,7 +161,6 @@ func (b *queryIngestBolt) Prepare(ctx *topology.BoltContext, out topology.Collec
 }
 
 func (b *queryIngestBolt) Execute(t *topology.Tuple) {
-	defer b.out.Ack(t)
 	raw, _ := t.Get("payload")
 	data, ok := raw.([]byte)
 	if !ok {
@@ -184,7 +172,7 @@ func (b *queryIngestBolt) Execute(t *topology.Tuple) {
 	}
 	switch env.Kind {
 	case KindSubscribe:
-		b.handleSubscribe(t, env.Subscribe)
+		b.handleSubscribe(env.Subscribe)
 	case KindCancel:
 		b.c.registerTenant(env.Cancel.Tenant)
 		b.c.cancelSubscription(env.Cancel.QueryHash, env.Cancel.SubscriptionID)
@@ -192,9 +180,9 @@ func (b *queryIngestBolt) Execute(t *topology.Tuple) {
 		// application server cancels the OLD owner specifically, while the
 		// new owner's fresh install stays untouched.
 		if r := b.c.maps.at(env.Cancel.Epoch); r != nil {
-			b.fanToRow(r, t, kindCancel, env.Cancel.QueryHash, env.Cancel)
+			b.fanToRow(r, kindCancel, env.Cancel.QueryHash, env.Cancel)
 			if r.ownedSlot(r.m.Row(env.Cancel.QueryHash)) >= 0 {
-				b.out.EmitStream(streamBootstrap, t, topology.Values{kindCancel, QueryIDString(env.Cancel.QueryHash), env.Cancel})
+				b.out.EmitStream(streamBootstrap, topology.Values{kindCancel, QueryIDString(env.Cancel.QueryHash), env.Cancel})
 			}
 		}
 	case KindExtend:
@@ -214,21 +202,21 @@ func (b *queryIngestBolt) Execute(t *topology.Tuple) {
 		// same cell are idempotent renewals.
 		cur, prev := b.c.maps.both()
 		if cur != nil {
-			b.fanToRow(cur, t, kindExtend, env.Extend.QueryHash, env.Extend)
+			b.fanToRow(cur, kindExtend, env.Extend.QueryHash, env.Extend)
 		}
 		if prev != nil {
-			b.fanToRow(prev, t, kindExtend, env.Extend.QueryHash, env.Extend)
+			b.fanToRow(prev, kindExtend, env.Extend.QueryHash, env.Extend)
 		}
 	case KindResync:
-		b.handleResync(t, env.Resync)
+		b.handleResync(env.Resync)
 	case KindBackfillStart:
-		b.handleBackfillStart(t, env.BackfillStart)
+		b.handleBackfillStart(env.BackfillStart)
 	case KindBackfillChunk:
-		b.handleBackfillChunk(t, env.BackfillChunk)
+		b.handleBackfillChunk(env.BackfillChunk)
 	}
 }
 
-func (b *queryIngestBolt) handleSubscribe(t *topology.Tuple, req *SubscribeRequest) {
+func (b *queryIngestBolt) handleSubscribe(req *SubscribeRequest) {
 	q, err := b.c.opts.Engine.Compile(req.Query)
 	if err != nil {
 		// An uncompilable query cannot be routed; report the error on the
@@ -280,14 +268,14 @@ func (b *queryIngestBolt) handleSubscribe(t *topology.Tuple, req *SubscribeReque
 			req: req, q: q, hash: hash, slack: req.Slack, ttl: ttl,
 			entries: slices[w],
 		}
-		b.out.EmitDirect(b.c.layout.task(slot, w), t, topology.Values{kindSubscribe, QueryIDString(hash), payload})
+		b.out.EmitDirect(b.c.layout.task(slot, w), topology.Values{kindSubscribe, QueryIDString(hash), payload})
 	}
 	if q.Ordered() || len(b.c.opts.ExtraStages) > 0 {
 		payload := &subscribePayload{
 			req: req, q: q, hash: hash, slack: req.Slack, ttl: ttl,
 			entries: req.Result,
 		}
-		b.out.EmitStream(streamBootstrap, t, topology.Values{kindSubscribe, QueryIDString(hash), payload})
+		b.out.EmitStream(streamBootstrap, topology.Values{kindSubscribe, QueryIDString(hash), payload})
 	}
 }
 
@@ -297,7 +285,7 @@ func (b *queryIngestBolt) handleSubscribe(t *topology.Tuple, req *SubscribeReque
 // initial result follows incrementally as BackfillChunks (DESIGN.md §12);
 // ordered queries keep the legacy bootstrap path, because their sorting-stage
 // state needs the full result at install time.
-func (b *queryIngestBolt) handleBackfillStart(t *topology.Tuple, bs *BackfillStart) {
+func (b *queryIngestBolt) handleBackfillStart(bs *BackfillStart) {
 	q, err := b.c.opts.Engine.Compile(bs.Query)
 	if err != nil {
 		if b.c.reportsQueryErrors() {
@@ -349,11 +337,11 @@ func (b *queryIngestBolt) handleBackfillStart(t *topology.Tuple, bs *BackfillSta
 	b.c.mInstalls.Inc()
 	for w := 0; w < r.m.WritePartitions; w++ {
 		payload := &subscribePayload{req: req, q: q, hash: hash, slack: bs.Slack, ttl: ttl, backfill: true}
-		b.out.EmitDirect(b.c.layout.task(slot, w), t, topology.Values{kindSubscribe, QueryIDString(hash), payload})
+		b.out.EmitDirect(b.c.layout.task(slot, w), topology.Values{kindSubscribe, QueryIDString(hash), payload})
 	}
 	if len(b.c.opts.ExtraStages) > 0 {
 		payload := &subscribePayload{req: req, q: q, hash: hash, slack: bs.Slack, ttl: ttl, backfill: true}
-		b.out.EmitStream(streamBootstrap, t, topology.Values{kindSubscribe, QueryIDString(hash), payload})
+		b.out.EmitStream(streamBootstrap, topology.Values{kindSubscribe, QueryIDString(hash), payload})
 	}
 }
 
@@ -362,7 +350,7 @@ func (b *queryIngestBolt) handleBackfillStart(t *topology.Tuple, bs *BackfillSta
 // each cell must certify that its partition's in-window writes are folded in.
 // The entries also accumulate in the subscription registry, so a mid-backfill
 // resync re-installs everything shipped so far.
-func (b *queryIngestBolt) handleBackfillChunk(t *topology.Tuple, bc *BackfillChunk) {
+func (b *queryIngestBolt) handleBackfillChunk(bc *BackfillChunk) {
 	b.c.registerTenant(bc.Tenant)
 	b.c.appendBackfillResult(bc.QueryHash, bc.SubscriptionID, bc.BackfillID, bc.Chunk, bc.Entries)
 	r := b.c.maps.at(bc.Epoch)
@@ -386,19 +374,19 @@ func (b *queryIngestBolt) handleBackfillChunk(t *topology.Tuple, bc *BackfillChu
 			hash: bc.QueryHash, chunk: bc.Chunk, low: bc.Low, high: bc.High,
 			last: bc.Last, cells: wp, entries: slices[w],
 		}
-		b.out.EmitDirect(b.c.layout.task(slot, w), t, topology.Values{kindBackfillChunk, QueryIDString(bc.QueryHash), payload})
+		b.out.EmitDirect(b.c.layout.task(slot, w), topology.Values{kindBackfillChunk, QueryIDString(bc.QueryHash), payload})
 	}
 }
 
 // fanToRow delivers a control message to every matching cell of the query's
 // partition row under the given routing, when this process owns the row.
-func (b *queryIngestBolt) fanToRow(r *routing, t *topology.Tuple, kind string, hash uint64, payload any) {
+func (b *queryIngestBolt) fanToRow(r *routing, kind string, hash uint64, payload any) {
 	slot := r.ownedSlot(r.m.Row(hash))
 	if slot < 0 {
 		return
 	}
 	for w := 0; w < r.m.WritePartitions; w++ {
-		b.out.EmitDirect(b.c.layout.task(slot, w), t, topology.Values{kind, QueryIDString(hash), payload})
+		b.out.EmitDirect(b.c.layout.task(slot, w), topology.Values{kind, QueryIDString(hash), payload})
 	}
 }
 
@@ -410,8 +398,13 @@ func (b *queryIngestBolt) fanToRow(r *routing, t *topology.Tuple, kind string, h
 // sorting and extension stages the bootstraps are re-emitted on the
 // bootstrap stream, where fields grouping routes every query to its owner
 // task — healthy owners treat the repeat subscribe as idempotent.
-func (b *queryIngestBolt) handleResync(t *topology.Tuple, r *ResyncRequest) {
-	b.c.resyncHandled(r.Component, r.TaskID)
+func (b *queryIngestBolt) handleResync(r *ResyncRequest) {
+	// The request names a component and task but no process, every grid node
+	// hears the queries topic, and the heartbeat re-publishes until served:
+	// only the process that still has the request pending answers it.
+	if !b.c.resyncHandled(r.Component, r.TaskID) {
+		return
+	}
 	entries := b.c.snapshotSubscriptions()
 	if r.Component == "match" {
 		slot, col := b.c.layout.cell(r.TaskID)
@@ -452,7 +445,7 @@ func (b *queryIngestBolt) handleResync(t *topology.Tuple, r *ResyncRequest) {
 					req: e.req, q: e.q, hash: e.hash, slack: e.req.Slack,
 					ttl: time.Until(e.deadline), entries: slice,
 				}
-				b.out.EmitDirect(r.TaskID, t, topology.Values{kindSubscribe, QueryIDString(e.hash), payload})
+				b.out.EmitDirect(r.TaskID, topology.Values{kindSubscribe, QueryIDString(e.hash), payload})
 			}
 			// The restarted cell lost its backfill window state (buffered
 			// chunks, watermarks seen), so certificates it owed will never
@@ -470,7 +463,7 @@ func (b *queryIngestBolt) handleResync(t *topology.Tuple, r *ResyncRequest) {
 			req: e.req, q: e.q, hash: e.hash, slack: e.req.Slack,
 			ttl: time.Until(e.deadline), entries: e.req.Result,
 		}
-		b.out.EmitStream(streamBootstrap, t, topology.Values{kindSubscribe, QueryIDString(e.hash), payload})
+		b.out.EmitStream(streamBootstrap, topology.Values{kindSubscribe, QueryIDString(e.hash), payload})
 	}
 }
 
@@ -491,24 +484,15 @@ func TenantQueryHash(tenant string, q *query.Query) uint64 {
 // drain rather than a timer tick.
 const maxWriteBatch = 64
 
-// writeColumnBatch accumulates the after-images destined for one write
-// partition column together with their anchor tuples (unacked until flush).
-type writeColumnBatch struct {
-	events  []*WriteEvent
-	anchors []*topology.Tuple
-}
-
 // writeIngestBolt is a stateless write ingestion node (§5.1): it parses
 // after-images and hashes the primary key to a write partition. Instead of
 // one tuple per write per query partition, writes are buffered per column
 // and delivered as a single batch tuple per (query partition, column) pair,
-// amortizing routing and channel sends across the batch. Anchors are acked
-// only after their batch is emitted, so reliability semantics are unchanged:
-// a failed batch fails every write in it.
+// amortizing routing and channel sends across the batch.
 type writeIngestBolt struct {
 	c    *Cluster
 	out  topology.Collector
-	cols []writeColumnBatch // one per write partition
+	cols [][]*WriteEvent // buffered after-images, one slice per write partition
 }
 
 func newWriteIngestBolt(c *Cluster) topology.Bolt { return &writeIngestBolt{c: c} }
@@ -517,7 +501,7 @@ func (b *writeIngestBolt) Prepare(ctx *topology.BoltContext, out topology.Collec
 	b.out = out
 	// One batch per local grid column (the fixed column capacity, not the
 	// current map's write-partition count, which changes across resizes).
-	b.cols = make([]writeColumnBatch, b.c.layout.cols)
+	b.cols = make([][]*WriteEvent, b.c.layout.cols)
 	return nil
 }
 
@@ -525,25 +509,21 @@ func (b *writeIngestBolt) Execute(t *topology.Tuple) {
 	raw, _ := t.Get("payload")
 	data, ok := raw.([]byte)
 	if !ok {
-		b.out.Ack(t)
 		return
 	}
 	env, err := DecodeWire(data)
 	if err != nil {
-		b.out.Ack(t)
 		return
 	}
 	if env.Kind == KindBackfillMark {
-		b.handleMark(t, env.BackfillMark)
+		b.handleMark(env.BackfillMark)
 		return
 	}
 	if env.Kind != KindWrite {
-		b.out.Ack(t)
 		return
 	}
 	img, err := b.c.opts.Engine.DecodeImage(env.Write.Image)
 	if err != nil {
-		b.out.Ack(t)
 		return
 	}
 	b.c.registerTenant(env.Write.Tenant)
@@ -554,7 +534,6 @@ func (b *writeIngestBolt) Execute(t *topology.Tuple) {
 	// between enqueue here and flush never loses a notification.
 	cur := b.c.maps.current()
 	if cur == nil {
-		b.out.Ack(t)
 		return // grid node awaiting its first partition map
 	}
 	b.c.mWrites.Inc()
@@ -567,13 +546,10 @@ func (b *writeIngestBolt) Execute(t *topology.Tuple) {
 	}
 	w := int(document.HashKey(img.Key) % uint64(cur.m.WritePartitions))
 	if w >= len(b.cols) {
-		b.out.Ack(t)
 		return // map wider than this node's column capacity; not our write
 	}
-	col := &b.cols[w]
-	col.events = append(col.events, we)
-	col.anchors = append(col.anchors, t)
-	if len(col.events) >= maxWriteBatch {
+	b.cols[w] = append(b.cols[w], we)
+	if len(b.cols[w]) >= maxWriteBatch {
 		b.flush(w)
 	}
 }
@@ -586,34 +562,29 @@ func (b *writeIngestBolt) Execute(t *topology.Tuple) {
 // sibling can still arrive after the mark — which is why chunk installation
 // additionally carries the never-regress version guard and a retention
 // replay; the mark closes the common case, the guards close the residue.
-func (b *writeIngestBolt) handleMark(t *topology.Tuple, m *BackfillMark) {
-	for w := range b.cols {
-		if len(b.cols[w].events) > 0 {
-			b.flush(w)
-		}
-	}
+func (b *writeIngestBolt) handleMark(m *BackfillMark) {
+	b.Idle()
 	// Marks go to EVERY local cell, owned or idle: write ingestion cannot
 	// know which rows run backfills, and a cell that just gained a row in a
 	// resize needs the watermark stream from the first mark on.
 	vals := topology.Values{kindBackfillMark, "", m}
 	for task := 0; task < b.c.layout.tasks(); task++ {
-		b.out.EmitDirect(task, t, vals)
+		b.out.EmitDirect(task, vals)
 	}
-	b.out.Ack(t)
 }
 
 // Idle flushes every pending column batch once the input queue drains; under
 // load batches fill to maxWriteBatch before the queue ever empties.
 func (b *writeIngestBolt) Idle() {
 	for w := range b.cols {
-		if len(b.cols[w].events) > 0 {
+		if len(b.cols[w]) > 0 {
 			b.flush(w)
 		}
 	}
 }
 
 func (b *writeIngestBolt) flush(w int) {
-	col := &b.cols[w]
+	events := b.cols[w]
 	// Deliver to column w of every row this process currently owns. A map
 	// installed between enqueue and flush may have reassigned rows; the new
 	// owner's migration backfill covers the gap, so flushing under the map
@@ -621,39 +592,26 @@ func (b *writeIngestBolt) flush(w int) {
 	// exist here anymore).
 	cur := b.c.maps.current()
 	if cur == nil || len(cur.owned) == 0 {
-		for _, a := range col.anchors {
-			b.out.Ack(a)
-		}
-		col.events = col.events[:0]
-		col.anchors = col.anchors[:0]
+		b.cols[w] = events[:0]
 		return
 	}
-	if len(col.events) == 1 {
+	if len(events) == 1 {
 		// Single-event fast path: a batch wrapper would cost two extra
 		// allocations per write under light (latency-sensitive) load, where
 		// batches rarely grow past one.
-		t := col.anchors[0]
-		vals := topology.Values{kindWrite, "", col.events[0]}
+		vals := topology.Values{kindWrite, "", events[0]}
 		for _, rs := range cur.owned {
-			b.out.EmitDirect(b.c.layout.task(rs.slot, w), t, vals)
+			b.out.EmitDirect(b.c.layout.task(rs.slot, w), vals)
 		}
-		b.out.Ack(t)
-		col.events = col.events[:0] // nothing escaped but the event itself
-		col.anchors = col.anchors[:0]
+		b.cols[w] = events[:0] // nothing escaped but the event itself
 		return
 	}
-	batch := &writeBatch{events: col.events}
-	vals := topology.Values{kindWriteBatch, "", batch}
+	vals := topology.Values{kindWriteBatch, "", &writeBatch{events: events}}
 	for _, rs := range cur.owned {
-		b.out.EmitDirectBatch(b.c.layout.task(rs.slot, w), col.anchors, vals)
+		b.out.EmitDirect(b.c.layout.task(rs.slot, w), vals)
 	}
-	for _, a := range col.anchors {
-		b.out.Ack(a)
-	}
-	// The batch escapes into downstream tuples, so start a fresh events slice;
-	// the anchors slice stays local and can be reused.
-	col.events = nil
-	col.anchors = col.anchors[:0]
+	// The batch escaped into downstream tuples, so start a fresh slice.
+	b.cols[w] = nil
 }
 
 func (b *writeIngestBolt) Cleanup() {}

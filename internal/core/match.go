@@ -223,10 +223,8 @@ func (b *matchBolt) Prepare(ctx *topology.BoltContext, out topology.Collector) e
 //invalidb:hotpath
 func (b *matchBolt) Execute(t *topology.Tuple) {
 	if hook := b.c.opts.MatchHook; hook != nil {
-		// The hook may panic (fault injection). It runs BEFORE the deferred
-		// ack is installed: a deferred Ack would execute during panic
-		// unwinding and settle the tuple as processed, whereas here the
-		// supervisor fails the still-in-flight tuple so its tree replays.
+		// The hook may panic (fault injection): the supervisor then drops the
+		// in-flight tuple and restarts the cell with an empty query set.
 		kind := "tick"
 		if t.Component != "tick" {
 			kindV, _ := t.Get("kind")
@@ -234,7 +232,6 @@ func (b *matchBolt) Execute(t *topology.Tuple) {
 		}
 		hook(b.taskID, kind)
 	}
-	defer b.out.Ack(t)
 	if t.Component == "tick" {
 		// Tick tuples carry their emission timestamp; reusing it keeps the
 		// node's coarse clock consistent without another time.Now() call.
@@ -254,11 +251,11 @@ func (b *matchBolt) Execute(t *topology.Tuple) {
 	case kindSubscribe:
 		if p, ok := payloadV.(*subscribePayload); ok {
 			//invalidb:allow hotpathalloc subscription registration is control-plane; its state must be allocated
-			b.handleSubscribe(t, p)
+			b.handleSubscribe(p)
 		}
 	case kindCancel:
 		if p, ok := payloadV.(*CancelRequest); ok {
-			b.handleCancel(t, p)
+			b.handleCancel(p)
 		}
 	case kindExtend:
 		if p, ok := payloadV.(*ExtendRequest); ok {
@@ -266,21 +263,21 @@ func (b *matchBolt) Execute(t *topology.Tuple) {
 		}
 	case kindWrite:
 		if p, ok := payloadV.(*WriteEvent); ok {
-			b.handleWrite(t, p)
+			b.handleWrite(p)
 		}
 	case kindWriteBatch:
 		if p, ok := payloadV.(*writeBatch); ok {
 			for _, we := range p.events {
-				b.handleWrite(t, we)
+				b.handleWrite(we)
 			}
 		}
 	case kindBackfillChunk:
 		if p, ok := payloadV.(*backfillChunkPayload); ok {
-			b.handleBackfillChunk(t, p)
+			b.handleBackfillChunk(p)
 		}
 	case kindBackfillMark:
 		if p, ok := payloadV.(*BackfillMark); ok {
-			b.handleBackfillMark(t, p)
+			b.handleBackfillMark(p)
 		}
 	}
 }
@@ -295,7 +292,7 @@ func compositeKey(tenant, collection, key string) string {
 }
 
 //invalidb:hotpath
-func (b *matchBolt) handleWrite(t *topology.Tuple, we *WriteEvent) {
+func (b *matchBolt) handleWrite(we *WriteEvent) {
 	img := we.Image
 	ck := b.interner.key(we.Tenant, img.Collection, img.Key)
 	// Staleness avoidance (§5.1): writes are versioned, so an after-image is
@@ -321,7 +318,7 @@ func (b *matchBolt) handleWrite(t *topology.Tuple, we *WriteEvent) {
 			b.bucket.Take(float64(len(cands) + 1))
 		}
 		for _, mq := range cands {
-			b.processImage(t, mq, we, ck)
+			b.processImage(mq, we, ck)
 		}
 		b.flushEvaluated()
 		return
@@ -335,7 +332,7 @@ func (b *matchBolt) handleWrite(t *topology.Tuple, we *WriteEvent) {
 		b.bucket.Take(float64(max(len(queries), 1)))
 	}
 	for _, mq := range queries {
-		b.processImage(t, mq, we, ck)
+		b.processImage(mq, we, ck)
 	}
 	b.flushEvaluated()
 }
@@ -397,7 +394,7 @@ func (b *matchBolt) removeQuery(mq *matchQuery) {
 // applied.
 //
 //invalidb:hotpath
-func (b *matchBolt) replay(t *topology.Tuple, mq *matchQuery, after uint64) int {
+func (b *matchBolt) replay(mq *matchQuery, after uint64) int {
 	applied := 0
 	for i := 0; i < b.retention.n; i++ {
 		we := b.retention.at(i).we
@@ -410,7 +407,7 @@ func (b *matchBolt) replay(t *topology.Tuple, mq *matchQuery, after uint64) int 
 			continue // superseded within the retention window
 		}
 		applied++
-		b.processImage(t, mq, we, ck)
+		b.processImage(mq, we, ck)
 	}
 	b.flushEvaluated()
 	return applied
@@ -422,7 +419,7 @@ func (b *matchBolt) replay(t *topology.Tuple, mq *matchQuery, after uint64) int 
 // (tenant, collection) bucket; ck is the write's interned composite key.
 //
 //invalidb:hotpath
-func (b *matchBolt) processImage(t *topology.Tuple, mq *matchQuery, we *WriteEvent, ck string) {
+func (b *matchBolt) processImage(mq *matchQuery, we *WriteEvent, ck string) {
 	img := we.Image
 	prev, wasTracked := mq.tracked[img.Key]
 	if wasTracked && img.Version <= prev {
@@ -437,16 +434,16 @@ func (b *matchBolt) processImage(t *topology.Tuple, mq *matchQuery, we *WriteEve
 	case isMatch && !wasTracked:
 		b.track(mq, img.Key, ck, img.Version)
 		//invalidb:allow hotpathalloc deltas for ordered queries must escape to the sorting stage; matches are rare relative to writes
-		b.emit(t, mq, we, MatchAdd, img.Key, img.Version, img.Doc)
+		b.emit(mq, we, MatchAdd, img.Key, img.Version, img.Doc)
 	case isMatch && wasTracked:
 		mq.tracked[img.Key] = img.Version
-		b.emit(t, mq, we, MatchChange, img.Key, img.Version, img.Doc)
+		b.emit(mq, we, MatchChange, img.Key, img.Version, img.Doc)
 	case !isMatch && wasTracked:
 		delete(mq.tracked, img.Key)
 		if b.qindex != nil {
 			b.qindex.untrack(ck, mq)
 		}
-		b.emit(t, mq, we, MatchRemove, img.Key, img.Version, img.Doc)
+		b.emit(mq, we, MatchRemove, img.Key, img.Version, img.Doc)
 	default:
 		// Irrelevant write: filtered out, nothing flows downstream (§5.2).
 	}
@@ -474,7 +471,7 @@ func (b *matchBolt) track(mq *matchQuery, key, ck string, version uint64) {
 // for queries with sort, limit or offset clauses. With extension stages
 // configured, deltas of every query flow downstream as well (SEDA: later
 // stages consume filtering-stage output, never raw after-images).
-func (b *matchBolt) emit(t *topology.Tuple, mq *matchQuery, we *WriteEvent, mt MatchType, key string, ver uint64, doc document.Document) {
+func (b *matchBolt) emit(mq *matchQuery, we *WriteEvent, mt MatchType, key string, ver uint64, doc document.Document) {
 	b.c.mMatched.Inc()
 	// Matches are rare relative to writes evaluated, so a real time.Now()
 	// here (rather than the coarse tick clock) costs nothing measurable
@@ -493,7 +490,7 @@ func (b *matchBolt) emit(t *topology.Tuple, mq *matchQuery, we *WriteEvent, mt M
 			IngestNs: we.IngestNs,
 			MatchNs:  matchNs,
 		}
-		b.out.Emit(t, topology.Values{kindDelta, delta.QueryID, delta})
+		b.out.Emit(topology.Values{kindDelta, delta.QueryID, delta})
 		if mq.ordered {
 			return
 		}
@@ -518,7 +515,7 @@ func (b *matchBolt) emit(t *topology.Tuple, mq *matchQuery, we *WriteEvent, mt M
 	b.c.publishNotification(n)
 }
 
-func (b *matchBolt) handleSubscribe(t *topology.Tuple, p *subscribePayload) {
+func (b *matchBolt) handleSubscribe(p *subscribePayload) {
 	//invalidb:allow coarseclock control-plane TTL deadline at subscribe time
 	now := time.Now()
 	mq := b.queries[p.hash]
@@ -554,10 +551,10 @@ func (b *matchBolt) handleSubscribe(t *topology.Tuple, p *subscribePayload) {
 	// Replay the whole retention buffer against the query to close the
 	// write-query and write-subscription races (§5.1): any retained image
 	// newer than the bootstrap state produces a regular result change.
-	b.replay(t, mq, 0)
+	b.replay(mq, 0)
 }
 
-func (b *matchBolt) handleCancel(t *topology.Tuple, p *CancelRequest) {
+func (b *matchBolt) handleCancel(p *CancelRequest) {
 	mq := b.queries[p.QueryHash]
 	if mq == nil {
 		return
@@ -607,7 +604,7 @@ func (b *matchBolt) handleTick(now time.Time) {
 			// Exactly one cell per local row (column 0) informs the sorting
 			// stage, so the expiry is delivered once.
 			if mq.ordered && b.cell.Col == 0 {
-				b.out.Emit(nil, topology.Values{kindExpire, QueryIDString(hash), hash})
+				b.out.Emit(topology.Values{kindExpire, QueryIDString(hash), hash})
 			}
 		}
 	}

@@ -28,7 +28,7 @@ func newMatchHarness(t *testing.T, opts Options) *matchBolt {
 }
 
 func subscribeFor(b *matchBolt, q *query.Query, sid string, ttl time.Duration) {
-	b.handleSubscribe(nil, &subscribePayload{
+	b.handleSubscribe(&subscribePayload{
 		req:  &SubscribeRequest{Tenant: "t", SubscriptionID: sid},
 		q:    q,
 		hash: TenantQueryHash("t", q),
@@ -171,7 +171,7 @@ func TestQueryBucketsStayConsistent(t *testing.T) {
 		check("subscribed", map[string]int{"t\x00c": 4, "t\x00d": 2})
 
 		cancel := func(q *query.Query) {
-			b.handleCancel(nil, &CancelRequest{Tenant: "t", SubscriptionID: "s", QueryHash: TenantQueryHash("t", q)})
+			b.handleCancel(&CancelRequest{Tenant: "t", SubscriptionID: "s", QueryHash: TenantQueryHash("t", q)})
 		}
 		cancel(qs[0]) // first slot: the last query of the bucket moves into it
 		check("cancelled head", map[string]int{"t\x00c": 3, "t\x00d": 2})
@@ -181,7 +181,7 @@ func TestQueryBucketsStayConsistent(t *testing.T) {
 		// A write to c is evaluated against c's two survivors (qs[1] and
 		// qs[3], both unindexable), not against d's $ne query qs[5].
 		before := b.c.mCandEvaluated.Value()
-		b.handleWrite(nil, writeEvent("k", 1000))
+		b.handleWrite(writeEvent("k", 1000))
 		if got := b.c.mCandEvaluated.Value() - before; got != 2 {
 			t.Fatalf("index=%v: write to c evaluated %d queries, want 2", indexed, got)
 		}
@@ -204,12 +204,12 @@ func TestSubscribeReplaySkipsOtherCollections(t *testing.T) {
 		we := writeEvent(fmt.Sprintf("k%d", i), 5)
 		we.Image.Collection = coll
 		we.Image.Version = uint64(i + 1)
-		b.handleWrite(nil, we)
+		b.handleWrite(we)
 	}
 	other := writeEvent("k0", 5)
 	other.Tenant = "t2"
 	other.Image.Version = 9
-	b.handleWrite(nil, other)
+	b.handleWrite(other)
 
 	before := b.c.mCandEvaluated.Value()
 	q := query.MustCompile(rangeSpec(0, 10))

@@ -109,7 +109,6 @@ func (b *sortBolt) Prepare(ctx *topology.BoltContext, out topology.Collector) er
 }
 
 func (b *sortBolt) Execute(t *topology.Tuple) {
-	defer b.out.Ack(t)
 	if t.Component == "tick" {
 		return // the sorting stage has no timers; expiry arrives as a tuple
 	}

@@ -24,15 +24,9 @@ type sortHarness struct {
 
 type nopCollector struct{}
 
-func (nopCollector) Emit(*topology.Tuple, topology.Values)               {}
-func (nopCollector) EmitStream(string, *topology.Tuple, topology.Values) {}
-func (nopCollector) EmitDirect(int, *topology.Tuple, topology.Values)    {}
-func (nopCollector) EmitDirectStream(string, int, *topology.Tuple, topology.Values) {
-}
-func (nopCollector) EmitBatch([]*topology.Tuple, topology.Values)            {}
-func (nopCollector) EmitDirectBatch(int, []*topology.Tuple, topology.Values) {}
-func (nopCollector) Ack(*topology.Tuple)                                     {}
-func (nopCollector) Fail(*topology.Tuple)                                    {}
+func (nopCollector) Emit(topology.Values)               {}
+func (nopCollector) EmitStream(string, topology.Values) {}
+func (nopCollector) EmitDirect(int, topology.Values)    {}
 
 func newSortHarness(t *testing.T, spec query.Spec, slack int) *sortHarness {
 	t.Helper()

@@ -70,7 +70,6 @@ func RunResizePoint(cfg Config, writeRate int) (ResizePoint, error) {
 			NodeID:             name,
 			GridSlots:          2,
 			MaxWritePartitions: 2,
-			EnableAcking:       true,
 			TickInterval:       20 * time.Millisecond,
 			HeartbeatInterval:  20 * time.Millisecond,
 			RetentionTime:      5 * time.Second,

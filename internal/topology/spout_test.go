@@ -6,7 +6,7 @@ import (
 )
 
 // The event-driven spout contract (DESIGN.md §7): a spout with nothing to
-// emit parks inside Next, and only a completion or Stop brings it back.
+// emit parks inside Next, and only Stop brings it back.
 
 func TestIdleSpoutsDoNotWakeUp(t *testing.T) {
 	const tasks = 3
@@ -18,7 +18,7 @@ func TestIdleSpoutsDoNotWakeUp(t *testing.T) {
 		return s
 	}, tasks, "key", "n")
 	b.SetBolt("sink", func() Bolt { return &collectBolt{} }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{EnableAcking: true})
+	top, err := b.Build(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,51 +39,20 @@ func TestIdleSpoutsDoNotWakeUp(t *testing.T) {
 	}
 }
 
-func TestCompletionWakesParkedSpout(t *testing.T) {
-	spout := &listSpout{items: values(1)}
-	release := make(chan struct{})
-	sink := &funcBolt{fn: func(out Collector, tup *Tuple) {
-		<-release
-		out.Ack(tup)
-	}}
-	b := NewBuilder()
-	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
-	b.SetBolt("sink", func() Bolt { return sink }, 1).ShuffleGrouping("src")
-	// The timeout is out of reach: only the ack itself can complete the tree.
-	top, err := b.Build(Config{EnableAcking: true, AckTimeout: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := top.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer top.Stop()
-
-	// Second call of Next: the one item is out and the spout has no input.
-	waitFor(t, 5*time.Second, func() bool { return spout.nexts.Load() == 2 }, "spout did not park")
-	if n := spout.acks.Load(); n != 0 {
-		t.Fatalf("acks = %d before the bolt acked", n)
-	}
-	close(release)
-	waitFor(t, 5*time.Second, func() bool { return spout.acks.Load() == 1 }, "completion did not reach Ack on the parked spout")
-	// Woken once for the verdict, then parked again.
-	time.Sleep(50 * time.Millisecond)
-	if n := spout.nexts.Load(); n > 4 {
-		t.Fatalf("Next called %d times around one completion, want a bounded handful", n)
-	}
-}
-
 func TestStopReturnsWithSpoutsParked(t *testing.T) {
 	idle := &listSpout{}
-	// Max pending 1 against a bolt that never settles: the second emit parks
-	// inside Emit, waiting for a slot that only Stop can release.
-	throttled := &listSpout{items: values(2)}
+	// A queue of one behind a bolt stuck in Execute: the first tuple is being
+	// executed, the second fills the queue, and the third emit parks inside
+	// Emit on back-pressure that only Stop can release.
+	blocked := &listSpout{items: values(3)}
+	release := make(chan struct{})
+	sink := &funcBolt{fn: func(Collector, *Tuple) { <-release }}
 	b := NewBuilder()
 	b.SetSpout("idle", func() Spout { return idle }, 1, "key", "n")
-	b.SetSpout("throttled", func() Spout { return throttled }, 1, "key", "n")
-	b.SetBolt("sink", func() Bolt { return &neverAckBolt{} }, 1).
-		ShuffleGrouping("idle").ShuffleGrouping("throttled")
-	top, err := b.Build(Config{EnableAcking: true, MaxSpoutPending: 1, AckTimeout: time.Hour})
+	b.SetSpout("blocked", func() Spout { return blocked }, 1, "key", "n")
+	b.SetBolt("sink", func() Bolt { return sink }, 1).
+		ShuffleGrouping("idle").ShuffleGrouping("blocked")
+	top, err := b.Build(Config{QueueSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +60,7 @@ func TestStopReturnsWithSpoutsParked(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		return idle.nexts.Load() == 1 && throttled.nexts.Load() == 2
+		return idle.nexts.Load() == 1 && blocked.nexts.Load() == 3
 	}, "spouts did not park")
 
 	stopped := make(chan struct{})
@@ -99,6 +68,12 @@ func TestStopReturnsWithSpoutsParked(t *testing.T) {
 		top.Stop()
 		close(stopped)
 	}()
+	// Both spouts return from Next while the bolt still holds its tuple: it
+	// is Stop that unparked them, not the queue draining.
+	waitFor(t, 2*time.Second, func() bool {
+		return idle.returns.Load() == 1 && blocked.returns.Load() == 3
+	}, "Stop did not unpark the spouts")
+	close(release)
 	select {
 	case <-stopped:
 	case <-time.After(2 * time.Second):

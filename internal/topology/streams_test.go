@@ -20,11 +20,10 @@ func (s *splitterBolt) Prepare(ctx *BoltContext, out Collector) error {
 func (s *splitterBolt) Execute(t *Tuple) {
 	n := t.Values[1].(int)
 	if n%2 == 0 {
-		s.out.Emit(t, t.Values)
+		s.out.Emit(t.Values)
 	} else {
-		s.out.EmitStream("odd", t, t.Values)
+		s.out.EmitStream("odd", t.Values)
 	}
-	s.out.Ack(t)
 }
 
 func (s *splitterBolt) Cleanup() {}
@@ -40,7 +39,7 @@ func TestNamedStreamsRouteIndependently(t *testing.T) {
 		DeclareStream("odd", "key", "n").
 		ShuffleGrouping("src")
 	b.SetBolt("evens", func() Bolt { return evens }, 1).ShuffleGrouping("split")
-	b.SetBolt("odds", func() Bolt { return odds }, 1).ShuffleGroupingStream("split", "odd")
+	b.SetBolt("odds", func() Bolt { return odds }, 1).FieldsGroupingStream("split", "odd", "key")
 	top, err := b.Build(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -106,101 +105,9 @@ func TestFieldsGroupingOnNamedStream(t *testing.T) {
 func TestSubscribeToUndeclaredStreamFails(t *testing.T) {
 	b := NewBuilder()
 	b.SetSpout("src", func() Spout { return &listSpout{} }, 1, "key")
-	b.SetBolt("sink", func() Bolt { return &collectBolt{} }, 1).ShuffleGroupingStream("src", "nope")
+	b.SetBolt("sink", func() Bolt { return &collectBolt{} }, 1).FieldsGroupingStream("src", "nope", "key")
 	if _, err := b.Build(Config{}); err == nil {
 		t.Fatal("subscription to undeclared stream accepted")
-	}
-}
-
-// batcherBolt buffers incoming tuples and, once size have arrived, emits a
-// single batch tuple anchored to all of them before acking the anchors —
-// the same pattern the core write-ingestion stage uses.
-type batcherBolt struct {
-	out     Collector
-	size    int
-	pending []*Tuple
-}
-
-func (b *batcherBolt) Prepare(ctx *BoltContext, out Collector) error {
-	b.out = out
-	return nil
-}
-
-func (b *batcherBolt) Execute(t *Tuple) {
-	b.pending = append(b.pending, t)
-	if len(b.pending) < b.size {
-		return
-	}
-	b.out.EmitBatch(b.pending, Values{"batch", len(b.pending)})
-	for _, a := range b.pending {
-		b.out.Ack(a)
-	}
-	b.pending = b.pending[:0]
-}
-
-func (b *batcherBolt) Cleanup() {}
-
-func buildBatchTopology(t *testing.T, spout *listSpout, sink Bolt) *Topology {
-	t.Helper()
-	b := NewBuilder()
-	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
-	b.SetBolt("batch", func() Bolt { return &batcherBolt{size: 3} }, 1, "kind", "n").
-		ShuffleGrouping("src")
-	b.SetBolt("sink", func() Bolt { return sink }, 1).ShuffleGrouping("batch")
-	top, err := b.Build(Config{EnableAcking: true, AckTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := top.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return top
-}
-
-func TestBatchEmitAcksEveryAnchor(t *testing.T) {
-	const n = 6
-	spout := &listSpout{items: values(n)}
-	sink := &collectBolt{}
-	top := buildBatchTopology(t, spout, sink)
-	defer top.Stop()
-	waitFor(t, 2*time.Second, func() bool { return spout.acks.Load() == n }, "all roots acked")
-	if f := spout.fails.Load(); f != 0 {
-		t.Fatalf("%d roots failed, want 0", f)
-	}
-	if got := len(sink.snapshot()); got != n/3 {
-		t.Fatalf("sink saw %d batch tuples, want %d", got, n/3)
-	}
-}
-
-func TestBatchEmitFailureFailsEveryAnchor(t *testing.T) {
-	// The sink fails the first batch tuple and acks the rest: every root
-	// anchored to the failed batch must fail, and only those.
-	const n = 6
-	spout := &listSpout{items: values(n)}
-	var mu sync.Mutex
-	batches := 0
-	sink := &funcBolt{}
-	sink.fn = func(out Collector, tup *Tuple) {
-		mu.Lock()
-		batches++
-		first := batches == 1
-		mu.Unlock()
-		if first {
-			out.Fail(tup)
-			return
-		}
-		out.Ack(tup)
-	}
-	top := buildBatchTopology(t, spout, sink)
-	defer top.Stop()
-	waitFor(t, 2*time.Second, func() bool {
-		return spout.acks.Load()+spout.fails.Load() == n
-	}, "all roots resolved")
-	if f := spout.fails.Load(); f != 3 {
-		t.Fatalf("%d roots failed, want the whole first batch (3)", f)
-	}
-	if a := spout.acks.Load(); a != 3 {
-		t.Fatalf("%d roots acked, want the whole second batch (3)", a)
 	}
 }
 
@@ -213,7 +120,6 @@ func TestTupleCarriesStreamName(t *testing.T) {
 		mu.Lock()
 		streams = append(streams, tup.Stream)
 		mu.Unlock()
-		out.Ack(tup)
 	}
 	b := NewBuilder()
 	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
@@ -222,7 +128,7 @@ func TestTupleCarriesStreamName(t *testing.T) {
 		ShuffleGrouping("src")
 	b.SetBolt("sink", func() Bolt { return sink }, 1).
 		ShuffleGrouping("split").
-		ShuffleGroupingStream("split", "odd")
+		FieldsGroupingStream("split", "odd", "key")
 	top, err := b.Build(Config{})
 	if err != nil {
 		t.Fatal(err)

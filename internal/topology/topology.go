@@ -1,17 +1,16 @@
 // Package topology is a from-scratch stream-processing runtime modeled on
 // Apache Storm, the system the InvaliDB prototype used for workload
-// distribution (paper §5.4). It provides the Storm primitives the paper's
-// design relies on: spouts and bolts with configurable parallelism, tuple
-// routing through shuffle/fields/broadcast/global/direct groupings, and
-// at-least-once delivery via Storm's XOR-ledger acker with timeout-based
-// replay. InvaliDB's filtering and sorting stages are expressed as bolts on
-// this runtime.
+// distribution (paper §5.4). It is a supervised dataflow graph: spouts and
+// bolts with configurable parallelism, tuple routing through
+// shuffle/fields/broadcast/direct groupings over bounded queues, and panic
+// recovery with bounded restarts. It is not a delivery protocol: a tuple in
+// flight at a panic, or sent to a dead task, is dropped and counted
+// (TaskStats.Failed); InvaliDB repairs loss end to end (retention replay,
+// certified backfill, re-subscription), never by tuple replay. InvaliDB's
+// filtering and sorting stages are expressed as bolts on this runtime.
 package topology
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Values are the positional payload of a tuple.
 type Values []any
@@ -22,12 +21,9 @@ const DefaultStream = "default"
 
 // Tuple is one data item flowing through the topology.
 //
-// Tuples are owned by the runtime and recycled through a pool: a delivered
-// tuple returns to the pool the moment the receiving bolt acks or fails it.
-// Bolts must therefore not retain (or read) an input tuple after calling
-// Ack or Fail on it — the defer-ack idiom and anchored emits during Execute
-// are both safe, holding a tuple across Execute calls is only safe while
-// the ack is still outstanding (the write-ingest batching path does this).
+// Tuples are owned by the runtime and recycled through a pool: a *Tuple is
+// valid for the duration of Execute; Values and what they point to may be
+// kept.
 type Tuple struct {
 	// Component is the id of the component that emitted the tuple.
 	Component string
@@ -38,14 +34,6 @@ type Tuple struct {
 	Values Values
 
 	fields []string
-	root   uint64 // ack root (0 for unanchored tuples)
-	edge   uint64 // this delivery's ack ledger id
-	taskID int    // emitting task index
-	// extraRoots/extraEdges carry the additional anchors of multi-anchored
-	// batch tuples (EmitBatch): one ledger edge per extra root.
-	extraRoots []uint64
-	extraEdges []uint64
-	done       bool // acked or failed; guards double recycling
 }
 
 // Get returns the value of a named output field.
@@ -58,51 +46,27 @@ func (t *Tuple) Get(field string) (any, bool) {
 	return nil, false
 }
 
-// MsgID identifies a spout tuple for ack/fail callbacks.
-type MsgID uint64
-
 // SpoutContext is handed to a spout at open time.
 type SpoutContext struct {
 	// TaskID is this instance's index within the component's parallelism.
 	TaskID int
-	// Emit injects a new root tuple into the topology. With ackEnabled
-	// topologies the returned MsgID is echoed via Ack or Fail.
-	Emit func(values Values) MsgID
-	// Wake is signalled when the runtime needs the spout goroutine back to
-	// deliver an Ack or Fail. It is nil — never ready — without acking.
-	Wake <-chan struct{}
+	// Emit injects a new tuple into the topology. It blocks while a
+	// downstream queue is full (back-pressure) and returns early on stop.
+	Emit func(values Values)
 	// Done is closed when the topology stops.
 	Done <-chan struct{}
 }
 
-// Park blocks until the runtime needs the spout goroutine (Wake or Done).
-// It is the whole of Next for a spout that currently has nothing to emit and
-// no source of its own to wait on.
-//
-//invalidb:hotpath
-func (c *SpoutContext) Park() {
-	select {
-	case <-c.Wake:
-	case <-c.Done:
-	}
-}
-
 // Spout produces the topology's input. The runtime calls Next in a loop on
-// the spout's task goroutine and does nothing else in between but deliver
-// pending Ack/Fail verdicts, so Next must block: it emits what the source has
-// ready (at most a few tuples) and returns, or — when there is nothing —
-// parks in one select over the source, ctx.Wake and ctx.Done and returns as
-// soon as any of them fires. There is no polling and no back-off: a parked
-// spout costs no wake-ups, and input is emitted the moment it arrives.
+// the spout's task goroutine and does nothing else in between, so Next must
+// block: it emits what the source has ready (at most a few tuples) and
+// returns, or — when there is nothing — parks in one select over the source
+// and ctx.Done and returns as soon as either fires. There is no polling and
+// no back-off: a parked spout costs no wake-ups, and input is emitted the
+// moment it arrives.
 type Spout interface {
 	Open(ctx *SpoutContext) error
 	Next()
-	// Ack signals that the tuple tree rooted at the MsgID was fully
-	// processed; Fail signals a timeout or explicit failure (the spout
-	// decides whether to replay). Both run on the task goroutine, between
-	// two calls of Next.
-	Ack(id MsgID)
-	Fail(id MsgID)
 	Close()
 }
 
@@ -123,38 +87,19 @@ type BoltContext struct {
 	Meta any
 }
 
-// Collector lets a bolt emit and acknowledge tuples.
+// Collector lets a bolt emit tuples downstream.
 type Collector interface {
-	// Emit sends values downstream on the default stream, anchored to the
-	// given input tuple so failures propagate to the spout (anchor may be
-	// nil for unanchored emits).
-	Emit(anchor *Tuple, values Values)
+	// Emit sends values downstream on the default stream.
+	Emit(values Values)
 	// EmitStream sends values on a named output stream.
-	EmitStream(stream string, anchor *Tuple, values Values)
+	EmitStream(stream string, values Values)
 	// EmitDirect sends values to one specific task of every component
 	// subscribed to the default stream with direct grouping.
-	EmitDirect(taskID int, anchor *Tuple, values Values)
-	// EmitDirectStream is EmitDirect on a named stream.
-	EmitDirectStream(stream string, taskID int, anchor *Tuple, values Values)
-	// EmitBatch sends values downstream on the default stream anchored to
-	// every tuple in anchors: the delivered tuple joins the ack tree of each
-	// anchor, so failing it fails every anchored root. One channel send per
-	// target replaces one send per anchor — the amortization the batched
-	// write-ingestion path relies on.
-	EmitBatch(anchors []*Tuple, values Values)
-	// EmitDirectBatch is EmitBatch delivered to one specific task of every
-	// component subscribed with direct grouping.
-	EmitDirectBatch(taskID int, anchors []*Tuple, values Values)
-	// Ack marks the input tuple as fully processed by this bolt. The tuple
-	// is recycled; it must not be used afterwards.
-	Ack(t *Tuple)
-	// Fail marks the tuple tree as failed, triggering spout replay. The
-	// tuple is recycled; it must not be used afterwards.
-	Fail(t *Tuple)
+	EmitDirect(taskID int, values Values)
 }
 
-// Bolt processes tuples. Execute must Ack or Fail every input tuple exactly
-// once when acking is enabled.
+// Bolt processes tuples. The input tuple belongs to the runtime again when
+// Execute returns (see Tuple).
 type Bolt interface {
 	Prepare(ctx *BoltContext, out Collector) error
 	Execute(t *Tuple)
@@ -178,7 +123,6 @@ const (
 	groupShuffle groupingKind = iota
 	groupFields
 	groupBroadcast
-	groupGlobal
 	groupDirect
 )
 
@@ -280,12 +224,7 @@ func (d *BoltDecl) DeclareStream(stream string, fields ...string) *BoltDecl {
 // ShuffleGrouping subscribes the bolt to a component's default stream with
 // round-robin distribution.
 func (d *BoltDecl) ShuffleGrouping(from string) *BoltDecl {
-	return d.ShuffleGroupingStream(from, DefaultStream)
-}
-
-// ShuffleGroupingStream is ShuffleGrouping on a named stream.
-func (d *BoltDecl) ShuffleGroupingStream(from, stream string) *BoltDecl {
-	d.def.subs = append(d.def.subs, subscription{from: from, stream: stream, kind: groupShuffle})
+	d.def.subs = append(d.def.subs, subscription{from: from, stream: DefaultStream, kind: groupShuffle})
 	return d
 }
 
@@ -303,35 +242,14 @@ func (d *BoltDecl) FieldsGroupingStream(from, stream string, fields ...string) *
 
 // BroadcastGrouping subscribes with replication to every task.
 func (d *BoltDecl) BroadcastGrouping(from string) *BoltDecl {
-	return d.BroadcastGroupingStream(from, DefaultStream)
-}
-
-// BroadcastGroupingStream is BroadcastGrouping on a named stream.
-func (d *BoltDecl) BroadcastGroupingStream(from, stream string) *BoltDecl {
-	d.def.subs = append(d.def.subs, subscription{from: from, stream: stream, kind: groupBroadcast})
-	return d
-}
-
-// GlobalGrouping subscribes with delivery to task 0 only.
-func (d *BoltDecl) GlobalGrouping(from string) *BoltDecl {
-	return d.GlobalGroupingStream(from, DefaultStream)
-}
-
-// GlobalGroupingStream is GlobalGrouping on a named stream.
-func (d *BoltDecl) GlobalGroupingStream(from, stream string) *BoltDecl {
-	d.def.subs = append(d.def.subs, subscription{from: from, stream: stream, kind: groupGlobal})
+	d.def.subs = append(d.def.subs, subscription{from: from, stream: DefaultStream, kind: groupBroadcast})
 	return d
 }
 
 // DirectGrouping subscribes with sender-chosen task routing (EmitDirect) on
 // the default stream.
 func (d *BoltDecl) DirectGrouping(from string) *BoltDecl {
-	return d.DirectGroupingStream(from, DefaultStream)
-}
-
-// DirectGroupingStream is DirectGrouping on a named stream.
-func (d *BoltDecl) DirectGroupingStream(from, stream string) *BoltDecl {
-	d.def.subs = append(d.def.subs, subscription{from: from, stream: stream, kind: groupDirect})
+	d.def.subs = append(d.def.subs, subscription{from: from, stream: DefaultStream, kind: groupDirect})
 	return d
 }
 
@@ -339,17 +257,11 @@ func (d *BoltDecl) DirectGroupingStream(from, stream string) *BoltDecl {
 type Config struct {
 	// QueueSize is the per-task input queue capacity. Zero selects 1024.
 	QueueSize int
-	// EnableAcking activates the XOR acker for at-least-once delivery.
-	EnableAcking bool
-	// AckTimeout fails tuple trees not completed in time. Zero selects 30s.
-	AckTimeout time.Duration
-	// MaxSpoutPending throttles each spout task to this many incomplete
-	// root tuples (0 = unlimited). Only meaningful with acking.
-	MaxSpoutPending int
 	// MaxTaskRestarts bounds how many times the supervisor replaces a
 	// panicking task with a fresh component instance before marking the
-	// task dead. Zero selects 3; negative disables restarts entirely
-	// (first panic kills the task).
+	// task dead (a dead bolt task keeps draining and dropping its input so
+	// upstream never blocks). Zero selects 3; negative disables restarts
+	// entirely (first panic kills the task).
 	MaxTaskRestarts int
 	// OnTaskRestart, when set, is invoked on its own goroutine each time
 	// the supervisor has restarted a crashed task with a fresh instance.
@@ -369,9 +281,6 @@ func (b *Builder) Build(cfg Config) (*Topology, error) {
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
-	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 30 * time.Second
 	}
 	if cfg.MaxTaskRestarts == 0 {
 		cfg.MaxTaskRestarts = 3

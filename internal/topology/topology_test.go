@@ -8,73 +8,43 @@ import (
 	"time"
 )
 
-// listSpout emits a fixed list of values, optionally replaying failures.
+// listSpout emits a fixed list of values, then parks until the topology
+// stops.
 type listSpout struct {
-	mu     sync.Mutex
-	items  []Values
-	next   int
-	ctx    *SpoutContext
-	inFly  map[MsgID]Values
-	replay bool
-	acks   atomic.Uint64
-	fails  atomic.Uint64
-	nexts  atomic.Uint64 // calls of Next: one per emitted item or runtime wake-up
+	items   []Values
+	next    int
+	ctx     *SpoutContext
+	nexts   atomic.Uint64 // calls of Next: one per emitted item, then one parked
+	returns atomic.Uint64 // calls of Next that returned
 }
 
 func (s *listSpout) Open(ctx *SpoutContext) error {
 	s.ctx = ctx
-	s.inFly = map[MsgID]Values{}
 	return nil
 }
 
 func (s *listSpout) Next() {
 	s.nexts.Add(1)
-	s.mu.Lock()
+	defer s.returns.Add(1)
 	if s.next >= len(s.items) {
-		s.mu.Unlock()
-		s.ctx.Park()
+		<-s.ctx.Done
 		return
 	}
-	defer s.mu.Unlock()
 	v := s.items[s.next]
 	s.next++
-	id := s.ctx.Emit(v)
-	if id != 0 {
-		s.inFly[id] = v
-	}
-}
-
-func (s *listSpout) Ack(id MsgID) {
-	s.acks.Add(1)
-	s.mu.Lock()
-	delete(s.inFly, id)
-	s.mu.Unlock()
-}
-
-func (s *listSpout) Fail(id MsgID) {
-	s.fails.Add(1)
-	s.mu.Lock()
-	v, ok := s.inFly[id]
-	delete(s.inFly, id)
-	if ok && s.replay {
-		s.items = append(s.items, v)
-	}
-	s.mu.Unlock()
+	s.ctx.Emit(v)
 }
 
 func (s *listSpout) Close() {}
 
-// collectBolt records every tuple it sees, acking each.
+// collectBolt records every tuple it sees.
 type collectBolt struct {
 	mu   sync.Mutex
 	seen []Values
 	task int
 	out  Collector
-	// forward re-emits tuples downstream (anchored) when set.
+	// forward re-emits tuples downstream when set.
 	forward bool
-	// failEvery makes the bolt fail each Nth tuple instead of acking.
-	failEvery int
-	count     int
 }
 
 func (b *collectBolt) Prepare(ctx *BoltContext, out Collector) error {
@@ -85,20 +55,11 @@ func (b *collectBolt) Prepare(ctx *BoltContext, out Collector) error {
 
 func (b *collectBolt) Execute(t *Tuple) {
 	b.mu.Lock()
-	b.count++
-	fail := b.failEvery > 0 && b.count%b.failEvery == 0
-	if !fail {
-		b.seen = append(b.seen, t.Values)
-	}
+	b.seen = append(b.seen, t.Values)
 	b.mu.Unlock()
-	if fail {
-		b.out.Fail(t)
-		return
-	}
 	if b.forward {
-		b.out.Emit(t, t.Values)
+		b.out.Emit(t.Values)
 	}
-	b.out.Ack(t)
 }
 
 func (b *collectBolt) Cleanup() {}
@@ -181,7 +142,7 @@ func TestBuilderValidation(t *testing.T) {
 
 func runSimple(t *testing.T, parallelism int, grouping func(*BoltDecl) *BoltDecl, n int, cfg Config) (*Topology, *listSpout, []*collectBolt) {
 	t.Helper()
-	spout := &listSpout{items: values(n), replay: true}
+	spout := &listSpout{items: values(n)}
 	var bolts []*collectBolt
 	var boltMu sync.Mutex
 	b := NewBuilder()
@@ -255,21 +216,6 @@ func TestBroadcastGroupingReplicates(t *testing.T) {
 	}
 }
 
-func TestGlobalGroupingSingleTask(t *testing.T) {
-	const n = 50
-	_, _, bolts := runSimple(t, 3, func(d *BoltDecl) *BoltDecl { return d.GlobalGrouping("src") }, n, Config{})
-	waitFor(t, 2*time.Second, func() bool { return totalSeen(bolts) == n }, "global grouping delivered")
-	nonEmpty := 0
-	for _, b := range bolts {
-		if len(b.snapshot()) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty != 1 {
-		t.Fatalf("global grouping hit %d tasks, want 1", nonEmpty)
-	}
-}
-
 func TestTupleGet(t *testing.T) {
 	tup := &Tuple{Values: Values{"a", 7}, fields: []string{"key", "n"}}
 	if v, ok := tup.Get("n"); !ok || v != 7 {
@@ -277,129 +223,6 @@ func TestTupleGet(t *testing.T) {
 	}
 	if _, ok := tup.Get("missing"); ok {
 		t.Fatal("Get on undeclared field succeeded")
-	}
-}
-
-func TestAckingCompletesTrees(t *testing.T) {
-	const n = 100
-	spout := &listSpout{items: values(n)}
-	mid := &collectBolt{forward: true}
-	sink := &collectBolt{}
-	b := NewBuilder()
-	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
-	b.SetBolt("mid", func() Bolt { return mid }, 1, "key", "n").ShuffleGrouping("src")
-	b.SetBolt("sink", func() Bolt { return sink }, 1).ShuffleGrouping("mid")
-	top, err := b.Build(Config{EnableAcking: true, AckTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := top.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer top.Stop()
-	waitFor(t, 3*time.Second, func() bool { return spout.acks.Load() == n }, "all trees acked")
-	if spout.fails.Load() != 0 {
-		t.Fatalf("unexpected failures: %d", spout.fails.Load())
-	}
-	if top.acker.pendingCount() != 0 {
-		t.Fatalf("acker still holds %d ledgers", top.acker.pendingCount())
-	}
-	if len(sink.snapshot()) != n {
-		t.Fatalf("sink saw %d tuples, want %d", len(sink.snapshot()), n)
-	}
-}
-
-func TestFailTriggersSpoutFail(t *testing.T) {
-	const n = 30
-	spout := &listSpout{items: values(n)}
-	sink := &collectBolt{failEvery: 3}
-	b := NewBuilder()
-	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
-	b.SetBolt("sink", func() Bolt { return sink }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{EnableAcking: true, AckTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = top.Start()
-	defer top.Stop()
-	waitFor(t, 3*time.Second, func() bool {
-		return spout.acks.Load()+spout.fails.Load() == n
-	}, "all trees resolved")
-	if spout.fails.Load() != n/3 {
-		t.Fatalf("fails = %d, want %d", spout.fails.Load(), n/3)
-	}
-}
-
-func TestAckTimeoutReplays(t *testing.T) {
-	// A bolt that drops (neither acks nor fails) every tuple once.
-	var dropped sync.Map
-	spout := &listSpout{items: values(10), replay: true}
-	sink := &collectBolt{}
-	b := NewBuilder()
-	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
-	b.SetBolt("sink", func() Bolt { return &onceDropBolt{inner: sink, dropped: &dropped} }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{EnableAcking: true, AckTimeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = top.Start()
-	defer top.Stop()
-	waitFor(t, 5*time.Second, func() bool { return len(sink.snapshot()) == 10 }, "replayed tuples eventually processed")
-	if spout.fails.Load() == 0 {
-		t.Fatal("expected timeout-induced failures")
-	}
-}
-
-type onceDropBolt struct {
-	inner   *collectBolt
-	dropped *sync.Map
-	out     Collector
-}
-
-func (b *onceDropBolt) Prepare(ctx *BoltContext, out Collector) error {
-	b.out = out
-	return b.inner.Prepare(ctx, out)
-}
-
-func (b *onceDropBolt) Execute(t *Tuple) {
-	key := fmt.Sprint(t.Values)
-	if _, seen := b.dropped.LoadOrStore(key, true); !seen {
-		return // drop silently: the acker must time the tree out
-	}
-	b.inner.Execute(t)
-}
-
-func (b *onceDropBolt) Cleanup() {}
-
-func TestMaxSpoutPendingThrottles(t *testing.T) {
-	// A slow sink with max pending 4: in-flight trees never exceed 4.
-	spout := &listSpout{items: values(40)}
-	var maxInFlight atomic.Int64
-	var inFlight atomic.Int64
-	sink := &funcBolt{fn: func(out Collector, tup *Tuple) {
-		cur := inFlight.Add(1)
-		for {
-			prev := maxInFlight.Load()
-			if cur <= prev || maxInFlight.CompareAndSwap(prev, cur) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		inFlight.Add(-1)
-		out.Ack(tup)
-	}}
-	b := NewBuilder()
-	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
-	b.SetBolt("sink", func() Bolt { return sink }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{EnableAcking: true, MaxSpoutPending: 4, AckTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = top.Start()
-	defer top.Stop()
-	waitFor(t, 5*time.Second, func() bool { return spout.acks.Load() == 40 }, "all acked")
-	if maxInFlight.Load() > 4 {
-		t.Fatalf("in-flight trees reached %d, limit 4", maxInFlight.Load())
 	}
 }
 
@@ -419,8 +242,7 @@ func TestEmitDirect(t *testing.T) {
 	router := &funcBolt{}
 	router.fn = func(out Collector, tup *Tuple) {
 		// Route everything to task 2 explicitly.
-		out.EmitDirect(2, tup, tup.Values)
-		out.Ack(tup)
+		out.EmitDirect(2, tup.Values)
 	}
 	b := NewBuilder()
 	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
@@ -499,13 +321,13 @@ func TestMultipleSubscribersBothReceive(t *testing.T) {
 	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
 	b.SetBolt("a", func() Bolt { return a }, 1).ShuffleGrouping("src")
 	b.SetBolt("c", func() Bolt { return c }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{EnableAcking: true, AckTimeout: 5 * time.Second})
+	top, err := b.Build(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = top.Start()
 	defer top.Stop()
 	waitFor(t, 2*time.Second, func() bool {
-		return len(a.snapshot()) == n && len(c.snapshot()) == n && spout.acks.Load() == n
-	}, "both subscribers received every tuple and trees completed")
+		return len(a.snapshot()) == n && len(c.snapshot()) == n
+	}, "both subscribers received every tuple")
 }
