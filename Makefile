@@ -55,10 +55,12 @@ race:
 	$(GO) test -race ./...
 
 # Fault-injection suite: the full stack under event-layer drops, delays,
-# duplicates, reordering and partitions, plus an injected matching-node
-# panic — the configuration every binary runs, under the race detector.
+# duplicates, reordering and partitions, plus injected matching-node panics
+# and a replaced cluster process — the configuration every binary runs, under
+# the race detector. Three runs: the restart scenarios race a heartbeat tick
+# against a supervisor restart, and one green run proves little.
 chaos:
-	$(GO) test -race ./internal/chaostest/ -count=1
+	$(GO) test -race ./internal/chaostest/ -count=3
 
 # Allocation smoke: the routing hot path must stay at 0 allocs/op, and the
 # wire codec benchmarks must keep compiling and running (EXPERIMENTS.md

@@ -45,8 +45,8 @@ type Options struct {
 	// heartbeat arrives for this long (§5.1): every subscription receives a
 	// single EventDisconnected but stays alive, and when heartbeats resume
 	// the server automatically re-subscribes each query, surfacing one
-	// EventReconnected with the refreshed result. Default 5s. Negative
-	// disables the watchdog.
+	// EventReconnected with the refreshed result (as after a heartbeat that
+	// shows a restarted node). Default 5s. Negative disables the watchdog.
 	HeartbeatTimeout time.Duration
 	// RenewalMinInterval is the poll frequency rate limit (§5.2): at most
 	// one query renewal per query per interval, keeping the renewal load on
@@ -75,9 +75,6 @@ type Options struct {
 	// server topped out near 6 000 ops/s regardless of cluster capacity
 	// (§7.3, Figure 6b).
 	WriteCapacity int
-	// WriteBurst overrides the write limiter's burst allowance in
-	// operations; zero selects ratelimit's default (5% of WriteCapacity).
-	WriteBurst float64
 	// Metrics receives the server's counters, gauges, and the per-stage
 	// latency recorders fed by notification stage timestamps. Nil creates
 	// a private registry; read it back via Server.Metrics.
@@ -139,6 +136,9 @@ type Server struct {
 	lastHB    time.Time
 	connected bool // false while the cluster heartbeat is overdue
 	hbMu      sync.Mutex
+	// nodes holds, per emitting cluster node ("" in single-process clusters), the
+	// heartbeat that first showed its current incarnation. Owned by notifLoop.
+	nodes map[string]core.Heartbeat
 
 	// pmap is the newest partition map from the coordinator's retained
 	// control topic (nil in static clusters); mapKick wakes the migration
@@ -156,7 +156,11 @@ type Server struct {
 	writeBucket *ratelimit.Bucket
 	renewalsCtr atomic.Uint64
 	reconnects  atomic.Uint64
-	resubBusy   atomic.Bool
+
+	// One re-subscription pass runs at a time (resubBusy); requests that
+	// arrive meanwhile share one more pass after it (resubAgain).
+	resubMu               sync.Mutex
+	resubBusy, resubAgain bool
 
 	// bfCerts routes backfill certificates from the notification loop to the
 	// per-backfill driver goroutines; backfillActive counts in-flight
@@ -180,6 +184,7 @@ type Server struct {
 	mResubBackoff    *metrics.Int
 	mBackfillRetries *metrics.Int
 	mMigrations      *metrics.Int
+	mClusterRestarts *metrics.Int // heartbeats that showed a node restarted or replaced
 }
 
 // New creates an application server over a database and the cluster's event
@@ -213,10 +218,12 @@ func New(db *storage.DB, bus eventlayer.Bus, opts Options) (*Server, error) {
 		mEventDrops: reg.Counter("appserver.event_drops"),
 		mResubs:     reg.Counter("appserver.resubscribes"),
 
+		nodes:            map[string]core.Heartbeat{},
 		bfCerts:          map[string]chan *core.BackfillCert{},
 		mResubBackoff:    reg.Counter("appserver.resubscribe.backoff"),
 		mBackfillRetries: reg.Counter("backfill.retries"),
 		mMigrations:      reg.Counter("appserver.migrations"),
+		mClusterRestarts: reg.Counter("appserver.cluster_restarts"),
 	}
 	core.RegisterWireMetrics(reg)
 	reg.Gauge("appserver.subscriptions", func() float64 {
@@ -235,7 +242,7 @@ func New(db *storage.DB, bus eventlayer.Bus, opts Options) (*Server, error) {
 	reg.Gauge("backfill.active", func() float64 { return float64(s.backfillActive.Load()) })
 	reg.Gauge("appserver.epoch", func() float64 { return float64(s.currentEpoch()) })
 	if opts.WriteCapacity > 0 {
-		s.writeBucket = ratelimit.New(float64(opts.WriteCapacity), opts.WriteBurst)
+		s.writeBucket = ratelimit.New(float64(opts.WriteCapacity), 0) // ratelimit's default burst
 	}
 	// The control topic is retained, so a server that starts after the
 	// coordinator published the current partition map still learns it here.
@@ -538,22 +545,7 @@ func (s *Server) notifLoop() {
 			}
 			switch env.Kind {
 			case core.KindHeartbeat:
-				s.hbMu.Lock()
-				s.lastHB = time.Now()
-				wasDown := !s.connected
-				s.connected = true
-				s.hbMu.Unlock()
-				if wasDown {
-					// Heartbeats resumed after an outage: the cluster may
-					// have lost this server's queries, so re-subscribe every
-					// active query (a renewal for queries that survived).
-					s.reconnects.Add(1)
-					s.wg.Add(1)
-					go func() {
-						defer s.wg.Done()
-						s.resubscribeAll()
-					}()
-				}
+				s.handleHeartbeat(env.Heartbeat)
 			case core.KindNotification:
 				s.dispatch(env.Notification)
 			case core.KindBackfillCert:
@@ -563,6 +555,46 @@ func (s *Server) notifLoop() {
 			}
 		}
 	}
+}
+
+// handleHeartbeat feeds the watchdog and watches the emitter's incarnation.
+// The cluster repairs nothing itself (DESIGN.md §3.4): heartbeats resuming
+// after a gap, a different Boot (process replaced) and a higher Restarts (a
+// stateful task came back empty) all get one answer — re-subscribe from the
+// database. Runs on the notification loop, so it never blocks.
+func (s *Server) handleHeartbeat(h *core.Heartbeat) {
+	s.hbMu.Lock()
+	s.lastHB = time.Now()
+	wasDown := !s.connected
+	s.connected = true
+	s.hbMu.Unlock()
+	// A node never heard from is taken to have restarted nothing: restarts its
+	// first heartbeat counts may have hit queries installed before it. And the
+	// event layer reorders and duplicates: a heartbeat older than the one that
+	// showed the current incarnation must not flip it back.
+	prev, seen := s.nodes[h.Node]
+	changed := h.TimeMillis >= prev.TimeMillis && (seen && h.Boot != prev.Boot || h.Restarts > prev.Restarts)
+	if changed || !seen {
+		s.nodes[h.Node] = *h
+	}
+	if changed {
+		s.mClusterRestarts.Inc()
+		s.restartBackfills(h.Node)
+	}
+	var scope func(placement) bool // nil: every subscription
+	switch {
+	case wasDown: // any query may be lost (a renewal for those that survived)
+		s.reconnects.Add(1)
+	case changed:
+		scope = func(p placement) bool { return p.on(h.Node) }
+	default:
+		return
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.resubscribe(scope)
+	}()
 }
 
 func (s *Server) dispatch(n *core.Notification) {
@@ -729,7 +761,7 @@ func (s *Server) extendSlice(slice, slices int) {
 
 // disconnectAll pushes a single EventDisconnected to every subscription.
 // Subscriptions stay alive: unlike terminating them outright, the outage is
-// survivable — once heartbeats resume, resubscribeAll restores every
+// survivable — once heartbeats resume, a re-subscription restores every
 // delivery stream and clients never have to rebuild their state machinery
 // (§5.1: clients may fall back to pull-based queries in the meantime).
 func (s *Server) disconnectAll(err error) {
@@ -738,28 +770,45 @@ func (s *Server) disconnectAll(err error) {
 	}
 }
 
-// resubscribeAll re-bootstraps and re-subscribes every active subscription,
-// then resets each with the refreshed result (EventReconnected). For queries
-// the cluster still maintains, the re-subscription is an ordinary renewal;
-// for queries it lost (e.g. after a failover or TTL expiry during the
-// outage), it is a fresh activation. Concurrent invocations coalesce.
-func (s *Server) resubscribeAll() {
-	if !s.resubBusy.CompareAndSwap(false, true) {
+// resubscribe re-bootstraps and re-subscribes the subscriptions whose
+// placement is in scope (nil: all), then resets each with the refreshed
+// result (EventReconnected): a renewal for queries the cluster still
+// maintains, a fresh activation for those it lost. Concurrent invocations
+// coalesce: while a pass runs, further requests return at once and share one
+// more pass over everything after it — a fault observed mid-pass must still
+// reach the subscriptions the pass had already handled.
+func (s *Server) resubscribe(scope func(placement) bool) {
+	s.resubMu.Lock()
+	if s.resubBusy {
+		s.resubAgain = true
+		s.resubMu.Unlock()
 		return
 	}
-	defer s.resubBusy.Store(false)
+	s.resubBusy = true
+	for again := true; again; scope = nil {
+		s.resubMu.Unlock()
+		s.resubscribePass(scope)
+		s.resubMu.Lock()
+		again, s.resubAgain = s.resubAgain, false
+	}
+	s.resubBusy = false
+	s.resubMu.Unlock()
+}
+
+func (s *Server) resubscribePass(scope func(placement) bool) {
 	for _, sub := range s.snapshotSubs() {
 		sub.mu.Lock()
 		slack := sub.slack
 		closed := sub.closed
 		backfilling := sub.backfilling
+		place := sub.place
 		sub.mu.Unlock()
-		if closed {
+		if closed || scope != nil && !scope(place) {
 			continue
 		}
 		if backfilling {
 			// A backfill is in flight: its driver recovers on its own (chunk
-			// timeouts, restart certificates); a monolithic re-bootstrap here
+			// timeouts, restartBackfills); a monolithic re-bootstrap here
 			// would race the incremental admission.
 			continue
 		}
@@ -854,7 +903,7 @@ func (s *Server) snapshotSubs() []*Subscription {
 // subscription, synchronously. It is the manual counterpart of the
 // automatic post-outage recovery and is also useful after healing an
 // event-layer partition that silently dropped subscribe requests.
-func (s *Server) Resubscribe() { s.resubscribeAll() }
+func (s *Server) Resubscribe() { s.resubscribe(nil) }
 
 // Reconnects reports how many times the server has observed cluster
 // heartbeats resume after an outage and triggered automatic re-subscription.

@@ -21,8 +21,8 @@ import (
 // subscription is admitted — EventInitial delivered — after the final chunk.
 // In-flight memory is bounded by one chunk on this side and
 // backfillPendingBudget chunks per cell; a lost message re-sends the chunk
-// under a fresh watermark window after a timeout, and a matching-cell restart
-// aborts the attempt via a restart certificate and starts the backfill over.
+// under a fresh watermark window after a timeout, and a restart of the node it
+// installs on — seen in that node's heartbeat — starts the backfill over.
 
 const (
 	// maxBackfillAttempts bounds whole-backfill restarts (matching-cell
@@ -50,8 +50,8 @@ func (s *Server) newBackfillID() string {
 }
 
 // backfillLoop runs one subscription's backfill to admission, restarting the
-// whole protocol — fresh BackfillID, fresh cursor — when a matching cell of
-// the query's row loses its window state (restart certificate).
+// whole protocol — fresh BackfillID, fresh cursor — when the node the query's
+// row lives on restarted and lost its window state (restartBackfills).
 func (s *Server) backfillLoop(sub *Subscription) {
 	defer s.wg.Done()
 	s.backfillActive.Add(1)
@@ -64,7 +64,7 @@ func (s *Server) backfillLoop(sub *Subscription) {
 			}
 		}
 		start := sub.getPlace()
-		err = s.runBackfill(sub, start.epoch, false)
+		err = s.runBackfill(sub, start, false)
 		if err == nil {
 			// Admitted. Map epochs published mid-backfill were deliberately
 			// left to this driver (migrateAll skips backfilling
@@ -104,13 +104,13 @@ type inflightChunk struct {
 // runBackfill executes one backfill attempt: announce, then pipeline chunk
 // reads against certificate collection — up to backfillPipelineWindow chunks
 // are in flight at once — and admit when the final chunk is certified.
-// Every control envelope is stamped with epoch so the owner under that map
-// installs the window. With migration set the subscription is already
+// Every control envelope is stamped with at's epoch so the owner under that
+// map installs the window. With migration set the subscription is already
 // admitted (this is a resize moving its row): no EventInitial is emitted,
 // chunk rows surface as live events where they win, and on completion the
 // maintained result is reconciled against the scan to drop documents
 // deleted during the ownership gap.
-func (s *Server) runBackfill(sub *Subscription, epoch uint64, migration bool) error {
+func (s *Server) runBackfill(sub *Subscription, at placement, migration bool) error {
 	bfid := s.newBackfillID()
 	certs := make(chan *core.BackfillCert, 64)
 	s.bfMu.Lock()
@@ -122,7 +122,7 @@ func (s *Server) runBackfill(sub *Subscription, epoch uint64, migration bool) er
 		s.bfMu.Unlock()
 	}()
 
-	if err := s.publishBackfillStart(sub, bfid, epoch); err != nil {
+	if err := s.publishBackfillStart(sub, bfid, at.epoch); err != nil {
 		return err
 	}
 	cur := s.db.C(sub.q.Collection).NewChunkCursor(sub.q)
@@ -170,7 +170,7 @@ func (s *Server) runBackfill(sub *Subscription, epoch uint64, migration bool) er
 				High:           entries.high,
 				Last:           last,
 				Entries:        entries.rows,
-				Epoch:          epoch,
+				Epoch:          at.epoch,
 			}
 			if err := s.publishEnvelope(s.topics.Queries(), &core.Envelope{Kind: core.KindBackfillChunk, BackfillChunk: bc}); err != nil {
 				return err
@@ -201,7 +201,7 @@ func (s *Server) runBackfill(sub *Subscription, epoch uint64, migration bool) er
 			if c.BackfillID != bfid {
 				continue
 			}
-			if c.Status == core.BackfillStatusRestart {
+			if c.Status == core.BackfillStatusRestart && at.on(c.Origin) {
 				return errBackfillRestart
 			}
 			for i, fc := range inflight {
@@ -304,6 +304,20 @@ func (s *Server) routeBackfillCert(cert *core.BackfillCert) {
 	select {
 	case ch <- cert:
 	default: // driver lagging; the chunk timeout re-sends
+	}
+}
+
+// restartBackfills tells every backfill driver that node's heartbeat showed a
+// restart: cells there lost their window state, certificates they owed will
+// never arrive, and a backfill installing there must start over.
+func (s *Server) restartBackfills(node string) {
+	s.bfMu.Lock()
+	defer s.bfMu.Unlock()
+	for bfid, ch := range s.bfCerts {
+		select {
+		case ch <- &core.BackfillCert{BackfillID: bfid, Chunk: -1, Origin: node, Status: core.BackfillStatusRestart}:
+		default: // driver lagging; its chunks time out uncertified instead
+		}
 	}
 }
 

@@ -54,6 +54,10 @@ func (p placement) sameOwner(np placement) bool {
 	return p.known && p.node == np.node && p.slot == np.slot
 }
 
+// on reports whether the placement is on the named cluster node, or unknown:
+// a static cluster is one node with every query on it.
+func (p placement) on(node string) bool { return !p.known || p.node == node }
+
 // currentMap returns the newest partition map received on the control
 // topic, nil before the first one (static clusters stay nil forever).
 func (s *Server) currentMap() *core.PartitionMap {
@@ -146,7 +150,7 @@ func (s *Server) migrateAll() {
 func (s *Server) migrateSub(sub *Subscription, old, np placement) {
 	s.mMigrations.Inc()
 	if s.opts.Backfill && !sub.ordered {
-		err := s.runBackfill(sub, np.epoch, true)
+		err := s.runBackfill(sub, np, true)
 		if err == nil {
 			sub.setPlace(np)
 			if old.known && !old.sameOwner(np) {

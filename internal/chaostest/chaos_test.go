@@ -3,6 +3,7 @@ package chaostest
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -400,12 +401,49 @@ func TestChaosNotificationPartitionFailover(t *testing.T) {
 	waitConverged(t, e, sub, spec, 10*time.Second)
 }
 
+// waitMatchRestart waits until the supervisor has restarted a matching task
+// and checks what the panic cost, as the runtime accounts for it: one restart,
+// and exactly the tuple that was in flight dropped — no other tuple failed.
+func waitMatchRestart(t *testing.T, e *chaosEnv) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	restarted := false
+	for time.Now().Before(deadline) && !restarted {
+		for _, st := range e.cluster.Stats() {
+			if st.Component == "match" && st.Restarts > 0 {
+				if st.Dead {
+					t.Fatalf("match task %d marked dead, want restarted", st.TaskID)
+				}
+				restarted = true
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !restarted {
+		t.Fatal("no match task was restarted after the injected panic")
+	}
+	gauges := e.cluster.Metrics().Snapshot().Gauges
+	if failed, restarts := gauges["topology.match.failed"], gauges["topology.match.restarts"]; failed != 1 || restarts != 1 {
+		t.Fatalf("topology.match.failed = %v, restarts = %v; want 1 and 1", failed, restarts)
+	}
+}
+
+func resultIDs(sub *appserver.Subscription) string {
+	var ids []string
+	for _, d := range sub.Result() {
+		id, _ := d.ID()
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return fmt.Sprint(ids)
+}
+
 // TestChaosMatchingNodePanicSelfHeals: a matching node panics mid-write.
 // The topology supervisor must restart it with a fresh instance, the
-// query-ingest registry must rebuild its query set via resync, and
-// subsequent writes must keep producing notifications with no client
-// involvement. The batch in flight at the panic is dropped and counted;
-// re-subscription brings the result back to the pull query's answer.
+// heartbeat must say so, and the application server must re-subscribe from
+// the database — no client involvement, no manual Resubscribe. The batch in
+// flight at the panic is dropped and counted; the re-subscription's fresh
+// bootstrap brings the detonating document back.
 func TestChaosMatchingNodePanicSelfHeals(t *testing.T) {
 	var crashed atomic.Bool
 	e := newChaosEnv(t, eventlayer.FaultConfig{}, core.Options{
@@ -422,55 +460,222 @@ func TestChaosMatchingNodePanicSelfHeals(t *testing.T) {
 	if err := e.server.Insert("c", document.Document{"_id": "boom", "v": 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the supervisor to restart the crashed match task.
-	deadline := time.Now().Add(5 * time.Second)
-	restarted := false
-	for time.Now().Before(deadline) && !restarted {
-		for _, st := range e.cluster.Stats() {
-			if st.Component == "match" && st.Restarts > 0 {
-				if st.Dead {
-					t.Fatalf("match task %d marked dead, want restarted", st.TaskID)
-				}
-				restarted = true
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !restarted {
-		t.Fatal("no match task was restarted after the injected panic")
-	}
-	// What the panic cost, as the runtime accounts for it: one restart, and
-	// exactly the tuple that was in flight dropped — no other tuple failed.
-	gauges := e.cluster.Metrics().Snapshot().Gauges
-	if failed, restarts := gauges["topology.match.failed"], gauges["topology.match.restarts"]; failed != 1 || restarts != 1 {
-		t.Fatalf("topology.match.failed = %v, restarts = %v; want 1 and 1", failed, restarts)
-	}
-
-	// The restarted node recovered its query set from the registry: a new
-	// write must notify without any re-subscription.
+	waitMatchRestart(t, e)
+	rec.waitFor(t, "reconnected", 5*time.Second, func(ev appserver.Event) bool {
+		return ev.Type == appserver.EventReconnected
+	})
+	// The repaired stream is live: a new write notifies.
 	if err := e.server.Insert("c", document.Document{"_id": "post", "v": 2}); err != nil {
 		t.Fatal(err)
 	}
 	rec.waitFor(t, "post-crash add", 5*time.Second, func(ev appserver.Event) bool {
 		return ev.Type == appserver.EventAdd && ev.Key == "post"
 	})
-	// The write that triggered the crash may have died with the old
-	// instance; a re-subscription must close that last gap.
-	e.server.Resubscribe()
-	rec.waitFor(t, "reconnected", 5*time.Second, func(ev appserver.Event) bool {
-		return ev.Type == appserver.EventReconnected
-	})
 	waitConverged(t, e, sub, spec, 10*time.Second)
-	var ids []string
-	for _, d := range sub.Result() {
-		id, _ := d.ID()
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	if fmt.Sprint(ids) != "[boom post]" {
+	if ids := resultIDs(sub); ids != "[boom post]" {
 		t.Fatalf("result = %v, want the pull result including the detonating document: boom and post", ids)
 	}
 	if got := rec.countType(appserver.EventError); got != 0 {
 		t.Fatalf("saw %d error events, want 0", got)
+	}
+}
+
+// keyInColumn returns a key with the given prefix that hashes to write
+// partition col of a two-column grid.
+func keyInColumn(prefix string, col uint64) string {
+	for i := 0; ; i++ {
+		if key := fmt.Sprintf("%s%d", prefix, i); document.HashKey(key)%2 == col {
+			return key
+		}
+	}
+}
+
+// TestChaosCellRestartConvergesUnaided pins why a restarted cell is repaired
+// from the database and not from a copy of its subscriptions kept at
+// subscribe time (DESIGN.md §3.4). A cell that holds the query is
+// panicked by a write — a bystander that does not match, or one that does —
+// after the result already changed since subscribe time; then a member the
+// lost cell was tracking leaves the result. The restarted cell has no
+// trackers, no staleness table and no retention ring: only a fresh read of
+// the database can tell it that the member was ever there. Nothing but the
+// heartbeat triggers the repair, and it runs once — also when the notify
+// topic reorders and duplicates heartbeats around the restart.
+func TestChaosCellRestartConvergesUnaided(t *testing.T) {
+	unsorted := query.Spec{Collection: "c", Filter: map[string]any{"v": map[string]any{"$gte": 0}}}
+	sorted := unsorted
+	sorted.Sort, sorted.Limit = []query.SortKey{{Path: "v", Desc: true}}, 3
+	notifyFaults := eventlayer.FaultConfig{
+		Seed: 29, ReorderRate: 0.3, DuplicateRate: 0.3, Topics: []string{core.NewTopics("").Notify("*")},
+	}
+	for _, tc := range []struct {
+		name   string
+		spec   query.Spec
+		boomV  int
+		faults eventlayer.FaultConfig
+	}{
+		{"unsorted/bystander-write", unsorted, -5, eventlayer.FaultConfig{}},
+		{"unsorted/matching-write", unsorted, 7, eventlayer.FaultConfig{}},
+		{"sorted-limit/bystander-write", sorted, -5, eventlayer.FaultConfig{}},
+		{"sorted-limit/matching-write", sorted, 7, eventlayer.FaultConfig{}},
+		{"unsorted/reordered-duplicated-heartbeats", unsorted, -5, notifyFaults},
+	} {
+		t.Run(tc.name, func(t *testing.T) { cellRestartScenario(t, tc.spec, tc.boomV, tc.faults) })
+	}
+}
+
+func cellRestartScenario(t *testing.T, spec query.Spec, boomV int, faults eventlayer.FaultConfig) {
+	var target atomic.Int64 // the match task to panic on its next write; -1 = none
+	target.Store(-1)
+	e := newChaosEnv(t, faults, core.Options{
+		MatchHook: func(taskID int, kind string) {
+			if (kind == "write" || kind == "writeBatch") && target.CompareAndSwap(int64(taskID), -1) {
+				panic("chaos: injected matching-node crash")
+			}
+		},
+	}, appserver.Options{})
+	sub, rec := mustSubscribe(t, e, spec)
+
+	// Every key lives in one write partition, so the cell that is lost is the
+	// one tracking the member that later leaves.
+	const col = 1
+	a, b, boom, post := keyInColumn("a", col), keyInColumn("b", col), keyInColumn("boom", col), keyInColumn("post", col)
+	for key, v := range map[string]int{a: 1, b: 2} {
+		if err := e.server.Insert("c", document.Document{"_id": key, "v": v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitConverged(t, e, sub, spec, 10*time.Second) // membership moved since subscribe time
+
+	hash, err := e.server.QueryHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target.Store(int64(hash%2)*2 + col) // the default 2 x 2 grid: task = row*2 + col
+	if err := e.server.Insert("c", document.Document{"_id": boom, "v": boomV}); err != nil {
+		t.Fatal(err)
+	}
+	waitMatchRestart(t, e)
+
+	// A fresh write shows up again: the cell is back in business, however it
+	// got its queries back. Then the member it tracked before the crash leaves.
+	if err := e.server.Insert("c", document.Document{"_id": post, "v": 3}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(resultIDs(sub), post) {
+		if time.Now().After(deadline) {
+			t.Fatalf("write after the restart never reached the result: %v", resultIDs(sub))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := e.server.Update("c", a, map[string]any{"$set": map[string]any{"v": -1}}); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, e, sub, spec, 10*time.Second)
+	rec.waitFor(t, "reconnected", 5*time.Second, func(ev appserver.Event) bool {
+		return ev.Type == appserver.EventReconnected
+	})
+	// One restart, one round: heartbeats keep arriving (reordered and
+	// duplicated in one variant) and must not start another.
+	time.Sleep(10 * e.cluster.Options().HeartbeatInterval)
+	counters := e.server.Metrics().Snapshot().Counters
+	if restarts, resubs := counters["appserver.cluster_restarts"], counters["appserver.resubscribes"]; restarts != 1 || resubs != 1 {
+		t.Fatalf("appserver.cluster_restarts = %d, resubscribes = %d; want 1 and 1", restarts, resubs)
+	}
+	if got := rec.countType(appserver.EventReconnected); got != 1 {
+		t.Fatalf("reconnected reported %d times, want 1", got)
+	}
+	if got := rec.countType(appserver.EventError); got != 0 {
+		t.Fatalf("saw %d error events, want 0", got)
+	}
+	if got := e.server.Reconnects(); got != 0 {
+		t.Fatalf("reconnects = %d, want 0: there was no heartbeat gap", got)
+	}
+	waitConverged(t, e, sub, spec, time.Second)
+}
+
+// awaitHeartbeat returns once the cluster has published a heartbeat for the
+// server's tenant after the call: the server's notification stream then holds
+// that heartbeat ahead of anything published later.
+func awaitHeartbeat(t *testing.T, e *chaosEnv) {
+	t.Helper()
+	sub, err := e.mem.Subscribe(e.topics.Notify(e.server.Tenant()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case msg := <-sub.C():
+			if env, err := core.DecodeWire(msg.Payload); err == nil && env.Kind == core.KindHeartbeat {
+				return
+			}
+		case <-deadline:
+			t.Fatal("timed out waiting for a cluster heartbeat")
+		}
+	}
+}
+
+// TestChaosFastClusterReplacementIsNoticed: the cluster process is replaced
+// faster than the heartbeat watchdog can notice a gap. The replacement holds
+// no queries and ignores TTL extensions for them, so without the Boot id in
+// its heartbeats the subscription would stay deaf until the client went away.
+func TestChaosFastClusterReplacementIsNoticed(t *testing.T) {
+	clusterOpts := core.Options{
+		QueryPartitions: 2, WritePartitions: 2,
+		TickInterval: 20 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond,
+	}
+	e := newChaosEnv(t, eventlayer.FaultConfig{}, clusterOpts, appserver.Options{
+		HeartbeatTimeout: 2 * time.Second,
+		// TTL extensions are how a replacement learns the tenant (and starts
+		// heartbeating) when no write happens to arrive.
+		ExtendInterval: 30 * time.Millisecond,
+	})
+	spec := query.Spec{Collection: "c", Filter: map[string]any{"v": map[string]any{"$gte": 0}}}
+	sub, rec := mustSubscribe(t, e, spec)
+	if err := e.server.Insert("c", document.Document{"_id": "k1", "v": 1}); err != nil {
+		t.Fatal(err)
+	}
+	rec.waitFor(t, "add before the replacement", 5*time.Second, func(ev appserver.Event) bool {
+		return ev.Type == appserver.EventAdd && ev.Key == "k1"
+	})
+	// The server knows the old process by its heartbeat; a process replaced
+	// before the server ever heard from it cannot be told from its successor.
+	awaitHeartbeat(t, e)
+
+	e.cluster.Stop()
+	replacement, err := core.NewCluster(e.fbus, clusterOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replacement.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer replacement.Stop()
+
+	for _, key := range []string{"k2", "k3"} {
+		if err := e.server.Insert("c", document.Document{"_id": key, "v": 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitConverged(t, e, sub, spec, 10*time.Second)
+	if ids := resultIDs(sub); ids != "[k1 k2 k3]" {
+		t.Fatalf("result = %v, want [k1 k2 k3]", ids)
+	}
+	rec.waitFor(t, "reconnected", 5*time.Second, func(ev appserver.Event) bool {
+		return ev.Type == appserver.EventReconnected
+	})
+	if got := e.server.Reconnects(); got != 0 {
+		t.Fatalf("reconnects = %d, want 0: the replacement was faster than the watchdog", got)
+	}
+	if !e.server.Connected() {
+		t.Fatal("server reports disconnected")
+	}
+	if got := e.server.Metrics().Snapshot().Counters["appserver.cluster_restarts"]; got != 1 {
+		t.Fatalf("appserver.cluster_restarts = %d, want 1", got)
+	}
+	if got := rec.countType(appserver.EventReconnected); got != 1 {
+		t.Fatalf("reconnected reported %d times, want 1", got)
 	}
 }

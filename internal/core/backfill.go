@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"invalidb/internal/query"
-)
+import "time"
 
 // This file is the matching-grid half of the watermark-certified backfill
 // protocol (DESIGN.md §12). The application server reads the store in chunks,
@@ -132,7 +128,7 @@ func (b *matchBolt) reconcileChunk(p *backfillChunkPayload) {
 		// No live query at this cell: the subscribe tuple was lost or the
 		// subscription expired mid-backfill. Withhold the certificate — the
 		// application server's chunk timeout resends, and a restarted cell
-		// triggers a restart certificate via resync.
+		// shows in the heartbeat, which restarts the backfill at its driver.
 		return
 	}
 	b.c.mBackfillChunks.Inc()
@@ -193,80 +189,4 @@ func (c *Cluster) publishBackfillCert(cert *BackfillCert) {
 		return
 	}
 	_ = c.bus.Publish(c.topics.Notify(cert.Tenant), data)
-}
-
-// backfillRestartCerts publishes a restart certificate for every in-flight
-// backfill whose query row contains a restarted matching cell. The restarted
-// cell lost its watermark window state, so certificates it owed can never be
-// issued; the restart certificate tells the application server to abandon the
-// attempt and start a fresh backfill (new BackfillID, new cursor) against the
-// resynced query state. row and qp come from the partition map the resync
-// resolved against, not from cluster options — the global row count changes
-// across resize epochs.
-func (c *Cluster) backfillRestartCerts(row, qp int) {
-	cells := c.opts.WritePartitions
-	if cur := c.maps.current(); cur != nil {
-		cells = cur.m.WritePartitions
-	}
-	c.regMu.Lock()
-	var certs []*BackfillCert
-	for hash, sids := range c.registry {
-		if int(hash%uint64(qp)) != row {
-			continue
-		}
-		for _, e := range sids {
-			if !e.backfilling {
-				continue
-			}
-			certs = append(certs, &BackfillCert{
-				Tenant:         e.req.Tenant,
-				SubscriptionID: e.req.SubscriptionID,
-				BackfillID:     e.backfillID,
-				QueryID:        QueryIDString(hash),
-				Chunk:          -1,
-				Cells:          cells,
-				Status:         BackfillStatusRestart,
-			})
-		}
-	}
-	c.regMu.Unlock()
-	for _, cert := range certs {
-		c.publishBackfillCert(cert)
-	}
-}
-
-// registerBackfill records a backfilling subscription. The entry starts with
-// an empty Result that accumulates certified chunks (appendBackfillResult),
-// so a resync re-installs everything delivered so far; a restarted backfill
-// re-registers under a fresh BackfillID, resetting the accumulation.
-func (c *Cluster) registerBackfill(req *SubscribeRequest, q *query.Query, hash uint64, ttl time.Duration, bfid string) {
-	c.regMu.Lock()
-	sids := c.registry[hash]
-	if sids == nil {
-		sids = map[string]*regEntry{}
-		c.registry[hash] = sids
-	}
-	//invalidb:allow coarseclock control-plane TTL deadline, not on the write path
-	deadline := time.Now().Add(ttl)
-	sids[req.SubscriptionID] = &regEntry{
-		req: req, q: q, hash: hash, deadline: deadline,
-		backfillID: bfid, backfilling: true, lastChunk: -1,
-	}
-	c.regMu.Unlock()
-}
-
-// appendBackfillResult folds a chunk's entries into the registry entry's
-// accumulated bootstrap result, so a matching-cell resync mid-backfill
-// re-installs every chunk already shipped. Chunks arrive in order and
-// re-sends repeat an index, so only indexes beyond the high-water chunk are
-// appended — a retried chunk does not duplicate its entries.
-func (c *Cluster) appendBackfillResult(hash uint64, sid, bfid string, chunk int, entries []ResultEntry) {
-	c.regMu.Lock()
-	if sids := c.registry[hash]; sids != nil {
-		if e := sids[sid]; e != nil && e.backfillID == bfid && chunk > e.lastChunk {
-			e.lastChunk = chunk
-			e.req.Result = append(e.req.Result, entries...)
-		}
-	}
-	c.regMu.Unlock()
 }

@@ -2,12 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"invalidb/internal/eventlayer"
 	"invalidb/internal/metrics"
-	"invalidb/internal/query"
 	"invalidb/internal/topology"
 )
 
@@ -42,8 +43,6 @@ type Options struct {
 	// stages (the paper used 1 and 4 in all experiments). Defaults 1 and 4.
 	QueryIngestNodes int
 	WriteIngestNodes int
-	// SortNodes sizes the sorting stage. Default: QueryPartitions.
-	SortNodes int
 	// NodeCapacity throttles each matching node to this many
 	// match-operations per second (one match-op = one after-image evaluated
 	// against one registered query). Zero disables throttling. This is the
@@ -51,10 +50,6 @@ type Options struct {
 	// capped to 80% of one core); saturation behaviour — queue growth, then
 	// latency SLA violations — emerges exactly as in the testbed.
 	NodeCapacity int
-	// NodeBurst overrides the matching-node limiter's burst allowance in
-	// match-operations; zero selects ratelimit's default (5% of
-	// NodeCapacity, i.e. 50ms of headroom).
-	NodeBurst float64
 	// RetentionTime bounds the write-stream retention buffer used for
 	// subscription replay and staleness avoidance (§5.1; Baqend production
 	// uses a few seconds). Default 5s.
@@ -62,8 +57,6 @@ type Options struct {
 	// HeartbeatInterval is the cadence of heartbeats on tenant notification
 	// topics. Default 1s.
 	HeartbeatInterval time.Duration
-	// DefaultTTL applies to subscriptions that do not specify one. Default 60s.
-	DefaultTTL time.Duration
 	// TickInterval drives TTL expiry and retention pruning inside matching
 	// nodes. Default 250ms.
 	TickInterval time.Duration
@@ -113,6 +106,17 @@ type Stage struct {
 	Factory func(c *Cluster) topology.Bolt
 }
 
+// defaultTTL applies to subscribe and extend requests that carry no TTL.
+const defaultTTL = 60 * time.Second
+
+// ttlOf converts a request's TTLMillis, defaulting when it carries none.
+func ttlOf(millis int64) time.Duration {
+	if millis <= 0 {
+		return defaultTTL
+	}
+	return time.Duration(millis) * time.Millisecond
+}
+
 func (o Options) withDefaults() Options {
 	if o.Namespace == "" {
 		o.Namespace = "invalidb"
@@ -135,17 +139,11 @@ func (o Options) withDefaults() Options {
 	if o.WriteIngestNodes <= 0 {
 		o.WriteIngestNodes = 4
 	}
-	if o.SortNodes <= 0 {
-		o.SortNodes = o.QueryPartitions
-	}
 	if o.RetentionTime <= 0 {
 		o.RetentionTime = 5 * time.Second
 	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = time.Second
-	}
-	if o.DefaultTTL <= 0 {
-		o.DefaultTTL = 60 * time.Second
 	}
 	if o.TickInterval <= 0 {
 		o.TickInterval = 250 * time.Millisecond
@@ -177,21 +175,18 @@ type Cluster struct {
 	tenantMu sync.RWMutex
 	tenants  map[string]struct{}
 
-	// registry is the cluster-wide record of active subscriptions,
-	// maintained by the query-ingest stage (§5.1: the ingestion nodes are
-	// stateless, so the registry lives on the shared cluster object where
-	// every ingest task can serve a resync for a recovering grid cell).
-	regMu    sync.Mutex
-	registry map[uint64]map[string]*regEntry // query hash -> sid -> entry
-
-	// pendingResync holds resync requests for recovering stateful tasks that
-	// no query-ingest node has processed yet. The heartbeat loop re-publishes
-	// them every interval, so a resync lost to an event-layer fault (drop,
-	// partition) — exactly the conditions the chaos suite injects — is
-	// retried until it lands instead of leaving the restarted cell with an
-	// empty query set forever.
-	resyncMu      sync.Mutex
-	pendingResync map[string]*ResyncRequest // "component/task" -> request
+	// boot identifies this Cluster value in its heartbeats: drawn once at
+	// random, so a replacement process is told apart from the one it replaced
+	// even when no heartbeat gap separates them.
+	boot uint64
+	// stateful names the components whose tasks hold query state; a
+	// supervisor restart of one is reported in the heartbeat (Restarts).
+	stateful map[string]bool
+	// held is what the matching cells hold, one slot per match task, written
+	// by each column-0 cell on its tick (every query lives on all columns of
+	// its row, so column 0 counts each once). A restarted cell overwrites its
+	// slot with its fresh, smaller count.
+	held []heldCounts
 
 	stopHB  chan struct{}
 	hbWG    sync.WaitGroup
@@ -240,18 +235,18 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 		reg = metrics.NewRegistry()
 	}
 	c := &Cluster{
-		opts:          opts,
-		topics:        NewTopics(opts.Namespace),
-		bus:           bus,
-		tenants:       map[string]struct{}{},
-		registry:      map[uint64]map[string]*regEntry{},
-		pendingResync: map[string]*ResyncRequest{},
-		stopHB:        make(chan struct{}),
-		metrics:       reg,
-		mWrites:       reg.Counter("cluster.writes_ingested"),
-		mMatched:      reg.Counter("cluster.writes_matched"),
-		mNotifs:       reg.Counter("cluster.notifications"),
-		mInstalls:     reg.Counter("cluster.subscribes"),
+		opts:      opts,
+		topics:    NewTopics(opts.Namespace),
+		bus:       bus,
+		tenants:   map[string]struct{}{},
+		boot:      rand.Uint64(),
+		stateful:  map[string]bool{"match": true, "sort": true},
+		stopHB:    make(chan struct{}),
+		metrics:   reg,
+		mWrites:   reg.Counter("cluster.writes_ingested"),
+		mMatched:  reg.Counter("cluster.writes_matched"),
+		mNotifs:   reg.Counter("cluster.notifications"),
+		mInstalls: reg.Counter("cluster.subscribes"),
 
 		mCandWrites:    reg.Counter("queryindex.writes"),
 		mCandProbed:    reg.Counter("queryindex.candidates.probed"),
@@ -274,6 +269,7 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 		c.layout = gridLayout{rows: opts.QueryPartitions, cols: opts.WritePartitions}
 		c.maps.install(IdentityMap(opts.QueryPartitions, opts.WritePartitions), "")
 	}
+	c.held = make([]heldCounts, c.layout.tasks())
 	b := topology.NewBuilder()
 
 	// Event-layer sources: one spout per inbound topic; the ingestion bolts
@@ -312,7 +308,7 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 
 	b.SetBolt("sort", func() topology.Bolt {
 		return newSortBolt(c)
-	}, opts.SortNodes).
+	}, opts.QueryPartitions).
 		FieldsGrouping("match", "qkey").
 		FieldsGroupingStream("query-ingest", streamBootstrap, "qkey").
 		BroadcastGrouping("tick")
@@ -323,6 +319,7 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 			parallelism = 1
 		}
 		factory := st.Factory
+		c.stateful[st.Name] = true
 		b.SetBolt(st.Name, func() topology.Bolt {
 			return factory(c)
 		}, parallelism).
@@ -334,7 +331,6 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 	top, err := b.Build(topology.Config{
 		QueueSize:       opts.QueueSize,
 		MaxTaskRestarts: opts.MaxTaskRestarts,
-		OnTaskRestart:   c.onTaskRestart,
 	})
 	if err != nil {
 		return nil, err
@@ -343,23 +339,18 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 	top.RegisterMetrics(reg)
 	RegisterWireMetrics(reg)
 	reg.Gauge("cluster.queries", func() float64 {
-		c.regMu.Lock()
-		defer c.regMu.Unlock()
-		return float64(len(c.registry))
-	})
-	reg.Gauge("cluster.subscriptions", func() float64 {
-		c.regMu.Lock()
-		defer c.regMu.Unlock()
-		n := 0
-		for _, sids := range c.registry {
-			n += len(sids)
+		n := int64(0)
+		for i := range c.held {
+			n += c.held[i].queries.Load()
 		}
 		return float64(n)
 	})
-	reg.Gauge("cluster.pending_resyncs", func() float64 {
-		c.resyncMu.Lock()
-		defer c.resyncMu.Unlock()
-		return float64(len(c.pendingResync))
+	reg.Gauge("cluster.subscriptions", func() float64 {
+		n := int64(0)
+		for i := range c.held {
+			n += c.held[i].subs.Load()
+		}
+		return float64(n)
 	})
 	reg.Gauge("cluster.tenants", func() float64 {
 		c.tenantMu.RLock()
@@ -476,8 +467,14 @@ func (c *Cluster) heartbeatLoop() {
 		case <-c.stopHB:
 			return
 		case now := <-ticker.C:
-			c.pruneRegistry(now)
-			c.retryResyncs()
+			// Restarts is read fresh at every tick and nothing is recorded as
+			// pending: the next heartbeat is the retry of a lost one.
+			var restarts uint64
+			for _, st := range c.top.Stats() {
+				if c.stateful[st.Component] {
+					restarts += st.Restarts
+				}
+			}
 			c.tenantMu.RLock()
 			tenants := make([]string, 0, len(c.tenants))
 			for t := range c.tenants {
@@ -488,6 +485,9 @@ func (c *Cluster) heartbeatLoop() {
 				env := &Envelope{Kind: KindHeartbeat, Heartbeat: &Heartbeat{
 					Tenant:     tenant,
 					TimeMillis: now.UnixMilli(),
+					Node:       c.opts.NodeID,
+					Boot:       c.boot,
+					Restarts:   restarts,
 				}}
 				if data, err := env.Encode(); err == nil {
 					_ = c.bus.Publish(c.topics.Notify(tenant), data)
@@ -586,168 +586,7 @@ func (c *Cluster) publishNotification(n *Notification) {
 	_ = c.bus.Publish(c.topics.Notify(n.Tenant), data)
 }
 
-// regEntry is the registry's record of one active subscription: everything
-// needed to re-issue its subscribe to a recovering node, including the
-// bootstrap result the application server delivered (a restarted matching
-// node re-installs it and then closes the gap via retention replay and the
-// client's own re-subscription path).
-type regEntry struct {
-	req      *SubscribeRequest
-	q        *query.Query
-	hash     uint64
-	deadline time.Time
-	// Backfill bookkeeping: the in-flight backfill's identity, whether one
-	// was ever started for this registration (restart certificates target
-	// these entries), and the highest chunk index folded into req.Result
-	// (so a retried chunk is not appended twice). A restarted backfill
-	// re-registers, resetting all three.
-	backfillID  string
-	backfilling bool
-	lastChunk   int
-}
-
-// registerSubscription records (or refreshes) a subscription.
-func (c *Cluster) registerSubscription(req *SubscribeRequest, q *query.Query, hash uint64, ttl time.Duration) {
-	c.regMu.Lock()
-	sids := c.registry[hash]
-	if sids == nil {
-		sids = map[string]*regEntry{}
-		c.registry[hash] = sids
-	}
-	//invalidb:allow coarseclock control-plane TTL deadline, not on the write path
-	sids[req.SubscriptionID] = &regEntry{req: req, q: q, hash: hash, deadline: time.Now().Add(ttl)}
-	c.regMu.Unlock()
-}
-
-func (c *Cluster) cancelSubscription(hash uint64, sid string) {
-	c.regMu.Lock()
-	if sids := c.registry[hash]; sids != nil {
-		delete(sids, sid)
-		if len(sids) == 0 {
-			delete(c.registry, hash)
-		}
-	}
-	c.regMu.Unlock()
-}
-
-func (c *Cluster) extendSubscription(hash uint64, sid string, ttl time.Duration) {
-	c.regMu.Lock()
-	if sids := c.registry[hash]; sids != nil {
-		if e := sids[sid]; e != nil {
-			//invalidb:allow coarseclock control-plane TTL deadline, not on the write path
-			e.deadline = time.Now().Add(ttl)
-		}
-	}
-	c.regMu.Unlock()
-}
-
-// pruneRegistry drops registry entries whose TTL deadline has passed. It
-// runs on every heartbeat tick so subscriptions abandoned without a Cancel
-// (clients that simply vanish) do not accumulate — each entry retains its
-// full bootstrap Result slice, so lazy pruning only on resync would leak
-// unbounded memory in a long-running cluster.
-func (c *Cluster) pruneRegistry(now time.Time) {
-	c.regMu.Lock()
-	for hash, sids := range c.registry {
-		for sid, e := range sids {
-			if now.After(e.deadline) {
-				delete(sids, sid)
-			}
-		}
-		if len(sids) == 0 {
-			delete(c.registry, hash)
-		}
-	}
-	c.regMu.Unlock()
-}
-
-// snapshotSubscriptions returns all live registry entries, lazily pruning
-// expired ones (their matching-node state expires on ticks anyway).
-func (c *Cluster) snapshotSubscriptions() []*regEntry {
-	//invalidb:allow coarseclock heartbeat-rate registry pruning, not on the write path
-	now := time.Now()
-	c.regMu.Lock()
-	var out []*regEntry
-	for hash, sids := range c.registry {
-		for sid, e := range sids {
-			if now.After(e.deadline) {
-				delete(sids, sid)
-				continue
-			}
-			out = append(out, e)
-		}
-		if len(sids) == 0 {
-			delete(c.registry, hash)
-		}
-	}
-	c.regMu.Unlock()
-	return out
-}
-
-// onTaskRestart is the supervisor's recovery hook: when a stateful task
-// (matching or sorting/extension node) comes back with a fresh — and
-// therefore empty — instance, a resync request is published on the queries
-// topic. It flows through the regular ingest path, so whichever ingest
-// node receives it re-broadcasts the registry's subscriptions to the
-// recovering cell in order with other control traffic. The request is also
-// recorded as pending and re-published on every heartbeat tick until an
-// ingest node processes it (resyncHandled): a single fire-and-forget
-// publish could be eaten by the very faults the recovery exists to survive,
-// leaving the cell with an empty query set indefinitely.
-func (c *Cluster) onTaskRestart(component string, taskID int) {
-	stateful := component == "match" || component == "sort"
-	for _, st := range c.opts.ExtraStages {
-		if st.Name == component {
-			stateful = true
-		}
-	}
-	if !stateful {
-		return // ingestion stages and spouts hold no query state
-	}
-	r := &ResyncRequest{Component: component, TaskID: taskID}
-	c.resyncMu.Lock()
-	c.pendingResync[resyncKey(component, taskID)] = r
-	c.resyncMu.Unlock()
-	c.publishResync(r)
-}
-
-func resyncKey(component string, taskID int) string {
-	return fmt.Sprintf("%s/%d", component, taskID)
-}
-
-func (c *Cluster) publishResync(r *ResyncRequest) {
-	env := &Envelope{Kind: KindResync, Resync: r}
-	data, err := env.Encode()
-	if err != nil {
-		return
-	}
-	_ = c.bus.Publish(c.topics.Queries(), data)
-}
-
-// retryResyncs re-publishes every resync request not yet seen by an ingest
-// node. Duplicates are harmless: healthy owners treat the repeated
-// subscribes as idempotent renewals.
-func (c *Cluster) retryResyncs() {
-	c.resyncMu.Lock()
-	pending := make([]*ResyncRequest, 0, len(c.pendingResync))
-	for _, r := range c.pendingResync {
-		pending = append(pending, r)
-	}
-	c.resyncMu.Unlock()
-	for _, r := range pending {
-		c.publishResync(r)
-	}
-}
-
-// resyncHandled marks a recovering task's resync as delivered; called by
-// query ingestion when it processes the request. It reports whether this
-// process was waiting for it: a request for another process's task, or a
-// retried duplicate of one already served, is not.
-func (c *Cluster) resyncHandled(component string, taskID int) bool {
-	key := resyncKey(component, taskID)
-	c.resyncMu.Lock()
-	_, pending := c.pendingResync[key]
-	delete(c.pendingResync, key)
-	c.resyncMu.Unlock()
-	return pending
+// heldCounts is one matching cell's slot of Cluster.held.
+type heldCounts struct {
+	queries, subs atomic.Int64
 }

@@ -175,7 +175,6 @@ func (b *queryIngestBolt) Execute(t *topology.Tuple) {
 		b.handleSubscribe(env.Subscribe)
 	case KindCancel:
 		b.c.registerTenant(env.Cancel.Tenant)
-		b.c.cancelSubscription(env.Cancel.QueryHash, env.Cancel.SubscriptionID)
 		// Cancels resolve at their stamped epoch: during a migration the
 		// application server cancels the OLD owner specifically, while the
 		// new owner's fresh install stays untouched.
@@ -191,11 +190,6 @@ func (b *queryIngestBolt) Execute(t *topology.Tuple) {
 		// periodic TTL extensions and starts heartbeating, which is the
 		// signal application servers wait for before re-subscribing.
 		b.c.registerTenant(env.Extend.Tenant)
-		ttl := time.Duration(env.Extend.TTLMillis) * time.Millisecond
-		if ttl <= 0 {
-			ttl = b.c.opts.DefaultTTL
-		}
-		b.c.extendSubscription(env.Extend.QueryHash, env.Extend.SubscriptionID, ttl)
 		// Extends fan under BOTH epochs: mid-migration the subscription is
 		// installed on the old and the new owner, and an extend that reached
 		// only one would let the other expire under load. Repeats to the
@@ -207,8 +201,6 @@ func (b *queryIngestBolt) Execute(t *topology.Tuple) {
 		if prev != nil {
 			b.fanToRow(prev, kindExtend, env.Extend.QueryHash, env.Extend)
 		}
-	case KindResync:
-		b.handleResync(env.Resync)
 	case KindBackfillStart:
 		b.handleBackfillStart(env.BackfillStart)
 	case KindBackfillChunk:
@@ -236,14 +228,6 @@ func (b *queryIngestBolt) handleSubscribe(req *SubscribeRequest) {
 	}
 	b.c.registerTenant(req.Tenant)
 	hash := TenantQueryHash(req.Tenant, q)
-	ttl := time.Duration(req.TTLMillis) * time.Millisecond
-	if ttl <= 0 {
-		ttl = b.c.opts.DefaultTTL
-	}
-	// The registry is maintained on every process regardless of ownership:
-	// any ingest node can then serve a resync after a resize moves the row
-	// here, and the coordinator never has to replicate registry state.
-	b.c.registerSubscription(req, q, hash, ttl)
 	r := b.c.maps.at(req.Epoch)
 	if r == nil {
 		return // grid node awaiting its first partition map
@@ -254,6 +238,7 @@ func (b *queryIngestBolt) handleSubscribe(req *SubscribeRequest) {
 		return // another process owns this row
 	}
 	b.c.mInstalls.Inc()
+	ttl := ttlOf(req.TTLMillis)
 	wp := r.m.WritePartitions
 
 	// Slice the bootstrap result by write partition: every matching node of
@@ -279,12 +264,12 @@ func (b *queryIngestBolt) handleSubscribe(req *SubscribeRequest) {
 	}
 }
 
-// handleBackfillStart registers a backfilling subscription and installs the
-// query — with an empty bootstrap partition — on every cell of its row, so
-// live deltas flow to the application server from the first chunk on. The
-// initial result follows incrementally as BackfillChunks (DESIGN.md §12);
-// ordered queries keep the legacy bootstrap path, because their sorting-stage
-// state needs the full result at install time.
+// handleBackfillStart installs a backfilling subscription's query — with an
+// empty bootstrap partition — on every cell of its row, so live deltas flow
+// to the application server from the first chunk on. The initial result
+// follows incrementally as BackfillChunks (DESIGN.md §12); ordered queries
+// keep the legacy bootstrap path, because their sorting-stage state needs the
+// full result at install time.
 func (b *queryIngestBolt) handleBackfillStart(bs *BackfillStart) {
 	q, err := b.c.opts.Engine.Compile(bs.Query)
 	if err != nil {
@@ -313,18 +298,6 @@ func (b *queryIngestBolt) handleBackfillStart(bs *BackfillStart) {
 	}
 	b.c.registerTenant(bs.Tenant)
 	hash := TenantQueryHash(bs.Tenant, q)
-	ttl := time.Duration(bs.TTLMillis) * time.Millisecond
-	if ttl <= 0 {
-		ttl = b.c.opts.DefaultTTL
-	}
-	req := &SubscribeRequest{
-		Tenant:         bs.Tenant,
-		SubscriptionID: bs.SubscriptionID,
-		Query:          bs.Query,
-		Slack:          bs.Slack,
-		TTLMillis:      bs.TTLMillis,
-	}
-	b.c.registerBackfill(req, q, hash, ttl, bs.BackfillID)
 	r := b.c.maps.at(bs.Epoch)
 	if r == nil {
 		return
@@ -335,6 +308,14 @@ func (b *queryIngestBolt) handleBackfillStart(bs *BackfillStart) {
 		return
 	}
 	b.c.mInstalls.Inc()
+	ttl := ttlOf(bs.TTLMillis)
+	req := &SubscribeRequest{
+		Tenant:         bs.Tenant,
+		SubscriptionID: bs.SubscriptionID,
+		Query:          bs.Query,
+		Slack:          bs.Slack,
+		TTLMillis:      bs.TTLMillis,
+	}
 	for w := 0; w < r.m.WritePartitions; w++ {
 		payload := &subscribePayload{req: req, q: q, hash: hash, slack: bs.Slack, ttl: ttl, backfill: true}
 		b.out.EmitDirect(b.c.layout.task(slot, w), topology.Values{kindSubscribe, QueryIDString(hash), payload})
@@ -348,11 +329,8 @@ func (b *queryIngestBolt) handleBackfillStart(bs *BackfillStart) {
 // handleBackfillChunk slices a chunk by write partition and fans it to every
 // cell of the query's row — including cells whose slice is empty, because
 // each cell must certify that its partition's in-window writes are folded in.
-// The entries also accumulate in the subscription registry, so a mid-backfill
-// resync re-installs everything shipped so far.
 func (b *queryIngestBolt) handleBackfillChunk(bc *BackfillChunk) {
 	b.c.registerTenant(bc.Tenant)
-	b.c.appendBackfillResult(bc.QueryHash, bc.SubscriptionID, bc.BackfillID, bc.Chunk, bc.Entries)
 	r := b.c.maps.at(bc.Epoch)
 	if r == nil {
 		return
@@ -387,83 +365,6 @@ func (b *queryIngestBolt) fanToRow(r *routing, kind string, hash uint64, payload
 	}
 	for w := 0; w < r.m.WritePartitions; w++ {
 		b.out.EmitDirect(b.c.layout.task(slot, w), topology.Values{kind, QueryIDString(hash), payload})
-	}
-}
-
-// handleResync re-broadcasts the registry's active subscriptions to a
-// recovering task (§5.1: a restarted matching node rebuilds its query set
-// from the cluster's subscription registry). For a matching node, each
-// query of the cell's partition row is re-delivered with its write
-// partition's slice of the bootstrap result and the TTL that remains; for
-// sorting and extension stages the bootstraps are re-emitted on the
-// bootstrap stream, where fields grouping routes every query to its owner
-// task — healthy owners treat the repeat subscribe as idempotent.
-func (b *queryIngestBolt) handleResync(r *ResyncRequest) {
-	// The request names a component and task but no process, every grid node
-	// hears the queries topic, and the heartbeat re-publishes until served:
-	// only the process that still has the request pending answers it.
-	if !b.c.resyncHandled(r.Component, r.TaskID) {
-		return
-	}
-	entries := b.c.snapshotSubscriptions()
-	if r.Component == "match" {
-		slot, col := b.c.layout.cell(r.TaskID)
-		// Resync under every installed epoch: mid-migration a cell can hold
-		// installs from both the current and the previous map, and a restart
-		// loses both. Rows already covered under cur are skipped under prev.
-		cur, prev := b.c.maps.both()
-		// Row indexes only identify the same query set under the same QP
-		// count, so the repeat guard keys on both.
-		type rowID struct{ row, qp int }
-		resynced := map[rowID]bool{}
-		for _, rt := range []*routing{cur, prev} {
-			if rt == nil || col >= rt.m.WritePartitions {
-				continue // idle column under this map's dimensions
-			}
-			row := -1
-			for _, rs := range rt.owned {
-				if rs.slot == slot {
-					row = rs.row
-					break
-				}
-			}
-			if row < 0 || resynced[rowID{row, rt.m.QueryPartitions}] {
-				continue
-			}
-			resynced[rowID{row, rt.m.QueryPartitions}] = true
-			for _, e := range entries {
-				if rt.m.Row(e.hash) != row {
-					continue
-				}
-				var slice []ResultEntry
-				for _, re := range e.req.Result {
-					if int(document.HashKey(re.Key)%uint64(rt.m.WritePartitions)) == col {
-						slice = append(slice, re)
-					}
-				}
-				payload := &subscribePayload{
-					req: e.req, q: e.q, hash: e.hash, slack: e.req.Slack,
-					ttl: time.Until(e.deadline), entries: slice,
-				}
-				b.out.EmitDirect(r.TaskID, topology.Values{kindSubscribe, QueryIDString(e.hash), payload})
-			}
-			// The restarted cell lost its backfill window state (buffered
-			// chunks, watermarks seen), so certificates it owed will never
-			// arrive: tell the application servers of every in-flight backfill
-			// on this row to restart against the freshly resynced query state.
-			b.c.backfillRestartCerts(row, rt.m.QueryPartitions)
-		}
-		return
-	}
-	for _, e := range entries {
-		if !e.q.Ordered() && len(b.c.opts.ExtraStages) == 0 {
-			continue
-		}
-		payload := &subscribePayload{
-			req: e.req, q: e.q, hash: e.hash, slack: e.req.Slack,
-			ttl: time.Until(e.deadline), entries: e.req.Result,
-		}
-		b.out.EmitStream(streamBootstrap, topology.Values{kindSubscribe, QueryIDString(e.hash), payload})
 	}
 }
 

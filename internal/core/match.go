@@ -211,7 +211,7 @@ func (b *matchBolt) Prepare(ctx *topology.BoltContext, out topology.Collector) e
 	b.now = time.Now()
 	b.interner = newKeyInterner()
 	if cap := b.c.opts.NodeCapacity; cap > 0 {
-		b.bucket = ratelimit.New(float64(cap), b.c.opts.NodeBurst)
+		b.bucket = ratelimit.New(float64(cap), 0) // ratelimit's default burst
 	}
 	if b.c.opts.EnableQueryIndex {
 		b.qindex = newQueryIndex()
@@ -573,12 +573,8 @@ func (b *matchBolt) handleExtend(p *ExtendRequest) {
 	if _, ok := mq.subs[p.SubscriptionID]; !ok {
 		return
 	}
-	ttl := time.Duration(p.TTLMillis) * time.Millisecond
-	if ttl <= 0 {
-		ttl = b.c.opts.DefaultTTL
-	}
 	//invalidb:allow coarseclock control-plane TTL deadline at extend time
-	mq.subs[p.SubscriptionID] = time.Now().Add(ttl)
+	mq.subs[p.SubscriptionID] = time.Now().Add(ttlOf(p.TTLMillis))
 }
 
 // handleTick advances the coarse clock, expires subscriptions whose TTL
@@ -593,12 +589,14 @@ func (b *matchBolt) handleExtend(p *ExtendRequest) {
 // TestHandleTickExpiresManyInOneTick).
 func (b *matchBolt) handleTick(now time.Time) {
 	b.now = now
+	subs := 0
 	for hash, mq := range b.queries {
 		for sid, deadline := range mq.subs {
 			if now.After(deadline) {
 				delete(mq.subs, sid)
 			}
 		}
+		subs += len(mq.subs)
 		if len(mq.subs) == 0 {
 			b.removeQuery(mq)
 			// Exactly one cell per local row (column 0) informs the sorting
@@ -607,6 +605,12 @@ func (b *matchBolt) handleTick(now time.Time) {
 				b.out.Emit(topology.Values{kindExpire, QueryIDString(hash), hash})
 			}
 		}
+	}
+	if b.cell.Col == 0 {
+		// The cluster.queries / cluster.subscriptions gauges sum these slots.
+		held := &b.c.held[b.taskID]
+		held.queries.Store(int64(len(b.queries)))
+		held.subs.Store(int64(subs))
 	}
 	b.expireBackfills(now)
 	cutoff := now.Add(-b.c.opts.RetentionTime)

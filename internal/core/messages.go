@@ -145,7 +145,7 @@ type Notification struct {
 	// WriteNs/IngestNs/MatchNs are the stage timestamps (UnixNano) of the
 	// originating write: publisher send time, write-ingest entry, and
 	// matching-node emit. Zero for notifications not caused by a traced
-	// write (bootstrap diffs, resync replays). Receivers subtract
+	// write (bootstrap diffs). Receivers subtract
 	// adjacent stamps for the per-stage latency Breakdown; cross-node
 	// skew can make individual stages negative.
 	WriteNs  int64
@@ -161,8 +161,8 @@ const (
 	BackfillPhaseHigh = "high"
 	// BackfillStatusOK certifies a reconciled chunk.
 	BackfillStatusOK = "ok"
-	// BackfillStatusRestart tells the application server the owning matching
-	// node restarted mid-backfill and the backfill must start over.
+	// BackfillStatusRestart tells a backfill driver that the owning node
+	// restarted mid-backfill and the backfill must start over.
 	BackfillStatusRestart = "restart"
 )
 
@@ -226,10 +226,11 @@ type BackfillMark struct {
 }
 
 // BackfillCert is published on the tenant's notify topic by a matching cell
-// after reconciling a chunk (Status "ok"), or by query ingestion when a cell
-// of an in-flight backfill restarted and lost its window state (Status
-// "restart", Chunk -1). The application server admits the subscription once
-// it holds ok-certificates from all Cells distinct cells for every chunk.
+// after reconciling a chunk (Status "ok"). The application server admits the
+// subscription once it holds ok-certificates from all Cells distinct cells
+// for every chunk. Status "restart" (Chunk -1) never crosses the bus: the
+// application server hands it to its own backfill drivers when a heartbeat
+// shows that the node named in Origin restarted and lost its window state.
 type BackfillCert struct {
 	Tenant         string
 	SubscriptionID string
@@ -248,19 +249,6 @@ type BackfillCert struct {
 	Origin string
 	// Status is BackfillStatusOK or BackfillStatusRestart.
 	Status string
-}
-
-// ResyncRequest asks the cluster to re-broadcast active subscription state
-// to a restarted task. It is published cluster-internally on the queries
-// topic by the supervisor's restart hook; the query-ingest stage answers it
-// from its subscription registry (§5.1: failed matching nodes recover their
-// query set from their peers' registries).
-type ResyncRequest struct {
-	// Component is the topology component that restarted ("match",
-	// "sort", ...).
-	Component string
-	// TaskID is the restarted task's index within the component.
-	TaskID int
 }
 
 // Resize axes accepted by ResizeRequest.
@@ -301,11 +289,22 @@ type EpochAck struct {
 	Epoch uint64
 }
 
-// Heartbeat is periodically published on every tenant's notification topic;
-// application servers terminate subscriptions when heartbeats stop (§5.1).
+// Heartbeat is periodically published on every tenant's notification topic.
+// Application servers flag subscriptions disconnected when heartbeats stop
+// (§5.1), and re-subscribe a node's queries when its incarnation changes: the
+// cluster never repairs lost query state itself, it only says that it lost
+// some (DESIGN.md §3.4).
 type Heartbeat struct {
 	Tenant     string
 	TimeMillis int64
+	// Node is the emitting process (Options.NodeID; "" in single-process
+	// mode). Boot is drawn at random once per Cluster, so a replacement
+	// process differs from the one it replaced even without a heartbeat gap;
+	// Restarts counts supervisor restarts of the process's stateful tasks
+	// (matching, sorting, extension stages), each of which came back empty.
+	Node     string
+	Boot     uint64
+	Restarts uint64
 }
 
 // Envelope is the single wire format of the event layer: exactly one field
@@ -318,7 +317,6 @@ type Envelope struct {
 	Write         *WriteEvent
 	Notification  *Notification
 	Heartbeat     *Heartbeat
-	Resync        *ResyncRequest
 	BackfillStart *BackfillStart
 	BackfillChunk *BackfillChunk
 	BackfillMark  *BackfillMark
@@ -337,7 +335,6 @@ const (
 	KindWrite         = "write"
 	KindNotification  = "notification"
 	KindHeartbeat     = "heartbeat"
-	KindResync        = "resync"
 	KindBackfillStart = "backfillStart"
 	KindBackfillChunk = "backfillChunk"
 	KindBackfillMark  = "backfillMark"

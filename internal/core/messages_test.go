@@ -94,12 +94,8 @@ func TestClusterOptionDefaults(t *testing.T) {
 	if o.QueryPartitions != 1 || o.WritePartitions != 1 || o.WriteIngestNodes != 4 || o.QueryIngestNodes != 1 {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if o.SortNodes != 1 || o.Engine == nil || o.Namespace != "invalidb" {
+	if o.Engine == nil || o.Namespace != "invalidb" {
 		t.Fatalf("defaults: %+v", o)
-	}
-	o2 := Options{QueryPartitions: 8}.withDefaults()
-	if o2.SortNodes != 8 {
-		t.Fatalf("SortNodes should default to QP: %d", o2.SortNodes)
 	}
 }
 

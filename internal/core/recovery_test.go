@@ -52,36 +52,131 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestResyncIsServedOnlyByTheProcessThatAskedForIt: a ResyncRequest names a
-// component and task but no process, every grid node hears the queries topic,
-// and the heartbeat re-publishes a request until it is served. Only the node
-// whose task restarted may answer, and only once — another node re-installing
-// its healthy cell's queries would also publish a restart certificate for
-// every backfill in flight on its row, throwing away their progress.
-func TestResyncIsServedOnlyByTheProcessThatAskedForIt(t *testing.T) {
+func publishEnv(t *testing.T, bus eventlayer.Bus, topic string, env *Envelope) {
+	t.Helper()
+	data, err := env.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.Publish(topic, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// nextHeartbeat returns the next heartbeat delivered on sub.
+func nextHeartbeat(t *testing.T, sub eventlayer.Subscription) *Heartbeat {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case msg := <-sub.C():
+			if env, err := DecodeWire(msg.Payload); err == nil && env.Kind == KindHeartbeat {
+				return env.Heartbeat
+			}
+		case <-deadline:
+			t.Fatal("timeout waiting for a heartbeat")
+		}
+	}
+}
+
+// TestHeartbeatCarriesTheIncarnation: the cluster's whole part in recovery is
+// to say that it lost state (DESIGN.md §3.4). A 2 x 2 cluster's heartbeats
+// carry one Boot for its lifetime and Restarts = 0; one matching-cell panic
+// later Restarts = 1, same Boot; a second cluster on the same bus — a
+// replacement process — has a different Boot.
+func TestHeartbeatCarriesTheIncarnation(t *testing.T) {
 	bus := eventlayer.NewMemBus(eventlayer.MemBusOptions{})
 	defer bus.Close()
 	topics := NewTopics("")
-	publish := func(topic string, env *Envelope) {
-		t.Helper()
-		data, err := env.Encode()
+	notif, err := bus.Subscribe(topics.Notify("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer notif.Close()
+	start := func(hook func(int, string)) *Cluster {
+		cl, err := NewCluster(bus, Options{
+			QueryPartitions: 2, WritePartitions: 2,
+			TickInterval: 20 * time.Millisecond, HeartbeatInterval: 10 * time.Millisecond, MatchHook: hook,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := bus.Publish(topic, data); err != nil {
+		if err := cl.Start(); err != nil {
 			t.Fatal(err)
 		}
+		return cl
 	}
-	// A 2 x 1 grid: row 0 on node a, row 1 on node b. Both nodes run their
-	// cell as match[0], which is what makes an unaddressed request ambiguous.
-	publish(topics.Control(), &Envelope{Kind: KindPartitionMap, Map: &PartitionMap{
+	write := func(key string, version uint64) {
+		publishEnv(t, bus, topics.Writes(), &Envelope{Kind: KindWrite, Write: &WriteEvent{
+			Tenant: "t",
+			Image: &document.AfterImage{
+				Collection: "c", Key: key, Version: version, Op: document.OpInsert,
+				Doc: document.Document{"_id": key},
+			},
+		}})
+	}
+	hook := &kindCounter{crashOnWrite: true}
+	first := start(hook.hook)
+	defer first.Stop()
+
+	// An extend for a subscription nobody holds only makes the tenant known,
+	// so heartbeats start.
+	publishEnv(t, bus, topics.Queries(), &Envelope{Kind: KindExtend, Extend: &ExtendRequest{Tenant: "t", SubscriptionID: "none"}})
+	hb := nextHeartbeat(t, notif)
+	boot := hb.Boot
+	if hb.Node != "" || hb.Restarts != 0 {
+		t.Fatalf("first heartbeat = %+v, want Node \"\" and Restarts 0", hb)
+	}
+	for i := 0; i < 3; i++ {
+		if hb = nextHeartbeat(t, notif); hb.Boot != boot || hb.Restarts != 0 {
+			t.Fatalf("heartbeat %+v, want the stable Boot %#x and Restarts 0", hb, boot)
+		}
+	}
+
+	write("k1", 1) // detonates the cell it lands on
+	waitUntil(t, "Restarts = 1 in the heartbeat", func() bool {
+		hb = nextHeartbeat(t, notif)
+		return hb.Restarts == 1
+	})
+	if hb.Boot != boot {
+		t.Fatalf("Boot changed across a task restart: %#x -> %#x", boot, hb.Boot)
+	}
+	for i := 0; i < 3; i++ {
+		if hb = nextHeartbeat(t, notif); hb.Restarts != 1 {
+			t.Fatalf("heartbeat %+v after one restart, want Restarts 1", hb)
+		}
+	}
+
+	second := start(nil)
+	defer second.Stop()
+	write("k2", 2) // the new process learns the tenant
+	waitUntil(t, "a heartbeat from the second cluster", func() bool {
+		hb = nextHeartbeat(t, notif)
+		return hb.Boot != boot
+	})
+	if hb.Restarts != 0 {
+		t.Fatalf("second cluster's heartbeat = %+v, want Restarts 0", hb)
+	}
+}
+
+// TestNodeHoldsNothingForRowsItDoesNotOwn: every grid process hears every
+// subscribe; one that does not own the query's row learns the tenant and
+// nothing else — no cell installs the query, no count moves. (There used to
+// be an ingest-side copy of every subscription on every process.)
+func TestNodeHoldsNothingForRowsItDoesNotOwn(t *testing.T) {
+	bus := eventlayer.NewMemBus(eventlayer.MemBusOptions{})
+	defer bus.Close()
+	topics := NewTopics("")
+	// A 2 x 1 grid: row 0 on node a, row 1 on node b.
+	publishEnv(t, bus, topics.Control(), &Envelope{Kind: KindPartitionMap, Map: &PartitionMap{
 		Epoch: 1, QueryPartitions: 2, WritePartitions: 1,
 		Rows: []RowAssignment{{Node: "a", Slot: 0}, {Node: "b", Slot: 0}},
 	}})
-	hooks := map[string]*kindCounter{"a": {crashOnWrite: true}, "b": {}}
+	hooks := map[string]*kindCounter{"a": {}, "b": {}}
+	clusters := map[string]*Cluster{}
 	for name, h := range hooks {
 		cl, err := NewCluster(bus, Options{
-			NodeID: name, TickInterval: 20 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond,
+			NodeID: name, TickInterval: 10 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond,
 			MatchHook: h.hook,
 		})
 		if err != nil {
@@ -92,71 +187,43 @@ func TestResyncIsServedOnlyByTheProcessThatAskedForIt(t *testing.T) {
 		}
 		defer cl.Stop()
 		waitUntil(t, "partition map installed on "+name, func() bool { return cl.CurrentMap() != nil })
+		clusters[name] = cl
 	}
 	a, b := hooks["a"], hooks["b"]
 
-	// One query per row.
-	specs := map[int]query.Spec{}
-	for v := 0; len(specs) < 2; v++ {
-		spec := query.Spec{Collection: "c", Filter: map[string]any{"v": v}}
-		specs[int(TenantQueryHash("t", query.MustCompile(spec))%2)] = spec
-	}
-	notif, err := bus.Subscribe(topics.Notify("t"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer notif.Close()
-
-	ttl := time.Minute.Milliseconds()
-	publish(topics.Queries(), &Envelope{Kind: KindSubscribe, Subscribe: &SubscribeRequest{
-		Tenant: "t", SubscriptionID: "on-a", Query: specs[0], TTLMillis: ttl, Epoch: 1,
-	}})
-	// Node b's row has a backfill in flight: started, no chunk certified yet.
-	publish(topics.Queries(), &Envelope{Kind: KindBackfillStart, BackfillStart: &BackfillStart{
-		Tenant: "t", SubscriptionID: "on-b", BackfillID: "bf1", Query: specs[1], TTLMillis: ttl, Epoch: 1,
-	}})
-	waitUntil(t, "installs", func() bool { return a.count(kindSubscribe) == 1 && b.count(kindSubscribe) == 1 })
-
-	// The write detonates node a's cell; its supervisor restarts match[0] and
-	// node a asks for a resync on the shared queries topic.
-	publish(topics.Writes(), &Envelope{Kind: KindWrite, Write: &WriteEvent{
-		Tenant: "t",
-		Image: &document.AfterImage{
-			Collection: "c", Key: "k", Version: 1, Op: document.OpInsert,
-			Doc: document.Document{"_id": "k", "v": int64(-1)},
-		},
-	}})
-	waitUntil(t, "node a's cell resynced", func() bool { return a.count(kindSubscribe) == 2 })
-
-	// Deliver the request a second time, as a heartbeat retry racing the
-	// first delivery would, then flush both nodes' query ingestion with one
-	// extend per row: once a cell executed its extend, its node's ingest has
-	// handled everything published before it.
-	publish(topics.Queries(), &Envelope{Kind: KindResync, Resync: &ResyncRequest{Component: "match", TaskID: 0}})
-	for row, sid := range []string{"on-a", "on-b"} {
-		publish(topics.Queries(), &Envelope{Kind: KindExtend, Extend: &ExtendRequest{
-			Tenant: "t", SubscriptionID: sid, TTLMillis: ttl,
-			QueryHash: TenantQueryHash("t", query.MustCompile(specs[row])),
-		}})
-	}
-	waitUntil(t, "extends executed", func() bool { return a.count(kindExtend) == 1 && b.count(kindExtend) == 1 })
-
-	if got := a.count(kindSubscribe); got != 2 {
-		t.Errorf("node a's cell executed %d subscribes, want 2 (install + one resync)", got)
-	}
-	if got := b.count(kindSubscribe); got != 1 {
-		t.Errorf("node b's healthy cell executed %d subscribes, want 1 (install only): it served node a's resync", got)
-	}
-	for drained := false; !drained; {
-		select {
-		case msg := <-notif.C():
-			env, err := DecodeWire(msg.Payload)
-			if err == nil && env.Kind == KindBackfillCert && env.BackfillCert.Status == BackfillStatusRestart {
-				t.Errorf("restart certificate published for backfill %q on node b's healthy row", env.BackfillCert.BackfillID)
-			}
-		default:
-			drained = true
+	var spec query.Spec
+	for v := 0; ; v++ {
+		spec = query.Spec{Collection: "c", Filter: map[string]any{"v": v}}
+		if TenantQueryHash("t", query.MustCompile(spec))%2 == 0 {
+			break // a query of row 0, node a's
 		}
+	}
+	hash := TenantQueryHash("t", query.MustCompile(spec))
+	ttl := time.Minute.Milliseconds()
+	publishEnv(t, bus, topics.Queries(), &Envelope{Kind: KindSubscribe, Subscribe: &SubscribeRequest{
+		Tenant: "t", SubscriptionID: "s1", Query: spec, TTLMillis: ttl, Epoch: 1,
+		Result: []ResultEntry{{Key: "k", Version: 1, Doc: document.Document{"_id": "k"}}},
+	}})
+	// An extend flushes both nodes' query ingestion: node b's ingest has
+	// handled the subscribe once its tenant table shows the tenant.
+	publishEnv(t, bus, topics.Queries(), &Envelope{Kind: KindExtend, Extend: &ExtendRequest{
+		Tenant: "t", SubscriptionID: "s1", TTLMillis: ttl, QueryHash: hash,
+	}})
+	gauges := func(name string) (queries, subs, tenants float64) {
+		g := clusters[name].Metrics().Snapshot().Gauges
+		return g["cluster.queries"], g["cluster.subscriptions"], g["cluster.tenants"]
+	}
+	waitUntil(t, "node a holds the query", func() bool {
+		q, s, _ := gauges("a")
+		return a.count(kindExtend) == 1 && q == 1 && s == 1
+	})
+	waitUntil(t, "node b knows the tenant", func() bool { _, _, n := gauges("b"); return n == 1 })
+	if got := b.count(kindSubscribe) + b.count(kindExtend); got != 0 {
+		t.Errorf("node b's cell executed %d control tuples for a row it does not own", got)
+	}
+	time.Sleep(30 * time.Millisecond) // a few of node b's ticks
+	if q, s, _ := gauges("b"); q != 0 || s != 0 {
+		t.Errorf("node b holds %v queries / %v subscriptions of node a's row, want none", q, s)
 	}
 }
 

@@ -182,18 +182,20 @@ func (b *sortBolt) handleBootstrap(p *subscribePayload) {
 		b.queries[p.hash] = sq
 		return
 	}
+	_, resubscribed := sq.subs[p.req.SubscriptionID]
 	sq.subs[p.req.SubscriptionID] = struct{}{}
-	if sq.active {
+	if sq.active && !resubscribed {
 		// Additional subscription to an already-maintained query: the
 		// cluster state is authoritative; the new subscriber got its initial
 		// result from the application server.
 		return
 	}
-	// Renewal after a maintenance error: rebuild from the fresh result,
-	// fold in any changes that overtook the bootstrap, and emit the
-	// incremental transition from the last *published* window (§5.2) —
-	// subscribers have not seen anything since the error, so the diff base
-	// must be their state, not the node's.
+	// Renewal — after a maintenance error, or because the application server
+	// re-read the database for a subscription it already holds (a matching
+	// cell restarted, so deltas may never have reached this stage): rebuild
+	// from the fresh result, fold in any changes that overtook the bootstrap,
+	// and emit the incremental transition from the last *published* window
+	// (§5.2) — the diff base must be the subscribers' state, not the node's.
 	sq.entries = entries
 	b.sortEntries(sq)
 	sq.slack = p.slack // the server may raise the slack on reexecution

@@ -33,7 +33,7 @@ const (
 	wireTagWrite
 	wireTagNotification
 	wireTagHeartbeat
-	wireTagResync
+	_ // 7 was the resync request; reserved, so no later tag shifts
 	wireTagBackfillStart
 	wireTagBackfillChunk
 	wireTagBackfillMark
@@ -85,11 +85,12 @@ type wireKind struct {
 	decode func(b []byte, e *Envelope) error
 }
 
-// wireKinds is the set of envelope kinds, indexed by kind tag. Adding a kind
-// is adding a row, its two functions, the Envelope field and a fuzz seed;
-// TestEveryWireKindHasSeedAndRoundTrips fails on a row without a sample or
-// a seed. Row functions carry their own //invalidb:hotpath mark — the lint
-// suite's static call graph does not follow the table.
+// wireKinds is the set of envelope kinds, indexed by kind tag; a reserved tag
+// is a gap (the zero row). Adding a kind is adding a row, its two functions,
+// the Envelope field and a fuzz seed; TestEveryWireKindHasSeedAndRoundTrips
+// fails on a row without a sample or a seed. Row functions carry their own
+// //invalidb:hotpath mark — the lint suite's static call graph does not
+// follow the table.
 var wireKinds = [...]wireKind{
 	wireTagSubscribe:     {KindSubscribe, appendSubscribe, decodeSubscribe},
 	wireTagCancel:        {KindCancel, appendCancel, decodeCancel},
@@ -97,7 +98,6 @@ var wireKinds = [...]wireKind{
 	wireTagWrite:         {KindWrite, appendWrite, decodeWrite},
 	wireTagNotification:  {KindNotification, appendNotification, decodeNotification},
 	wireTagHeartbeat:     {KindHeartbeat, appendHeartbeat, decodeHeartbeat},
-	wireTagResync:        {KindResync, appendResync, decodeResync},
 	wireTagBackfillStart: {KindBackfillStart, appendBackfillStart, decodeBackfillStart},
 	wireTagBackfillChunk: {KindBackfillChunk, appendBackfillChunk, decodeBackfillChunk},
 	wireTagBackfillMark:  {KindBackfillMark, appendBackfillMark, decodeBackfillMark},
@@ -148,11 +148,12 @@ func countWire(msgs, bytes *[len(wireKinds)]atomic.Uint64, tag byte, n int) {
 	bytes[tag].Add(uint64(n))
 }
 
-// wireKindTag maps an envelope kind string to its tag (0 if unknown).
+// wireKindTag maps an envelope kind string to its tag (0 if unknown; the
+// empty kind is unknown, not the reserved row's empty name).
 //
 //invalidb:hotpath
 func wireKindTag(kind string) byte {
-	for tag := 1; tag < len(wireKinds); tag++ {
+	for tag := 1; tag < len(wireKinds) && kind != ""; tag++ {
 		if wireKinds[tag].name == kind {
 			return byte(tag)
 		}
@@ -192,7 +193,7 @@ func DecodeWire(data []byte) (*Envelope, error) {
 		return nil, errWireTruncated
 	}
 	tag := data[1]
-	if tag == 0 || int(tag) >= len(wireKinds) {
+	if int(tag) >= len(wireKinds) || wireKinds[tag].decode == nil { // 0 and reserved tags are no row
 		return nil, errWireBadKind
 	}
 	e := Envelope{Kind: wireKinds[tag].name}
@@ -341,17 +342,12 @@ func appendHeartbeat(b []byte, e *Envelope) ([]byte, error) {
 	if e.Heartbeat == nil {
 		return nil, errWireNoPayload
 	}
-	b = appendString(b, e.Heartbeat.Tenant)
-	return appendSvarint(b, e.Heartbeat.TimeMillis), nil
-}
-
-//invalidb:hotpath
-func appendResync(b []byte, e *Envelope) ([]byte, error) {
-	if e.Resync == nil {
-		return nil, errWireNoPayload
-	}
-	b = appendString(b, e.Resync.Component)
-	return appendSvarint(b, int64(e.Resync.TaskID)), nil
+	h := e.Heartbeat
+	b = appendString(b, h.Tenant)
+	b = appendSvarint(b, h.TimeMillis)
+	b = appendString(b, h.Node)
+	b = appendUvarint(b, h.Boot)
+	return appendUvarint(b, h.Restarts), nil
 }
 
 //invalidb:hotpath
@@ -1116,21 +1112,16 @@ func decodeHeartbeat(b []byte, e *Envelope) error {
 	if h.Tenant, err = r.str(); err != nil {
 		return err
 	}
-	h.TimeMillis, err = r.svarint()
-	return r.end(err)
-}
-
-//invalidb:hotpath
-func decodeResync(b []byte, e *Envelope) error {
-	r := wireReader{b}
-	//invalidb:allow hotpathalloc decoded envelope payload escapes to the caller
-	rs := new(ResyncRequest)
-	e.Resync = rs
-	var err error
-	if rs.Component, err = r.str(); err != nil {
+	if h.TimeMillis, err = r.svarint(); err != nil {
 		return err
 	}
-	rs.TaskID, err = r.intv()
+	if h.Node, err = r.str(); err != nil {
+		return err
+	}
+	if h.Boot, err = r.uvarint(); err != nil {
+		return err
+	}
+	h.Restarts, err = r.uvarint()
 	return r.end(err)
 }
 

@@ -71,8 +71,10 @@ func wireTestEnvelopes() []*Envelope {
 			Tenant: "t2", QueryID: "q00000000deadbeef", Type: MatchError,
 			Error: "index overflow", Index: -1, Seq: 100,
 		}},
-		{Kind: KindHeartbeat, Heartbeat: &Heartbeat{Tenant: "t3", TimeMillis: 1712345678901}},
-		{Kind: KindResync, Resync: &ResyncRequest{Component: "match", TaskID: 4}},
+		{Kind: KindHeartbeat, Heartbeat: &Heartbeat{
+			Tenant: "t3", TimeMillis: 1712345678901, Node: "node-a", Boot: 0xFEEDFACECAFEBEEF, Restarts: 2,
+		}},
+		{Kind: KindHeartbeat, Heartbeat: &Heartbeat{Tenant: "t3", TimeMillis: 1712345678901}}, // single-process: no node name
 		{Kind: KindBackfillStart, BackfillStart: &BackfillStart{
 			Tenant:         "t1",
 			SubscriptionID: "sub-7",
@@ -255,6 +257,12 @@ func TestEveryWireKindHasSeedAndRoundTrips(t *testing.T) {
 	seen := map[string]bool{}
 	for tag := 1; tag < len(wireKinds); tag++ {
 		k := wireKinds[tag]
+		if tag == 7 { // reserved: the resync request's tag is never reused
+			if k.name != "" || k.append != nil || k.decode != nil {
+				t.Fatalf("tag 7 must stay a gap, has row %q", k.name)
+			}
+			continue
+		}
 		if k.name == "" || k.append == nil || k.decode == nil || seen[k.name] {
 			t.Fatalf("tag %d: incomplete or duplicate row %q", tag, k.name)
 		}
@@ -384,7 +392,11 @@ func TestWireValidation(t *testing.T) {
 		"delete with doc":    cat([]byte{wireMagic, wireTagWrite}, str("t"), []byte{0}, str("c"), str("k"), []byte{1, 3, wireValObject, 0}),
 		"doc is a string":    cat([]byte{wireMagic, wireTagWrite}, str("t"), []byte{0}, str("c"), str("k"), []byte{1, 1, wireValString, 0}),
 		"sort desc 2":        cat([]byte{wireMagic, wireTagBackfillStart}, str("t"), str("s"), str("b"), []byte{0, 0}, str("c"), []byte{wireValNull, 1}, str("x"), []byte{2, 0, 0, 0, 0}),
+		"heartbeat no node":  cat([]byte{wireMagic, wireTagHeartbeat}, str("t"), []byte{2}),
+		"heartbeat no boot":  cat([]byte{wireMagic, wireTagHeartbeat}, str("t"), []byte{2}, str("n")),
+		"heartbeat no count": cat([]byte{wireMagic, wireTagHeartbeat}, str("t"), []byte{2}, str("n"), []byte{5}),
 		"tag 0":              {wireMagic, 0},
+		"tag 7 (reserved)":   cat([]byte{wireMagic, 7}, str("match"), []byte{8}),
 		"tag 16":             {wireMagic, byte(len(wireKinds)), 0},
 		"tag 255":            {wireMagic, 0xFF, 0xFF},
 	}
@@ -399,6 +411,10 @@ func TestWireValidation(t *testing.T) {
 		if env, err := DecodeWire(in); err == nil {
 			t.Errorf("%s: % x decoded to %#v", name, in, env)
 		}
+	}
+	if env, err := DecodeWire(append(undecodable["heartbeat no count"], 1)); err != nil ||
+		*env.Heartbeat != (Heartbeat{Tenant: "t", TimeMillis: 1, Node: "n", Boot: 5, Restarts: 1}) {
+		t.Errorf("heartbeat with all five fields: %+v, %v", env, err)
 	}
 	// The hand-built layouts above are right up to the one bad byte.
 	for name, fix := range map[string]func(b []byte){

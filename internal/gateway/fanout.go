@@ -103,7 +103,7 @@ func (g *Server) acquire(spec query.Spec) (*sharedQuery, error) {
 		}
 		return sq, nil
 	}
-	nShards := g.opts.FanOutShards
+	nShards := g.fanShards
 	sq := &sharedQuery{
 		g:        g,
 		hash:     hash,

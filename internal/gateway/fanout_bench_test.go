@@ -29,11 +29,12 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 // connections with live write loops.
 func newFanoutHarness(targets, shards int) (*Server, *sharedQuery, []*conn, func()) {
 	g := &Server{
-		opts:    Options{OutBudget: 1 << 20, ReadBuffer: 1 << 10, FanOutShards: shards, Logf: func(string, ...any) {}},
-		conns:   map[*conn]struct{}{},
-		queries: map[uint64]*sharedQuery{},
-		tenants: map[string]*tenantState{},
-		done:    make(chan struct{}),
+		opts:      Options{OutBudget: 1 << 20, ReadBuffer: 1 << 10, Logf: func(string, ...any) {}},
+		conns:     map[*conn]struct{}{},
+		queries:   map[uint64]*sharedQuery{},
+		tenants:   map[string]*tenantState{},
+		done:      make(chan struct{}),
+		fanShards: shards,
 	}
 	g.registerMetrics()
 	for i := 1; i < shards; i++ {

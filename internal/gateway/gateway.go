@@ -111,10 +111,6 @@ type Options struct {
 	// ReadBuffer is the per-connection read buffer size. Default 4 KiB —
 	// small, because at 100k connections every KiB here is 100 MB.
 	ReadBuffer int
-	// FanOutShards is the number of delivery workers event broadcast is
-	// sharded across. Default min(GOMAXPROCS, 8); 1 delivers inline on
-	// the pump goroutine.
-	FanOutShards int
 	// Quota maps a tenant name to its admission quota. Nil means no
 	// limits. The function is consulted once per tenant, at first sight.
 	Quota func(tenant string) Quota
@@ -129,12 +125,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReadBuffer <= 0 {
 		o.ReadBuffer = 4 << 10
-	}
-	if o.FanOutShards <= 0 {
-		o.FanOutShards = runtime.GOMAXPROCS(0)
-		if o.FanOutShards > 8 {
-			o.FanOutShards = 8
-		}
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -169,7 +159,10 @@ type Server struct {
 	pumpWG sync.WaitGroup // per-sharedQuery pump goroutines
 	done   chan struct{}  // closed after all pumps exit; stops workers
 
-	fanJobs []chan fanJob // workers for shards 1..FanOutShards-1
+	// fanShards is the number of delivery workers event broadcast is sharded
+	// across: min(GOMAXPROCS, 8); at 1 delivery is inline on the pump goroutine.
+	fanShards int
+	fanJobs   []chan fanJob // workers for shards 1..fanShards-1
 
 	clients   atomic.Int64
 	subsTotal atomic.Int64
@@ -205,16 +198,17 @@ func ServeOptions(srv *appserver.Server, addr string, opts Options) (*Server, er
 func ServeListener(srv *appserver.Server, ln net.Listener, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	g := &Server{
-		srv:     srv,
-		ln:      ln,
-		opts:    opts,
-		conns:   map[*conn]struct{}{},
-		queries: map[uint64]*sharedQuery{},
-		tenants: map[string]*tenantState{},
-		done:    make(chan struct{}),
+		srv:       srv,
+		ln:        ln,
+		opts:      opts,
+		conns:     map[*conn]struct{}{},
+		queries:   map[uint64]*sharedQuery{},
+		tenants:   map[string]*tenantState{},
+		done:      make(chan struct{}),
+		fanShards: min(runtime.GOMAXPROCS(0), 8),
 	}
 	g.registerMetrics()
-	for i := 1; i < opts.FanOutShards; i++ {
+	for i := 1; i < g.fanShards; i++ {
 		ch := make(chan fanJob, 1)
 		g.fanJobs = append(g.fanJobs, ch)
 		g.wg.Add(1)
@@ -321,7 +315,7 @@ func (g *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		nShards := g.opts.FanOutShards
+		nShards := g.fanShards
 		c := &conn{
 			g:     g,
 			nc:    nc,

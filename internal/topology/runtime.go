@@ -311,7 +311,6 @@ func (tk *task) spoutLoop(wg *sync.WaitGroup) {
 			return
 		}
 		tk.spout = fresh
-		tk.notifyRestart()
 	}
 }
 
@@ -348,12 +347,6 @@ func (tk *task) driveSpout() {
 		default:
 		}
 		tk.spout.Next()
-	}
-}
-
-func (tk *task) notifyRestart() {
-	if cb := tk.comp.top.cfg.OnTaskRestart; cb != nil {
-		go cb(tk.comp.def.id, tk.id)
 	}
 }
 
@@ -415,7 +408,6 @@ func (tk *task) boltLoop(wg *sync.WaitGroup) {
 			return
 		}
 		tk.bolt = fresh
-		tk.notifyRestart()
 	}
 }
 

@@ -261,14 +261,9 @@ type Config struct {
 	// panicking task with a fresh component instance before marking the
 	// task dead (a dead bolt task keeps draining and dropping its input so
 	// upstream never blocks). Zero selects 3; negative disables restarts
-	// entirely (first panic kills the task).
+	// entirely (first panic kills the task). A restarted task has lost its
+	// state; TaskStats.Restarts is how whoever owns that state finds out.
 	MaxTaskRestarts int
-	// OnTaskRestart, when set, is invoked on its own goroutine each time
-	// the supervisor has restarted a crashed task with a fresh instance.
-	// The hook is the integration point for state recovery: a restarted
-	// matching bolt has lost its query set, and whoever owns that state
-	// can use this callback to re-broadcast it.
-	OnTaskRestart func(component string, taskID int)
 }
 
 // Build validates the definition and instantiates a runnable topology.
