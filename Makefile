@@ -76,10 +76,12 @@ bench-smoke:
 # Allocation budgets of the compiled evaluator and the copy diet around it
 # (DESIGN.md §7): path walks, Match, Compare and the full-scan cell loop at
 # 0 allocs/op, ingest not re-copying decoded images, one insert within its
-# budget. Run without the race detector, whose instrumentation allocates.
+# budget, a bootstrap read copying only the rows it returns, an idle
+# subscription within its heap footprint and without a goroutine. Run without
+# the race detector, whose instrumentation allocates.
 alloc-smoke:
-	$(GO) test ./internal/document ./internal/query ./internal/core ./internal/storage -count=1 \
-		-run 'NoAllocs|AllocBudget|TestIngestDoesNotCopyDecodedImage'
+	$(GO) test ./internal/document ./internal/query ./internal/core ./internal/storage ./internal/appserver -count=1 \
+		-run 'NoAllocs|AllocBudget|Footprint|TestIngestDoesNotCopyDecodedImage'
 
 # Fuzz smoke: run each native fuzz target briefly past its seed corpus.
 fuzz-smoke:

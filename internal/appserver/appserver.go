@@ -52,7 +52,11 @@ type Options struct {
 	// one query renewal per query per interval, keeping the renewal load on
 	// the database predictable. Default 100ms.
 	RenewalMinInterval time.Duration
-	// EventBuffer is the per-subscription event queue length. Default 1024.
+	// EventBuffer bounds how many events may wait behind a subscription's
+	// consumer. It is a bound, not a reservation: the queue is empty while
+	// the consumer keeps up and grows with its lag; a consumer further behind
+	// than this receives one event carrying the full current result in place
+	// of what it missed (Subscription.Dropped counts those). Default 1024.
 	EventBuffer int
 	// Backfill switches unsorted subscriptions from the monolithic bootstrap
 	// (one FindEntries over the full result, shipped in a single subscribe
@@ -175,7 +179,7 @@ type Server struct {
 	mWrites     *metrics.Int // after-images forwarded to the cluster
 	mNotifs     *metrics.Int // notifications dispatched to subscriptions
 	mDedupDrops *metrics.Int // notifications dropped by seq/version dedup
-	mEventDrops *metrics.Int // events dropped on slow subscription consumers
+	mEventDrops *metrics.Int // events a lagging consumer's queue replaced by a result snapshot
 	mResubs     *metrics.Int // re-subscriptions published (failover recovery)
 	// mResubBackoff counts backoff sleeps taken while retrying a failed
 	// re-subscription publish; mBackfillRetries counts chunk re-sends after
@@ -402,19 +406,9 @@ func (s *Server) Subscribe(spec query.Spec) (*Subscription, error) {
 	}
 	s.mu.Unlock()
 
-	hash := core.TenantQueryHash(s.opts.Tenant, q)
-	sub := &Subscription{
-		server:  s,
-		id:      s.newSubscriptionID(),
-		q:       q,
-		hash:    hash,
-		ordered: q.Ordered(),
-		slack:   s.opts.Slack,
-		docs:    map[string]document.Document{},
-		events:  make(chan Event, s.opts.EventBuffer),
-	}
+	sub := s.newSubscription(q)
 	if m := s.currentMap(); m != nil {
-		sub.place = placeFor(m, hash)
+		sub.place = placeFor(m, sub.hash)
 	}
 
 	if s.opts.Backfill && !sub.ordered {

@@ -694,21 +694,8 @@ func mustStaleSubscribe(t *testing.T, e *env, spec query.Spec) *Subscription {
 	}
 	// The subscription's bootstrap result is computed WITHOUT the racing
 	// write (empty), as if the pull-based query ran first.
-	q := query.MustCompile(spec)
-	sub := &Subscription{
-		server:  e.server,
-		id:      "raceSub",
-		q:       q,
-		hash:    core.TenantQueryHash(e.server.Tenant(), q),
-		ordered: q.Ordered(),
-		slack:   3,
-		docs:    map[string]document.Document{},
-		events:  make(chan Event, 64),
-	}
-	e.server.mu.Lock()
-	e.server.subsByID[sub.id] = sub
-	e.server.subsByHash[sub.hash] = map[string]*Subscription{sub.id: sub}
-	e.server.mu.Unlock()
+	sub := e.server.newSubscription(query.MustCompile(spec))
+	e.server.attach(sub)
 
 	// Write reaches the cluster first...
 	if err := e.server.forward(ai); err != nil {

@@ -94,7 +94,10 @@ func TestResubscriptionRequestedDuringAPassRunsOneMorePass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go drain(sub)
+		go func() { // until srv.Close ends the stream
+			for range sub.C() {
+			}
+		}()
 	}
 	heartbeat(0) // first sight of the node
 

@@ -36,9 +36,11 @@ const (
 	// heartbeats resume. Clients may fall back to pull-based queries in the
 	// meantime.
 	EventDisconnected
-	// EventReconnected reports a completed automatic re-subscription after a
-	// heartbeat outage. Docs carries the full refreshed result, superseding
-	// every event delivered before the outage.
+	// EventReconnected carries the full current result in Docs, superseding
+	// every event delivered before it: after a completed automatic
+	// re-subscription (heartbeat outage, restarted cluster node), or in place
+	// of the events a consumer missed by falling more than
+	// Options.EventBuffer behind.
 	EventReconnected
 )
 
@@ -75,7 +77,7 @@ type Event struct {
 	// Index is the record's position in the visible result for sorted
 	// queries, -1 otherwise.
 	Index int
-	// Docs carries the full result for EventInitial.
+	// Docs carries the full result for EventInitial and EventReconnected.
 	Docs []document.Document
 	// Err is set for EventError.
 	Err error
@@ -109,8 +111,41 @@ type Subscription struct {
 	// maps to decide whether the subscription must move (DESIGN.md §13).
 	place placement
 
-	events  chan Event
-	dropped atomic.Uint64
+	// The event queue (DESIGN.md §14.3): events is a small fixed handoff to
+	// the consumer; what does not fit waits in backlog, which is empty while
+	// the consumer keeps up, grows with its lag and holds at most bound
+	// events. While draining is set a transient goroutine owns the sending
+	// side of events and every push queues behind it; done wakes it on Close.
+	events   chan Event
+	backlog  []Event
+	bound    int
+	draining bool
+	done     chan struct{}
+	dropped  atomic.Uint64
+}
+
+// handoffSlots sizes the channel behind C: enough that a consumer scheduled
+// a beat after the notification loop never meets a full channel (the
+// benchmark's deepest burst is 16 writes in flight), small enough that an
+// idle subscription costs about a kilobyte instead of the 80 KiB a channel
+// of EventBuffer slots reserved.
+const handoffSlots = 16
+
+// newSubscription builds the client-side state of one subscription to q; the
+// caller attaches it and installs or backfills the initial result.
+func (s *Server) newSubscription(q *query.Query) *Subscription {
+	return &Subscription{
+		server:  s,
+		id:      s.newSubscriptionID(),
+		q:       q,
+		hash:    core.TenantQueryHash(s.opts.Tenant, q),
+		ordered: q.Ordered(),
+		slack:   s.opts.Slack,
+		docs:    map[string]document.Document{},
+		events:  make(chan Event, handoffSlots),
+		bound:   s.opts.EventBuffer,
+		done:    make(chan struct{}),
+	}
 }
 
 // originState tracks the notification sequence stream of one emitting node
@@ -164,11 +199,13 @@ func (sub *Subscription) Query() *query.Query { return sub.q }
 // ends.
 func (sub *Subscription) C() <-chan Event { return sub.events }
 
-// Dropped reports events discarded because the consumer fell behind.
+// Dropped reports events shed because the consumer fell more than
+// Options.EventBuffer events behind; one event carrying the full result
+// stands in for them (see pushLocked).
 func (sub *Subscription) Dropped() uint64 { return sub.dropped.Load() }
 
 // Close cancels the subscription with the cluster and closes the event
-// stream.
+// stream. Events still queued behind the handoff are discarded.
 func (sub *Subscription) Close() error {
 	sub.mu.Lock()
 	if sub.closed {
@@ -176,7 +213,10 @@ func (sub *Subscription) Close() error {
 		return nil
 	}
 	sub.closed = true
-	close(sub.events)
+	close(sub.done)
+	if !sub.draining {
+		close(sub.events) // otherwise the drainer is the sender, and closes
+	}
 	sub.mu.Unlock()
 	sub.server.detach(sub)
 	sub.server.cancel(sub)
@@ -188,6 +228,12 @@ func (sub *Subscription) Close() error {
 func (sub *Subscription) Result() []document.Document {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
+	return sub.resultLocked()
+}
+
+// resultLocked is Result for callers holding sub.mu. The slice is fresh; the
+// documents are the maintained ones, shared read-only.
+func (sub *Subscription) resultLocked() []document.Document {
 	if sub.ordered {
 		out := make([]document.Document, 0, len(sub.order))
 		for _, key := range sub.order {
@@ -215,8 +261,8 @@ func (sub *Subscription) Result() []document.Document {
 func (sub *Subscription) installInitial(entries []core.ResultEntry) {
 	sub.mu.Lock()
 	docs := sub.installLocked(entries)
+	sub.pushLocked(Event{Type: EventInitial, Docs: docs, Index: -1})
 	sub.mu.Unlock()
-	sub.push(Event{Type: EventInitial, Docs: docs, Index: -1})
 }
 
 // installLocked replaces the maintained state with a bootstrap result and
@@ -282,19 +328,20 @@ func (sub *Subscription) installLocked(entries []core.ResultEntry) []document.Do
 // and emits EventReconnected carrying the full refreshed result.
 func (sub *Subscription) reset(entries []core.ResultEntry) {
 	sub.mu.Lock()
+	defer sub.mu.Unlock()
 	if sub.closed {
-		sub.mu.Unlock()
 		return
 	}
 	docs := sub.installLocked(entries)
-	sub.mu.Unlock()
-	sub.push(Event{Type: EventReconnected, Docs: docs, Index: -1})
+	sub.pushLocked(Event{Type: EventReconnected, Docs: docs, Index: -1})
 }
 
 // apply folds a cluster notification into the maintained result and emits
-// the corresponding event. Sorted-query notifications follow the window-diff
-// protocol: removes by key, then adds/changeIndexes at final indexes
-// ascending, then in-place changes.
+// the corresponding event, under one hold of sub.mu: what the queue holds and
+// what the maintained result says never disagree, which is what lets an
+// overflowing queue be replaced by the result itself. Sorted-query
+// notifications follow the window-diff protocol: removes by key, then
+// adds/changeIndexes at final indexes ascending, then in-place changes.
 func (sub *Subscription) apply(n *core.Notification) {
 	sub.mu.Lock()
 	if sub.closed {
@@ -334,15 +381,13 @@ func (sub *Subscription) apply(n *core.Notification) {
 		sub.mu.Unlock()
 		return
 	}
-	if sub.backfilling {
-		// Backfill in progress: the delta is folded into the maintained
-		// state (in-window writes supersede chunk rows via the version
-		// guard) but the client sees nothing before EventInitial.
-		sub.mu.Unlock()
-		return
+	// While a backfill is in progress the delta is only folded into the
+	// maintained state (in-window writes supersede chunk rows via the version
+	// guard): the client sees nothing before EventInitial.
+	if !sub.backfilling {
+		sub.pushLocked(ev)
 	}
 	sub.mu.Unlock()
-	sub.push(ev)
 }
 
 // mergeChunk folds one backfill chunk into the maintained state under the
@@ -410,16 +455,7 @@ func (sub *Subscription) admit() {
 		return
 	}
 	sub.backfilling = false
-	keys := make([]string, 0, len(sub.docs))
-	for k := range sub.docs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	docs := make([]document.Document, 0, len(keys))
-	for _, k := range keys {
-		docs = append(docs, sub.docs[k])
-	}
-	sub.pushLocked(Event{Type: EventInitial, Docs: docs, Index: -1})
+	sub.pushLocked(Event{Type: EventInitial, Docs: sub.resultLocked(), Index: -1})
 	sub.mu.Unlock()
 }
 
@@ -514,35 +550,94 @@ func (sub *Subscription) disconnect(err error) {
 	sub.push(Event{Type: EventDisconnected, Err: err, Index: -1})
 }
 
-// push enqueues an event without blocking the notification loop; when the
-// consumer lags, the oldest event is dropped and counted (clients detect
-// gaps via Dropped and may re-sync with a pull-based query).
+// push enqueues an event that changes nothing in the maintained result.
 func (sub *Subscription) push(ev Event) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	sub.pushLocked(ev)
 }
 
-// pushLocked is push for callers already holding sub.mu.
+// pushLocked enqueues an event without blocking the notification loop;
+// callers hold sub.mu and have already folded the event into the maintained
+// result. While the consumer keeps up this is one non-blocking send into the
+// handoff. Once the handoff is full, events wait in the backlog and a
+// transient drainer moves them across in order. A consumer more than bound
+// events behind has lost its place: the backlog is replaced by one event
+// carrying the full current result, the events it stood for are counted in
+// Dropped, and the consumer resumes from there — a snapshot, not a log with
+// a hole in it. Events already in the handoff are older and stay in front.
 func (sub *Subscription) pushLocked(ev Event) {
 	if sub.closed {
 		return
 	}
-	select {
-	case sub.events <- ev:
-		return
-	default:
+	if !sub.draining {
+		select {
+		case sub.events <- ev:
+			return
+		default:
+		}
+		sub.draining = true
+		sub.server.wg.Add(1)
+		go sub.drain()
 	}
-	select {
-	case <-sub.events:
-		sub.dropped.Add(1)
-		sub.server.mEventDrops.Inc()
-	default:
+	if len(sub.backlog) >= sub.bound {
+		ev = sub.collapseLocked(ev)
 	}
-	select {
-	case sub.events <- ev:
-	default:
-		sub.dropped.Add(1)
-		sub.server.mEventDrops.Inc()
+	sub.backlog = append(sub.backlog, ev)
+}
+
+// collapseLocked empties the backlog and returns the event to queue in place
+// of ev. The snapshot is EventInitial if the consumer has yet to see the
+// initial result, EventReconnected otherwise, and stands in for ev as well —
+// except for an error or disconnect, which the result does not record: then
+// the snapshot is queued and ev follows it.
+func (sub *Subscription) collapseLocked(ev Event) Event {
+	shed := len(sub.backlog)
+	initial := ev.Type == EventInitial
+	for _, e := range sub.backlog {
+		initial = initial || e.Type == EventInitial
+	}
+	snap := Event{Type: EventReconnected, Docs: sub.resultLocked(), Index: -1}
+	if initial {
+		snap.Type = EventInitial
+	}
+	clear(sub.backlog)
+	sub.backlog = sub.backlog[:0]
+	if ev.Type == EventError || ev.Type == EventDisconnected {
+		sub.backlog = append(sub.backlog, snap)
+	} else {
+		shed++
+		ev = snap
+	}
+	sub.dropped.Add(uint64(shed))
+	sub.server.mEventDrops.Add(int64(shed))
+	return ev
+}
+
+// drain moves the backlog into the handoff in order, one blocking send at a
+// time, and exits the moment the backlog is empty. It owns the sending side
+// of events from the push that started it until it clears draining, so a
+// Close in between leaves closing the channel to it.
+func (sub *Subscription) drain() {
+	defer sub.server.wg.Done()
+	for {
+		sub.mu.Lock()
+		if sub.closed || len(sub.backlog) == 0 {
+			sub.draining = false
+			sub.backlog = nil
+			if sub.closed {
+				close(sub.events)
+			}
+			sub.mu.Unlock()
+			return
+		}
+		ev := sub.backlog[0]
+		sub.backlog[0] = Event{}
+		sub.backlog = sub.backlog[1:]
+		sub.mu.Unlock()
+		select {
+		case sub.events <- ev:
+		case <-sub.done:
+		}
 	}
 }

@@ -9,19 +9,32 @@ import (
 	"invalidb/internal/query"
 )
 
-// allocSink keeps interner lookups from being optimized away.
+// allocSink keeps key-table lookups from being optimized away.
 var allocSink string
 
-// TestKeyInternerNoAllocs pins the interner's contract: the first sight of a
-// (tenant, collection, key) triple pays one intern allocation, every later
-// lookup is allocation-free.
-func TestKeyInternerNoAllocs(t *testing.T) {
-	ki := newKeyInterner()
-	ki.key("tenant-a", "items", "user:12345") // one-time intern allocation
+// TestKeyTableNoAllocs pins the key table's contract: a record the cell has
+// seen written costs one lookup and one store per write and no allocation
+// (its composite key comes back with the entry); a record it has not seen
+// costs the one string that becomes its key — and does not enter the table
+// unless the caller puts it there.
+func TestKeyTableNoAllocs(t *testing.T) {
+	kt := keyTable{m: map[string]keyState{}}
+	st := kt.get("tenant-a", "items", "user:12345")
+	if st.ck != compositeKey("tenant-a", "items", "user:12345") || st.version != 0 || len(kt.m) != 0 {
+		t.Fatalf("first sight: state %+v, %d entries; want a zero state under the composite key and an empty table", st, len(kt.m))
+	}
+	st.version = 1
+	kt.put(st)
 	if n := testing.AllocsPerRun(1000, func() {
-		allocSink = ki.key("tenant-a", "items", "user:12345")
+		st := kt.get("tenant-a", "items", "user:12345")
+		st.version++
+		kt.put(st)
+		allocSink = st.ck
 	}); n != 0 {
-		t.Fatalf("interned key lookup costs %.2f allocs/op, want 0", n)
+		t.Fatalf("a write to a known key costs %.2f allocs/op in the key table, want 0", n)
+	}
+	if got := kt.get("tenant-a", "items", "user:12345").version; got != 1002 || len(kt.m) != 1 {
+		t.Fatalf("version %d in %d entries, want 1002 in 1", got, len(kt.m))
 	}
 }
 
@@ -31,7 +44,7 @@ func TestKeyInternerNoAllocs(t *testing.T) {
 //   - a write no registered query could match (the query index prunes every
 //     candidate before a single filter evaluation) completes with zero
 //     allocations — this covers the //invalidb:hotpath chain handleWrite →
-//     keyInterner.key → candidatesInto;
+//     keyTable.get → candidatesInto;
 //   - a stale replay (version not newer than the staleness table's) is
 //     dropped with zero allocations.
 //
@@ -48,14 +61,14 @@ func TestHandleWriteFilteredNoAllocs(t *testing.T) {
 		Doc: document.Document{"_id": "k", "n": int64(50)},
 	}}
 	// Warm up past the measured iteration count so the retention ring, the
-	// staleness maps, the interner and the candidate scratch map reach their
-	// steady-state capacity.
+	// key table and the candidate scratch map reach their steady-state
+	// capacity.
 	for i := 0; i < 4096; i++ {
 		we.Image.Version++
 		b.handleWrite(we)
 	}
 	// Prune retained images so the measured pushes reuse ring capacity; the
-	// tick also evicts the interned key, so re-warm briefly after it.
+	// tick also evicts the key's table entry, so re-warm briefly after it.
 	b.handleTick(b.now.Add(b.c.opts.RetentionTime + time.Minute))
 	for i := 0; i < 16; i++ {
 		we.Image.Version++

@@ -141,7 +141,7 @@ func (b *matchBolt) reconcileChunk(p *backfillChunkPayload) {
 			b.c.mBackfillReconciled.Inc()
 			continue
 		}
-		b.track(mq, e.Key, "", e.Version)
+		b.track(mq, e.Key, e.Version)
 	}
 	// Pre-window images are skipped: the chunk read began after those writes
 	// were durable, so the chunk rows already reflect them. Only in-window

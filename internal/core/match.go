@@ -42,10 +42,7 @@ type matchQuery struct {
 	slot    int
 	subs    map[string]time.Time // subscription id -> TTL deadline
 	tracked map[string]uint64    // key -> version of this partition's matching records
-	// trackedCK mirrors tracked as composite keys when the query index is
-	// enabled, so queryIndex.remove touches only this query's trackers.
-	trackedCK map[string]struct{}
-	seq       uint64
+	seq     uint64
 }
 
 // retainedImage is one entry of the write-stream retention buffer (§5.1):
@@ -99,39 +96,45 @@ func (r *retentionRing) at(i int) *retainedImage {
 	return &r.buf[(r.head+i)%len(r.buf)]
 }
 
-// keyInterner builds tenant\x00collection\x00key composite keys in a reused
-// buffer and interns the resulting strings, so the per-write key costs one
-// allocation the first time a record is seen and none afterwards.
-type keyInterner struct {
-	buf  []byte
-	keys map[string]string
+// keyState is what a cell remembers about one record it has seen written:
+// the newest version (staleness avoidance, §5.1) and when it arrived, so the
+// entry can be dropped once no retained image can refer to it. ck is the
+// record's tenant\x00collection\x00key composite — the entry's own map key,
+// handed back so a write costs one string the first time a record is seen
+// and none afterwards.
+type keyState struct {
+	ck      string
+	version uint64
+	at      time.Time
 }
 
-func newKeyInterner() *keyInterner {
-	return &keyInterner{keys: map[string]string{}}
+// keyTable is the cell's per-record state, keyed by composite key. Only
+// writes enter it — a bootstrap row nobody writes to again has no entry, and
+// needs none: only a write's age can prune one.
+type keyTable struct {
+	buf []byte
+	m   map[string]keyState
+}
+
+// get returns the record's entry. For a record not in the table it returns a
+// zero state under a freshly built composite key; put enters it.
+//
+//invalidb:hotpath
+func (kt *keyTable) get(tenant, collection, key string) keyState {
+	kt.buf = append(kt.buf[:0], tenant...)
+	kt.buf = append(kt.buf, 0)
+	kt.buf = append(kt.buf, collection...)
+	kt.buf = append(kt.buf, 0)
+	kt.buf = append(kt.buf, key...)
+	if st, ok := kt.m[string(kt.buf)]; ok { // no alloc: compiler-optimized lookup
+		return st
+	}
+	//invalidb:allow hotpathalloc the composite key is built once per record the cell sees, never afterwards
+	return keyState{ck: string(kt.buf)}
 }
 
 //invalidb:hotpath
-func (ki *keyInterner) key(tenant, collection, key string) string {
-	ki.buf = append(ki.buf[:0], tenant...)
-	ki.buf = append(ki.buf, 0)
-	ki.buf = append(ki.buf, collection...)
-	ki.buf = append(ki.buf, 0)
-	ki.buf = append(ki.buf, key...)
-	if s, ok := ki.keys[string(ki.buf)]; ok { // no alloc: compiler-optimized lookup
-		return s
-	}
-	//invalidb:allow hotpathalloc interning allocates once per distinct key, never afterwards
-	s := string(ki.buf)
-	ki.keys[s] = s
-	return s
-}
-
-// forget drops an interned key (called when the staleness table prunes it);
-// the key re-interns on next use.
-func (ki *keyInterner) forget(ck string) {
-	delete(ki.keys, ck)
-}
+func (kt *keyTable) put(st keyState) { kt.m[st.ck] = st }
 
 // matchBolt is a matching node: the grid cell at (query partition, write
 // partition). It holds a subset of all queries and sees a fraction of all
@@ -159,8 +162,7 @@ type matchBolt struct {
 	// can affect with one lookup and the matching loop compares no tenant or
 	// collection strings per query.
 	buckets   map[string]*queryBucket
-	latest    map[string]uint64 // composite key -> newest version seen
-	latestAt  map[string]time.Time
+	keys      keyTable // newest version seen per record, and when
 	retention retentionRing
 	bucket    *ratelimit.Bucket
 	qindex    *queryIndex // nil unless Options.EnableQueryIndex
@@ -172,8 +174,6 @@ type matchBolt struct {
 	// table and retention buffer only need tick-interval resolution, so the
 	// hot path spends no time.Now() calls per write.
 	now time.Time
-	// interner builds and caches composite record keys.
-	interner *keyInterner
 	// cands is the reusable candidate scratch map for the query index probe.
 	cands map[uint64]*matchQuery
 	// evaluated counts filter evaluations since the last flushEvaluated: the
@@ -204,12 +204,10 @@ func (b *matchBolt) Prepare(ctx *topology.BoltContext, out topology.Collector) e
 	}
 	b.queries = map[uint64]*matchQuery{}
 	b.buckets = map[string]*queryBucket{}
-	b.latest = map[string]uint64{}
-	b.latestAt = map[string]time.Time{}
+	b.keys = keyTable{m: map[string]keyState{}}
 	b.backfills = map[string]*cellBackfill{}
 	//invalidb:allow coarseclock one-time seed of the coarse clock at Prepare
 	b.now = time.Now()
-	b.interner = newKeyInterner()
 	if cap := b.c.opts.NodeCapacity; cap > 0 {
 		b.bucket = ratelimit.New(float64(cap), 0) // ratelimit's default burst
 	}
@@ -284,25 +282,19 @@ func (b *matchBolt) Execute(t *topology.Tuple) {
 
 func (b *matchBolt) Cleanup() {}
 
-// compositeKey namespaces a record key by tenant and collection for the
-// node-level staleness table. The hot path goes through the per-bolt
-// interner instead; this helper remains for cold paths and tests.
-func compositeKey(tenant, collection, key string) string {
-	return tenant + "\x00" + collection + "\x00" + key
-}
-
 //invalidb:hotpath
 func (b *matchBolt) handleWrite(we *WriteEvent) {
 	img := we.Image
-	ck := b.interner.key(we.Tenant, img.Collection, img.Key)
+	st := b.keys.get(we.Tenant, img.Collection, img.Key)
 	// Staleness avoidance (§5.1): writes are versioned, so an after-image is
 	// ignored whenever a more recent version for the same item has already
 	// been received (e.g. an update arriving after the item's delete).
-	if img.Version <= b.latest[ck] {
+	if img.Version <= st.version {
 		return
 	}
-	b.latest[ck] = img.Version
-	b.latestAt[ck] = b.now
+	st.version, st.at = img.Version, b.now
+	b.keys.put(st)
+	ck := st.ck
 	//invalidb:allow hotpathalloc ring growth doubles capacity, amortized O(1) per retained image
 	b.retention.push(retainedImage{we: we, at: b.now})
 
@@ -318,7 +310,7 @@ func (b *matchBolt) handleWrite(we *WriteEvent) {
 			b.bucket.Take(float64(len(cands) + 1))
 		}
 		for _, mq := range cands {
-			b.processImage(mq, we, ck)
+			b.processImage(mq, we)
 		}
 		b.flushEvaluated()
 		return
@@ -332,7 +324,7 @@ func (b *matchBolt) handleWrite(we *WriteEvent) {
 		b.bucket.Take(float64(max(len(queries), 1)))
 	}
 	for _, mq := range queries {
-		b.processImage(mq, we, ck)
+		b.processImage(mq, we)
 	}
 	b.flushEvaluated()
 }
@@ -402,12 +394,11 @@ func (b *matchBolt) replay(mq *matchQuery, after uint64) int {
 		if img.Version <= after || we.Tenant != mq.tenant || img.Collection != mq.q.Collection {
 			continue
 		}
-		ck := b.interner.key(we.Tenant, img.Collection, img.Key)
-		if img.Version < b.latest[ck] {
+		if img.Version < b.keys.get(we.Tenant, img.Collection, img.Key).version {
 			continue // superseded within the retention window
 		}
 		applied++
-		b.processImage(mq, we, ck)
+		b.processImage(mq, we)
 	}
 	b.flushEvaluated()
 	return applied
@@ -416,10 +407,10 @@ func (b *matchBolt) replay(mq *matchQuery, after uint64) int {
 // processImage derives the result change (if any) a single after-image
 // causes for a single query, by comparing current against former matching
 // status (§5.1). The caller guarantees the write belongs to the query's
-// (tenant, collection) bucket; ck is the write's interned composite key.
+// (tenant, collection) bucket.
 //
 //invalidb:hotpath
-func (b *matchBolt) processImage(mq *matchQuery, we *WriteEvent, ck string) {
+func (b *matchBolt) processImage(mq *matchQuery, we *WriteEvent) {
 	img := we.Image
 	prev, wasTracked := mq.tracked[img.Key]
 	if wasTracked && img.Version <= prev {
@@ -432,7 +423,7 @@ func (b *matchBolt) processImage(mq *matchQuery, we *WriteEvent, ck string) {
 	}
 	switch {
 	case isMatch && !wasTracked:
-		b.track(mq, img.Key, ck, img.Version)
+		b.track(mq, img.Key, img.Version)
 		//invalidb:allow hotpathalloc deltas for ordered queries must escape to the sorting stage; matches are rare relative to writes
 		b.emit(mq, we, MatchAdd, img.Key, img.Version, img.Doc)
 	case isMatch && wasTracked:
@@ -441,7 +432,7 @@ func (b *matchBolt) processImage(mq *matchQuery, we *WriteEvent, ck string) {
 	case !isMatch && wasTracked:
 		delete(mq.tracked, img.Key)
 		if b.qindex != nil {
-			b.qindex.untrack(ck, mq)
+			b.qindex.untrack(img.Key, mq)
 		}
 		b.emit(mq, we, MatchRemove, img.Key, img.Version, img.Doc)
 	default:
@@ -451,18 +442,13 @@ func (b *matchBolt) processImage(mq *matchQuery, we *WriteEvent, ck string) {
 
 // track records that the record is in the query's result partition at the
 // given version, in the query's own table and in the index's tracker sets.
-// Callers that install a record from a result entry rather than a write
-// have no composite key at hand and pass ck == "".
 //
 //invalidb:hotpath
-func (b *matchBolt) track(mq *matchQuery, key, ck string, version uint64) {
+func (b *matchBolt) track(mq *matchQuery, key string, version uint64) {
 	mq.tracked[key] = version
 	if b.qindex != nil {
-		if ck == "" {
-			ck = b.interner.key(mq.tenant, mq.q.Collection, key)
-		}
 		//invalidb:allow hotpathalloc first-track lazily allocates the per-record tracker set, amortized across a query's matches
-		b.qindex.track(ck, mq)
+		b.qindex.track(key, mq)
 	}
 }
 
@@ -537,7 +523,7 @@ func (b *matchBolt) handleSubscribe(p *subscribePayload) {
 	// buffer already delivered a fresher image).
 	for _, e := range p.entries {
 		if cur, ok := mq.tracked[e.Key]; !ok || e.Version > cur {
-			b.track(mq, e.Key, "", e.Version)
+			b.track(mq, e.Key, e.Version)
 		}
 	}
 	// A chunked-backfill install carries no result and needs no replay: the
@@ -615,11 +601,9 @@ func (b *matchBolt) handleTick(now time.Time) {
 	b.expireBackfills(now)
 	cutoff := now.Add(-b.c.opts.RetentionTime)
 	b.retention.prune(cutoff)
-	for ck, at := range b.latestAt {
-		if at.Before(cutoff) {
-			delete(b.latestAt, ck)
-			delete(b.latest, ck)
-			b.interner.forget(ck)
+	for ck, st := range b.keys.m {
+		if st.at.Before(cutoff) {
+			delete(b.keys.m, ck)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"invalidb/internal/document"
 	"invalidb/internal/eventlayer"
 	"invalidb/internal/query"
 	"invalidb/internal/topology"
@@ -82,10 +83,14 @@ func TestQueryIndexRemoveLeavesOtherTrackersIntact(t *testing.T) {
 	qi := newQueryIndex()
 	target := mkMatchQuery(t, rangeSpec(0, 10))
 	qi.add(target)
-	targetKeys := []string{compositeKey("t", "c", "a"), compositeKey("t", "c", "b")}
-	for _, ck := range targetKeys {
-		qi.track(ck, target)
+	// track registers a record the way matchBolt.track does: in the query's
+	// own table and in the index's tracker sets.
+	track := func(mq *matchQuery, key string) {
+		mq.tracked[key] = 1
+		qi.track(key, mq)
 	}
+	track(target, "a")
+	track(target, "b")
 	var others []*matchQuery
 	for i := 0; i < 20; i++ {
 		spec := query.Spec{Collection: "c", Filter: map[string]any{
@@ -96,20 +101,18 @@ func TestQueryIndexRemoveLeavesOtherTrackersIntact(t *testing.T) {
 		others = append(others, mq)
 		qi.add(mq)
 		for j := 0; j < 10; j++ {
-			qi.track(compositeKey("t", "c", fmt.Sprintf("k%d-%d", i, j)), mq)
+			track(mq, fmt.Sprintf("k%d-%d", i, j))
 		}
 	}
 	qi.remove(target)
-	if target.trackedCK != nil {
-		t.Fatal("removed query keeps its tracked-key set")
-	}
-	for _, ck := range targetKeys {
-		if _, ok := qi.trackers[ck]; ok {
-			t.Fatalf("tracker %q survives the removal of its only query", ck)
+	trackers := qi.buckets[bucketKey("t", "c")].trackers
+	for _, key := range []string{"a", "b"} {
+		if _, ok := trackers[key]; ok {
+			t.Fatalf("tracker %q survives the removal of its only query", key)
 		}
 	}
-	if len(qi.trackers) != 20*10 {
-		t.Fatalf("%d trackers remain, want %d", len(qi.trackers), 20*10)
+	if len(trackers) != 20*10 {
+		t.Fatalf("%d trackers remain, want %d", len(trackers), 20*10)
 	}
 	// Every other query is still forced into the candidate set for a key it
 	// tracks, even with the write's value outside its interval.
@@ -220,5 +223,43 @@ func TestSubscribeReplaySkipsOtherCollections(t *testing.T) {
 	mq := b.queries[TenantQueryHash("t", q)]
 	if len(mq.tracked) != 2 || mq.tracked["k0"] != 1 || mq.tracked["k2"] != 3 {
 		t.Fatalf("replay tracked %v, want k0@1 and k2@3", mq.tracked)
+	}
+}
+
+// TestBootstrapRowsDoNotEnterKeyTable: the key table holds records the cell
+// has seen written, and only a write's age prunes an entry. A bootstrap row
+// installed for the index's tracker sets and never written again must
+// therefore stay out of it — it used to be interned there for the life of
+// the cell.
+func TestBootstrapRowsDoNotEnterKeyTable(t *testing.T) {
+	b := newMatchHarness(t, Options{EnableQueryIndex: true})
+	q := query.MustCompile(rangeSpec(0, 10))
+	hash := TenantQueryHash("t", q)
+	const rows = 1000
+	entries := make([]ResultEntry, rows)
+	for i := range entries {
+		key := fmt.Sprintf("k%04d", i)
+		entries[i] = ResultEntry{Key: key, Version: uint64(i + 1), Doc: document.Document{"_id": key, "n": int64(5)}}
+	}
+	b.handleSubscribe(&subscribePayload{
+		req: &SubscribeRequest{Tenant: "t", SubscriptionID: "s"}, q: q, hash: hash, ttl: time.Hour, entries: entries,
+	})
+	trackers := b.qindex.buckets[bucketKey("t", "c")].trackers
+	if got := len(trackers); got != rows {
+		t.Fatalf("%d tracker sets after the install, want %d", got, rows)
+	}
+	// A write to one of the rows is probed through its tracker set.
+	b.handleWrite(&WriteEvent{Tenant: "t", Image: &document.AfterImage{
+		Collection: "c", Key: "k0007", Version: rows + 1, Op: document.OpUpdate,
+		Doc: document.Document{"_id": "k0007", "n": int64(500)},
+	}})
+	if _, still := b.queries[hash].tracked["k0007"]; still || len(trackers) != rows-1 {
+		t.Fatalf("departing row still tracked (%v) or %d tracker sets, want %d", still, len(trackers), rows-1)
+	}
+	b.handleCancel(&CancelRequest{Tenant: "t", SubscriptionID: "s", QueryHash: hash})
+	b.handleTick(b.now.Add(b.c.opts.RetentionTime + time.Minute))
+	if len(b.keys.m) != 0 || len(b.qindex.buckets) != 0 {
+		t.Fatalf("%d key-table entries and %d index buckets outlive the query and the retention window, want none",
+			len(b.keys.m), len(b.qindex.buckets))
 	}
 }

@@ -41,8 +41,6 @@ import (
 type queryIndex struct {
 	// buckets: tenant\x00collection -> that collection's index families.
 	buckets map[string]*collectionIndex
-	// trackers: composite record key -> queries currently tracking it.
-	trackers map[string]map[uint64]*matchQuery
 	// byQuery remembers where each indexed query was registered.
 	byQuery map[uint64]indexedAt
 	// tokBuf is the reusable lowercase-token buffer of the text probe.
@@ -70,7 +68,9 @@ type collectionIndex struct {
 	text map[string]map[uint64]*matchQuery
 	// unindexed queries of this bucket are candidates of every write to it.
 	unindexed map[uint64]*matchQuery
-	size      int
+	// trackers: record key -> queries whose result currently holds the record.
+	trackers map[string]map[uint64]*matchQuery
+	size     int
 }
 
 type eqPostings struct {
@@ -122,10 +122,9 @@ const maxGeoCells = 4096
 
 func newQueryIndex() *queryIndex {
 	return &queryIndex{
-		buckets:  map[string]*collectionIndex{},
-		trackers: map[string]map[uint64]*matchQuery{},
-		byQuery:  map[uint64]indexedAt{},
-		tokBuf:   make([]byte, 0, 64),
+		buckets: map[string]*collectionIndex{},
+		byQuery: map[uint64]indexedAt{},
+		tokBuf:  make([]byte, 0, 64),
 	}
 }
 
@@ -241,6 +240,7 @@ func (qi *queryIndex) bucket(bkey string) *collectionIndex {
 			geo:       map[string]*geoPostings{},
 			text:      map[string]map[uint64]*matchQuery{},
 			unindexed: map[uint64]*matchQuery{},
+			trackers:  map[string]map[uint64]*matchQuery{},
 		}
 		qi.buckets[bkey] = b
 	}
@@ -297,6 +297,9 @@ func (qi *queryIndex) remove(mq *matchQuery) {
 	if at, ok := qi.byQuery[mq.hash]; ok {
 		delete(qi.byQuery, mq.hash)
 		if b := qi.buckets[at.bucket]; b != nil {
+			for key := range mq.tracked {
+				b.untrack(key, mq)
+			}
 			switch {
 			case at.residual:
 				delete(b.unindexed, mq.hash)
@@ -351,15 +354,6 @@ func (qi *queryIndex) remove(mq *matchQuery) {
 			}
 		}
 	}
-	for ck := range mq.trackedCK {
-		if set := qi.trackers[ck]; set != nil {
-			delete(set, mq.hash)
-			if len(set) == 0 {
-				delete(qi.trackers, ck)
-			}
-		}
-	}
-	mq.trackedCK = nil
 }
 
 // registered returns the number of queries held in bucket indexes (tests).
@@ -372,28 +366,34 @@ func (qi *queryIndex) registered() int {
 }
 
 // track records that a query's result partition now contains the record.
-func (qi *queryIndex) track(ck string, mq *matchQuery) {
-	set := qi.trackers[ck]
+// The tracker sets live in the query's own bucket, keyed by record key.
+func (qi *queryIndex) track(key string, mq *matchQuery) {
+	b := qi.buckets[qi.byQuery[mq.hash].bucket]
+	if b == nil {
+		return // not registered: nothing probes on its behalf
+	}
+	set := b.trackers[key]
 	if set == nil {
 		set = map[uint64]*matchQuery{}
-		qi.trackers[ck] = set
+		b.trackers[key] = set
 	}
 	set[mq.hash] = mq
-	if mq.trackedCK == nil {
-		mq.trackedCK = map[string]struct{}{}
-	}
-	mq.trackedCK[ck] = struct{}{}
 }
 
 // untrack removes a tracker entry.
-func (qi *queryIndex) untrack(ck string, mq *matchQuery) {
-	if set := qi.trackers[ck]; set != nil {
+func (qi *queryIndex) untrack(key string, mq *matchQuery) {
+	if b := qi.buckets[qi.byQuery[mq.hash].bucket]; b != nil {
+		b.untrack(key, mq)
+	}
+}
+
+func (b *collectionIndex) untrack(key string, mq *matchQuery) {
+	if set := b.trackers[key]; set != nil {
 		delete(set, mq.hash)
 		if len(set) == 0 {
-			delete(qi.trackers, ck)
+			delete(b.trackers, key)
 		}
 	}
-	delete(mq.trackedCK, ck)
 }
 
 // candidates collects every query whose result could change with this
@@ -409,9 +409,6 @@ func (qi *queryIndex) candidates(we *WriteEvent, ck string) map[uint64]*matchQue
 //
 //invalidb:hotpath
 func (qi *queryIndex) candidatesInto(we *WriteEvent, ck string, out map[uint64]*matchQuery) map[uint64]*matchQuery {
-	for h, mq := range qi.trackers[ck] {
-		out[h] = mq
-	}
 	img := we.Image
 	if len(ck) < len(img.Key)+2 {
 		return out
@@ -422,6 +419,9 @@ func (qi *queryIndex) candidatesInto(we *WriteEvent, ck string, out map[uint64]*
 	b := qi.buckets[bucketOfKey(ck, img.Key)]
 	if b == nil {
 		return out
+	}
+	for h, mq := range b.trackers[img.Key] {
+		out[h] = mq
 	}
 	for h, mq := range b.unindexed {
 		out[h] = mq

@@ -23,6 +23,12 @@ func mkMatchQuery(t *testing.T, spec query.Spec) *matchQuery {
 	}
 }
 
+// compositeKey builds a record's tenant\x00collection\x00key composite the
+// way the cell's key table does.
+func compositeKey(tenant, collection, key string) string {
+	return tenant + "\x00" + collection + "\x00" + key
+}
+
 func rangeSpec(lo, hi int) query.Spec {
 	return query.Spec{Collection: "c", Filter: map[string]any{
 		"n": map[string]any{"$gte": int64(lo), "$lt": int64(hi)},
@@ -98,12 +104,12 @@ func TestQueryIndexTrackersCoverDepartures(t *testing.T) {
 	mq := mkMatchQuery(t, rangeSpec(0, 10))
 	qi.add(mq)
 	ck := compositeKey("t", "c", "k")
-	qi.track(ck, mq)
+	qi.track("k", mq)
 	cands := qi.candidates(writeEvent("k", 5000), ck)
 	if _, ok := cands[mq.hash]; !ok {
 		t.Fatal("tracker did not force the probing of a departing record's query")
 	}
-	qi.untrack(ck, mq)
+	qi.untrack("k", mq)
 	if len(qi.candidates(writeEvent("k", 5000), ck)) != 0 {
 		t.Fatal("untrack did not clear the tracker")
 	}
@@ -129,7 +135,8 @@ func TestQueryIndexRemove(t *testing.T) {
 	qi := newQueryIndex()
 	mq := mkMatchQuery(t, rangeSpec(0, 100))
 	qi.add(mq)
-	qi.track(compositeKey("t", "c", "k"), mq)
+	mq.tracked["k"] = 1 // remove finds the tracker sets through the query's own table
+	qi.track("k", mq)
 	qi.remove(mq)
 	if len(qi.candidates(writeEvent("k", 50), compositeKey("t", "c", "k"))) != 0 {
 		t.Fatal("removed query still a candidate")

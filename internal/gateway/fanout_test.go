@@ -547,3 +547,145 @@ func TestMemConnBackpressure(t *testing.T) {
 		t.Fatal("blocked write never unwound after close")
 	}
 }
+
+// TestGatewayUpstreamOverflowReachesEveryClient: when the shared upstream
+// subscription overflows (the pump fell more than EventBuffer events
+// behind), the application server replaces its backlog by one event with the
+// full result. Every client of the shared query receives it as exactly one
+// "reconnected" frame — a control frame, so it lands on a connection that is
+// over its outbound budget too.
+func TestGatewayUpstreamOverflowReachesEveryClient(t *testing.T) {
+	gw, srv, ln := memStack(t, Options{OutBudget: 512})
+	spec := query.Spec{Collection: "ovf", Filter: map[string]any{"x": int64(1)}}
+
+	var subs []*ClientSub
+	for i := 0; i < 2; i++ {
+		c, err := dialMem(t, ln, ClientOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := c.Subscribe(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recvFrame(t, sub, "initial")
+		subs = append(subs, sub)
+	}
+	// The third client reads its initial result, then stalls with the writer
+	// stuck in a second, large one: data events queue up against the budget.
+	pad := strings.Repeat("x", 512)
+	for i := 0; i < 100; i++ {
+		if err := srv.Insert("big", document.Document{"_id": fmt.Sprintf("b%03d", i), "pad": pad}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nc, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	enc := json.NewEncoder(nc)
+	r := bufio.NewReaderSize(nc, 1<<20)
+	readUntil := func(substr string) (reconnected [][]byte) {
+		t.Helper()
+		for {
+			line, err := r.ReadBytes('\n')
+			if err != nil {
+				t.Fatalf("read: %v (waiting for %q)", err, substr)
+			}
+			if bytes.Contains(line, []byte(`"id":"slow"`)) && bytes.Contains(line, []byte(`"type":"reconnected"`)) {
+				reconnected = append(reconnected, line)
+			}
+			if bytes.Contains(line, []byte(substr)) {
+				return reconnected
+			}
+		}
+	}
+	if err := enc.Encode(Request{Op: "subscribe", ID: "slow", Query: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	readUntil(`"type":"initial"`)
+	if err := enc.Encode(Request{Op: "subscribe", ID: "big", Query: &query.Spec{Collection: "big"}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stall the pump of the shared query and write until its upstream
+	// subscription overflows.
+	hash, err := srv.QueryHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.mu.Lock()
+	sq := gw.queries[hash]
+	gw.mu.Unlock()
+	const docs = 1100 // past the default EventBuffer of 1024 plus the handoff
+	sq.mu.Lock()
+	for i := 0; i < docs; i++ {
+		if err := srv.Insert("ovf", document.Document{"_id": fmt.Sprintf("d%04d", i), "x": int64(1)}); err != nil {
+			sq.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for sq.upstream.Dropped() == 0 || len(sq.upstream.Result()) < docs {
+		if time.Now().After(deadline) {
+			sq.mu.Unlock()
+			t.Fatalf("upstream never overflowed: dropped %d, result %d", sq.upstream.Dropped(), len(sq.upstream.Result()))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	sq.mu.Unlock()
+
+	// Every reading client: what the handoff still held, then one frame with
+	// the full result (and whatever was written after the snapshot).
+	for i, sub := range subs {
+		if f := recvFrame(t, sub, "reconnected"); len(f.Docs) <= 1024 || len(f.Docs) > docs {
+			t.Fatalf("client %d: reconnected frame carries %d documents, want the full result", i, len(f.Docs))
+		}
+	}
+	// The stalled client went over budget meanwhile and still gets the frame.
+	waitFor(t, "data events shed on the stalled connection", func() bool { return gw.mDrops.Value() > 0 })
+	got := readUntil(`"type":"reconnected"`)
+	// Further writes mark the end of the stream (repeated: one may still be
+	// shed while the backlog drains): nobody saw a second frame.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(stop)
+		<-stopped
+	}()
+	go func() {
+		defer close(stopped)
+		for j := 0; ; j++ {
+			if err := srv.Insert("ovf", document.Document{"_id": fmt.Sprintf("last-%d", j), "x": int64(1)}); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+	}()
+	for i, sub := range subs {
+		deadline := time.After(5 * time.Second)
+		for last := false; !last; {
+			select {
+			case f := <-sub.C():
+				if f.Type == "reconnected" {
+					t.Fatalf("client %d: a second reconnected frame", i)
+				}
+				last = strings.HasPrefix(f.Key, "last-")
+			case <-deadline:
+				t.Fatalf("client %d: timed out waiting for the closing write", i)
+			}
+		}
+	}
+	if got = append(got, readUntil(`"key":"last-`)...); len(got) != 1 {
+		t.Fatalf("stalled client received %d reconnected frames, want 1", len(got))
+	}
+	var f Response
+	if err := json.Unmarshal(got[0], &f); err != nil || len(f.Docs) <= 1024 {
+		t.Fatalf("stalled client: reconnected frame carries %d documents (%v), want the full result", len(f.Docs), err)
+	}
+}

@@ -263,3 +263,40 @@ func TestFindSortWindowOnMixedBracketKeys(t *testing.T) {
 		t.Fatalf("descending top 9 = %v, want %v", got, want)
 	}
 }
+
+// TestFindEntriesAllocBudget: a read copies the rows it returns, not the rows
+// it considers. A sorted `limit 5` over 1 000 matching nested documents is
+// matched, sorted and cut on the stored records and then copies five of
+// them; so does a projected one, and an unsorted window orders by key.
+func TestFindEntriesAllocBudget(t *testing.T) {
+	c := newDB().C("c")
+	const matches = 1000
+	for i := 0; i < matches; i++ {
+		d := nested(fmt.Sprintf("k%04d", i))
+		d["n"] = int64((i * 7919) % matches)
+		if _, err := c.Insert(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oneCopy := testing.AllocsPerRun(100, func() { nested("x").Clone() }) / 2 // nested builds one, Clone another
+	for name, spec := range map[string]query.Spec{
+		"sorted":    {Collection: "c", Sort: []query.SortKey{{Path: "n"}}, Limit: 5, Offset: 10},
+		"projected": {Collection: "c", Sort: []query.SortKey{{Path: "n"}}, Limit: 5, Projection: []string{"user.score"}},
+		"by key":    {Collection: "c", Limit: 5},
+	} {
+		q := query.MustCompile(spec)
+		var got []Entry
+		n := testing.AllocsPerRun(10, func() { got, _ = c.FindEntries(q) })
+		if len(got) != 5 {
+			t.Fatalf("%s: %d entries, want 5", name, len(got))
+		}
+		// Five copies plus the scan's own slices, which grow by doubling.
+		t.Logf("%s: %.0f allocations (one copy is %.0f)", name, n, oneCopy)
+		if budget := 5*oneCopy + 60; n > budget {
+			t.Errorf("%s: limit 5 over %d matches costs %.0f allocations, budget %.0f (one copy is %.0f)", name, matches, n, budget, oneCopy)
+		}
+	}
+	if got, _ := c.FindEntries(query.MustCompile(query.Spec{Collection: "c", Limit: 3, Offset: 1})); got[0].Key != "k0001" || got[2].Key != "k0003" {
+		t.Fatalf("unsorted window = %s..%s, want k0001..k0003", got[0].Key, got[2].Key)
+	}
+}

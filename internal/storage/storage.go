@@ -319,7 +319,10 @@ func (c *Collection) Find(q *query.Query) ([]document.Document, error) {
 // FindEntries executes a query and returns versioned entries — the form the
 // application server ships to InvaliDB as the initial result. Projections
 // are applied to the returned documents but matching and sorting always see
-// the full record.
+// the full record. Matching, sorting and the offset/limit cut all run on the
+// stored records themselves (immutable, see scanned); only the entries that
+// are returned are copied, so the caller owns what it gets and a sorted
+// `limit 50` over a thousand matches copies fifty documents.
 func (c *Collection) FindEntries(q *query.Query) ([]Entry, error) {
 	if q.Collection != c.name {
 		return nil, fmt.Errorf("storage: query targets %q, collection is %q", q.Collection, c.name)
@@ -337,9 +340,11 @@ func (c *Collection) FindEntries(q *query.Query) ([]Entry, error) {
 	if q.Limit > 0 && len(matched) > q.Limit {
 		matched = matched[:q.Limit]
 	}
-	if len(q.Projection) > 0 {
-		for i := range matched {
-			matched[i].Doc = q.Project(matched[i].Doc)
+	for i := range matched {
+		if len(q.Projection) > 0 {
+			matched[i].Doc = q.Project(matched[i].Doc) // copies what it keeps
+		} else {
+			matched[i].Doc = matched[i].Doc.Clone()
 		}
 	}
 	return matched, nil
@@ -370,10 +375,12 @@ func (s *shard) snapshot(buf []scanned) []scanned {
 }
 
 // matchSnapshot evaluates the query against a record snapshot, lock-free.
+// The entries share the stored documents: FindEntries copies the ones it
+// returns.
 func matchSnapshot(q *query.Query, snap []scanned, out []Entry) []Entry {
 	for _, sn := range snap {
 		if q.Match(sn.rec.doc) {
-			out = append(out, Entry{Key: sn.key, Version: sn.rec.version, Doc: sn.rec.doc.Clone()})
+			out = append(out, Entry{Key: sn.key, Version: sn.rec.version, Doc: sn.rec.doc})
 		}
 	}
 	return out
@@ -426,9 +433,15 @@ func (c *Collection) Count(q *query.Query) (int, error) {
 
 // sortEntries orders results by the query comparator. Even without an
 // explicit sort, limit/offset windows need the total order the engine
-// defines (primary-key ascending) so pull-based and real-time results agree.
+// defines (primary-key ascending) so pull-based and real-time results agree;
+// an entry's key is its document's primary key, so that order needs no
+// comparator.
 func sortEntries(entries []Entry, q *query.Query) {
 	if len(entries) < 2 {
+		return
+	}
+	if len(q.Sort) == 0 {
+		sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 		return
 	}
 	sort.Slice(entries, func(i, j int) bool { return q.Compare(entries[i].Doc, entries[j].Doc) < 0 })

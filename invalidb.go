@@ -91,7 +91,10 @@ type Subscription = appserver.Subscription
 // database and the InvaliDB cluster.
 type Server = appserver.Server
 
-// ServerOptions configures an application server.
+// ServerOptions configures an application server. EventBuffer is a bound,
+// not a reservation: a subscription's event queue is empty while its consumer
+// keeps up, and a consumer more than EventBuffer events behind receives one
+// event with the full current result in place of what it missed.
 type ServerOptions = appserver.Options
 
 // Cluster is a running InvaliDB matching cluster.
