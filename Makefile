@@ -106,14 +106,15 @@ obs-smoke:
 	curl -sf 'http://127.0.0.1:7599/metrics?format=text' | grep -q 'topology\.' || { echo "obs-smoke: text metrics missing topology stats"; exit 1; }; \
 	echo "obs-smoke: ok"
 
-# Resize smoke: boot the real multi-process deployment (broker + two grid
+# Resize smoke: boot the real multi-process deployment (broker + two named
 # server processes + coordinator), perform a live QP resize under write load
 # via the one-shot CLI, and assert zero dropped or duplicated notifications
 # (DESIGN.md §13). Runs under the race detector: the resize path crosses
-# every concurrency boundary in the system. Gated behind RESIZE_SMOKE so
-# `go test ./...` stays fast.
+# every concurrency boundary in the system. Three runs: the resize races the
+# second node's announcement, and one green run proves little. Gated behind
+# RESIZE_SMOKE so `go test ./...` stays fast.
 resize-smoke:
-	RESIZE_SMOKE=1 $(GO) test -race ./internal/smoke -run TestResizeSmoke -count=1 -v
+	RESIZE_SMOKE=1 $(GO) test -race ./internal/smoke -run TestResizeSmoke -count=3 -v
 
 # Fan-out smoke: a scaled-down run of the `-exp fanout` swarm under the race
 # detector — asserts the dedup ratio (one upstream subscription per distinct

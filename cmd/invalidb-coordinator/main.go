@@ -6,9 +6,12 @@
 // Usage:
 //
 //	eventlayerd -addr 127.0.0.1:7587 &
-//	invalidb-server -broker 127.0.0.1:7587 -node a -slots 2 &
-//	invalidb-server -broker 127.0.0.1:7587 -node b -slots 2 &
+//	invalidb-server -broker 127.0.0.1:7587 -node a -qp 2 -wp 4 &
+//	invalidb-server -broker 127.0.0.1:7587 -node b -qp 2 -wp 4 &
 //	invalidb-coordinator -broker 127.0.0.1:7587 -qp 2 -wp 2
+//
+// Each server's -qp rows are slots the coordinator places global rows on;
+// its -wp columns are the headroom a write-partition resize grows into.
 //
 // A live resize is requested with the one-shot -resize flag, which
 // publishes a ResizeRequest to the running coordinator and exits:

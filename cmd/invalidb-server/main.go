@@ -4,10 +4,14 @@
 // from application servers and reachable only through the event layer, so
 // taking it down never affects the OLTP path.
 //
+// Every process runs one -qp x -wp matching grid; a named one (-node)
+// routes by the partition map invalidb-coordinator publishes.
+//
 // Usage:
 //
 //	eventlayerd -addr 127.0.0.1:7587 &
 //	invalidb-server -broker 127.0.0.1:7587 -qp 4 -wp 4
+//	invalidb-server -broker 127.0.0.1:7587 -node a -qp 2 -wp 4
 package main
 
 import (
@@ -26,11 +30,9 @@ import (
 func main() {
 	var (
 		broker   = flag.String("broker", "127.0.0.1:7587", "event-layer broker address")
-		qp       = flag.Int("qp", 1, "query partitions (single-process mode)")
-		wp       = flag.Int("wp", 1, "write partitions (single-process mode)")
-		node     = flag.String("node", "", "node id for a multi-process grid (empty = single-process mode)")
-		slots    = flag.Int("slots", 1, "grid mode: local query-partition rows this process hosts")
-		maxWP    = flag.Int("max-wp", 0, "grid mode: column capacity for live write-partition resize (0 = wp)")
+		qp       = flag.Int("qp", 1, "query partitions: this process's grid rows")
+		wp       = flag.Int("wp", 1, "write partitions: this process's grid columns (a coordinated grid's column capacity)")
+		node     = flag.String("node", "", "node id; named = coordinated by invalidb-coordinator (empty = static identity map)")
 		capacity = flag.Int("capacity", 0, "per-node match-ops/s budget (0 = unthrottled)")
 		ns       = flag.String("namespace", "invalidb", "event-layer topic namespace")
 		obsAddr  = flag.String("obs-addr", "", "observability HTTP address for /metrics, /healthz, /debug/pprof (empty disables; unauthenticated — \":port\" binds loopback, use an explicit host like 0.0.0.0:9090 to expose)")
@@ -43,13 +45,11 @@ func main() {
 		fatal(err)
 	}
 	cluster, err := core.NewCluster(bus, core.Options{
-		Namespace:          *ns,
-		QueryPartitions:    *qp,
-		WritePartitions:    *wp,
-		NodeID:             *node,
-		GridSlots:          *slots,
-		MaxWritePartitions: *maxWP,
-		NodeCapacity:       *capacity,
+		Namespace:       *ns,
+		QueryPartitions: *qp,
+		WritePartitions: *wp,
+		NodeID:          *node,
+		NodeCapacity:    *capacity,
 	})
 	if err != nil {
 		fatal(err)
@@ -57,13 +57,8 @@ func main() {
 	if err := cluster.Start(); err != nil {
 		fatal(err)
 	}
-	if *node != "" {
-		fmt.Printf("invalidb-server: grid node %s (%d slots) on broker %s (namespace %s), awaiting partition map\n",
-			*node, *slots, *broker, *ns)
-	} else {
-		fmt.Printf("invalidb-server: %dx%d matching grid on broker %s (namespace %s)\n",
-			*qp, *wp, *broker, *ns)
-	}
+	fmt.Printf("invalidb-server: %dx%d matching grid (node %q) on broker %s (namespace %s)\n",
+		*qp, *wp, *node, *broker, *ns)
 
 	if *obsAddr != "" {
 		o, err := obs.Serve(*obsAddr, obs.Options{

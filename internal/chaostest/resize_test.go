@@ -15,7 +15,7 @@ import (
 )
 
 // gridEnv is a complete multi-process deployment folded into one test
-// process: several grid-mode clusters (one per simulated server process), a
+// process: several named clusters (one per simulated server process), a
 // coordinator, and an application server, all sharing one MemBus the way
 // real processes share a broker.
 type gridEnv struct {
@@ -27,10 +27,10 @@ type gridEnv struct {
 	topics   core.Topics
 }
 
-// newGridEnv boots nodes (name -> slot count) with the given column
-// capacity, a coordinator for an initial qp x wp grid, and an application
-// server, and waits until the first partition map converged on every node.
-func newGridEnv(t *testing.T, nodes map[string]int, maxWP, qp, wp int, serverOpts appserver.Options) *gridEnv {
+// newGridEnv boots nodes (name -> grid rows), each cols columns wide, a
+// coordinator for an initial qp x wp grid, and an application server, and
+// waits until the first partition map converged on every node.
+func newGridEnv(t *testing.T, nodes map[string]int, cols, qp, wp int, serverOpts appserver.Options) *gridEnv {
 	t.Helper()
 	bus := eventlayer.NewMemBus(eventlayer.MemBusOptions{})
 	e := &gridEnv{
@@ -38,14 +38,14 @@ func newGridEnv(t *testing.T, nodes map[string]int, maxWP, qp, wp int, serverOpt
 		clusters: map[string]*core.Cluster{},
 		topics:   core.NewTopics(""),
 	}
-	for name, slots := range nodes {
+	for name, rows := range nodes {
 		cl, err := core.NewCluster(bus, core.Options{
-			NodeID:             name,
-			GridSlots:          slots,
-			MaxWritePartitions: maxWP,
-			TickInterval:       20 * time.Millisecond,
-			HeartbeatInterval:  20 * time.Millisecond,
-			RetentionTime:      5 * time.Second,
+			NodeID:            name,
+			QueryPartitions:   rows,
+			WritePartitions:   cols,
+			TickInterval:      20 * time.Millisecond,
+			HeartbeatInterval: 20 * time.Millisecond,
+			RetentionTime:     5 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +259,7 @@ func TestGridResizeWritePartitionContinuity(t *testing.T) {
 func TestGridResizeWithoutHeadroomRefused(t *testing.T) {
 	e := newGridEnv(t, map[string]int{"a": 1, "b": 1}, 2, 2, 2, appserver.Options{})
 	if err := e.coord.AddWritePartition(); err == nil {
-		t.Fatal("AddWritePartition succeeded beyond MaxWritePartitions headroom")
+		t.Fatal("AddWritePartition succeeded beyond the nodes' WritePartitions headroom")
 	}
 	if m := e.coord.CurrentMap(); m.Epoch != 1 || m.WritePartitions != 2 {
 		t.Fatalf("refused resize still moved the map: epoch %d wp %d", m.Epoch, m.WritePartitions)

@@ -29,7 +29,7 @@ func startCoordinator(t *testing.T, bus eventlayer.Bus, opts Options) *Coordinat
 	return c
 }
 
-// hello publishes a NodeHello the way a grid-mode cluster process does.
+// hello publishes a NodeHello the way a named cluster process does.
 func hello(t *testing.T, bus eventlayer.Bus, node string, slots, maxWP int, m *core.PartitionMap) {
 	t.Helper()
 	env := &core.Envelope{Kind: core.KindNodeHello, Hello: &core.NodeHello{

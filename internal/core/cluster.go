@@ -16,33 +16,21 @@ import (
 type Options struct {
 	// Namespace prefixes all event-layer topics. Default "invalidb".
 	Namespace string
-	// QueryPartitions (QP) is the number of query partitions; adding query
-	// partitions raises the number of sustainable concurrent queries
-	// (paper Figure 4). Default 1.
+	// QueryPartitions (QP) and WritePartitions (WP) are this process's grid:
+	// QP rows of matching cells, each WP columns wide, one cell per (row,
+	// column). Adding query partitions raises the number of sustainable
+	// concurrent queries (paper Figure 4), adding write partitions the
+	// sustainable write throughput (Figure 5). For a coordinated process the
+	// rows are the slots the coordinator places global rows on, and WP is the
+	// column capacity a live write-partition resize grows into. Defaults 1.
 	QueryPartitions int
-	// WritePartitions (WP) is the number of write partitions; adding write
-	// partitions raises sustainable write throughput (paper Figure 5).
-	// Default 1.
 	WritePartitions int
-	// NodeID names this process in a multi-process grid (DESIGN.md §13).
-	// Empty (the default) selects single-process mode: the cluster runs the
-	// full QP x WP grid behind an identity partition map at epoch 0. Non-empty
-	// selects grid mode: the process hosts GridSlots local rows, routes only
-	// the global rows a coordinator-published partition map assigns to it,
-	// and stays idle until the first map arrives on the control topic.
+	// NodeID names this process; named = coordinated (DESIGN.md §13). An
+	// unnamed process (the default) routes by the identity map of its own
+	// grid, installed at construction. A named process receives its map from
+	// the coordinator over the retained control topic and routes nothing
+	// until the first one arrives.
 	NodeID string
-	// GridSlots is the number of local query-partition rows this process
-	// hosts in grid mode (ignored in single-process mode). Default 1.
-	GridSlots int
-	// MaxWritePartitions is the local grid's column capacity in grid mode:
-	// the ceiling on any partition map's WritePartitions this process can
-	// serve, and the headroom a live write-partition resize grows into.
-	// Default: WritePartitions. Ignored in single-process mode.
-	MaxWritePartitions int
-	// QueryIngestNodes and WriteIngestNodes size the stateless ingestion
-	// stages (the paper used 1 and 4 in all experiments). Defaults 1 and 4.
-	QueryIngestNodes int
-	WriteIngestNodes int
 	// NodeCapacity throttles each matching node to this many
 	// match-operations per second (one match-op = one after-image evaluated
 	// against one registered query). Zero disables throttling. This is the
@@ -71,11 +59,6 @@ type Options struct {
 	// the simulated per-write cost drops to the candidate count, mirroring
 	// the real CPU saving (see the AblationQueryIndex benchmark).
 	EnableQueryIndex bool
-	// MaxTaskRestarts bounds how many times the stream processor's
-	// supervisor replaces a panicking task with a fresh instance before
-	// marking the task dead (see topology.Config.MaxTaskRestarts). Zero
-	// selects the topology default (3); negative disables restarts.
-	MaxTaskRestarts int
 	// MatchHook, when set, is invoked at the top of every matching
 	// node's Execute with the task id and the tuple kind. It exists for
 	// fault injection in tests — a hook that panics simulates a crashing
@@ -106,6 +89,13 @@ type Stage struct {
 	Factory func(c *Cluster) topology.Bolt
 }
 
+// The stateless ingestion stages' node counts: the paper's fixed 1 and 4
+// ("1 and 4 in all experiments", §6).
+const (
+	queryIngestNodes = 1
+	writeIngestNodes = 4
+)
+
 // defaultTTL applies to subscribe and extend requests that carry no TTL.
 const defaultTTL = 60 * time.Second
 
@@ -126,18 +116,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WritePartitions <= 0 {
 		o.WritePartitions = 1
-	}
-	if o.GridSlots <= 0 {
-		o.GridSlots = 1
-	}
-	if o.MaxWritePartitions <= 0 {
-		o.MaxWritePartitions = o.WritePartitions
-	}
-	if o.QueryIngestNodes <= 0 {
-		o.QueryIngestNodes = 1
-	}
-	if o.WriteIngestNodes <= 0 {
-		o.WriteIngestNodes = 4
 	}
 	if o.RetentionTime <= 0 {
 		o.RetentionTime = 5 * time.Second
@@ -167,8 +145,9 @@ type Cluster struct {
 
 	// layout is the process-local grid geometry (rows x column capacity);
 	// maps holds the installed partition-map epochs that route global rows
-	// onto it. Single-process mode installs an identity map at construction,
-	// so routing follows one uniform code path in both modes.
+	// onto it. An unnamed process installs the identity map at construction,
+	// so routing follows one code path whether the map is static or
+	// coordinated.
 	layout gridLayout
 	maps   mapState
 
@@ -259,14 +238,9 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 		mBackfillCertified:  reg.Counter("backfill.certified"),
 	}
 
-	if opts.NodeID != "" {
-		// Grid mode: the local grid has GridSlots rows and MaxWritePartitions
-		// columns of capacity; the coordinator's maps decide which global
-		// rows land here. No map is installed yet — the process routes
-		// nothing until the control topic delivers one.
-		c.layout = gridLayout{rows: opts.GridSlots, cols: opts.MaxWritePartitions}
-	} else {
-		c.layout = gridLayout{rows: opts.QueryPartitions, cols: opts.WritePartitions}
+	c.layout = gridLayout{rows: opts.QueryPartitions, cols: opts.WritePartitions}
+	if opts.NodeID == "" {
+		// Static map. A named process waits for the coordinator's instead.
 		c.maps.install(IdentityMap(opts.QueryPartitions, opts.WritePartitions), "")
 	}
 	c.held = make([]heldCounts, c.layout.tasks())
@@ -286,13 +260,13 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 
 	b.SetBolt("query-ingest", func() topology.Bolt {
 		return newQueryIngestBolt(c)
-	}, opts.QueryIngestNodes, "kind", "qkey", "payload").
+	}, queryIngestNodes, "kind", "qkey", "payload").
 		DeclareStream(streamBootstrap, "kind", "qkey", "payload").
 		ShuffleGrouping("query-src")
 
 	b.SetBolt("write-ingest", func() topology.Bolt {
 		return newWriteIngestBolt(c)
-	}, opts.WriteIngestNodes, "kind", "qkey", "payload").
+	}, writeIngestNodes, "kind", "qkey", "payload").
 		ShuffleGrouping("write-src")
 
 	b.SetBolt("match", func() topology.Bolt {
@@ -328,10 +302,7 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 			BroadcastGrouping("tick")
 	}
 
-	top, err := b.Build(topology.Config{
-		QueueSize:       opts.QueueSize,
-		MaxTaskRestarts: opts.MaxTaskRestarts,
-	})
+	top, err := b.Build(topology.Config{QueueSize: opts.QueueSize})
 	if err != nil {
 		return nil, err
 	}
@@ -374,11 +345,8 @@ func (c *Cluster) Options() Options { return c.opts }
 // Topics returns the cluster's event-layer topic scheme.
 func (c *Cluster) Topics() Topics { return c.topics }
 
-// Start launches the topology and the heartbeat publisher. Grid-mode
-// processes additionally subscribe to the retained control topic (so the
-// coordinator's current partition map arrives immediately, even if it was
-// published before this process came up) and announce themselves with a
-// NodeHello on the coordination topic.
+// Start launches the topology and the heartbeat publisher, and for a named
+// process the coordination client (controlLoop).
 func (c *Cluster) Start() error {
 	c.mu.Lock()
 	if c.started {
@@ -402,11 +370,13 @@ func (c *Cluster) Start() error {
 }
 
 func (c *Cluster) start() error {
+	// A named process subscribes to the retained control topic before the
+	// topology starts, so the coordinator's current map arrives at once even
+	// if it was published before this process came up.
 	var ctl eventlayer.Subscription
 	if c.opts.NodeID != "" {
 		var err error
-		ctl, err = c.bus.Subscribe(c.topics.Control())
-		if err != nil {
+		if ctl, err = c.bus.Subscribe(c.topics.Control()); err != nil {
 			return err
 		}
 	}
@@ -421,7 +391,6 @@ func (c *Cluster) start() error {
 	if ctl != nil {
 		c.hbWG.Add(1)
 		go c.controlLoop(ctl)
-		c.publishHello()
 	}
 	return nil
 }
@@ -493,26 +462,33 @@ func (c *Cluster) heartbeatLoop() {
 					_ = c.bus.Publish(c.topics.Notify(tenant), data)
 				}
 			}
-			if c.opts.NodeID != "" {
-				c.publishHello()
-			}
 		}
 	}
 }
 
-// controlLoop consumes the coordinator's retained control topic: every
+// controlLoop is a named process's coordination client. It announces the
+// node on the coordination topic at once and on every HeartbeatInterval
+// tick, and consumes the coordinator's retained control topic: every
 // partition-map publication with a higher epoch is installed (demoting the
-// previous map) and acknowledged back on the coordination topic so the
-// coordinator can track convergence. Re-publications of the current epoch
-// are ignored silently — the coordinator re-publishes periodically so late
-// joiners converge.
+// previous map) and acknowledged so the coordinator can track convergence.
+// Re-publications of the current epoch are ignored — the coordinator
+// re-publishes periodically so late joiners converge. A map that places
+// none of this node's rows is answered with an immediate hello: the node's
+// first announcement may have gone out before the coordinator listened, and
+// the coordinator must know the node before the next resize, not a tick
+// later.
 func (c *Cluster) controlLoop(sub eventlayer.Subscription) {
 	defer c.hbWG.Done()
 	defer sub.Close()
+	ticker := time.NewTicker(c.opts.HeartbeatInterval)
+	defer ticker.Stop()
+	c.publishHello()
 	for {
 		select {
 		case <-c.stopHB:
 			return
+		case <-ticker.C:
+			c.publishHello()
 		case msg, ok := <-sub.C():
 			if !ok {
 				return
@@ -521,21 +497,26 @@ func (c *Cluster) controlLoop(sub eventlayer.Subscription) {
 			if err != nil || env.Kind != KindPartitionMap || env.Map == nil {
 				continue
 			}
-			if c.maps.install(env.Map.Clone(), c.opts.NodeID) {
-				c.publishEpochAck(env.Map.Epoch)
+			if !c.maps.install(env.Map.Clone(), c.opts.NodeID) {
+				continue
+			}
+			c.publishEpochAck(env.Map.Epoch)
+			if len(c.maps.current().owned) == 0 {
+				c.publishHello()
 			}
 		}
 	}
 }
 
 // publishHello announces this process on the coordination topic: its
-// identity, capacity, and the map epoch it currently routes by (so a
-// restarted coordinator can recover the authoritative map from the fleet).
+// identity, its grid (rows to place global rows on, column capacity), and
+// the map epoch it currently routes by (so a restarted coordinator can
+// recover the authoritative map from the fleet).
 func (c *Cluster) publishHello() {
 	hello := &NodeHello{
 		Node:               c.opts.NodeID,
-		Slots:              c.opts.GridSlots,
-		MaxWritePartitions: c.opts.MaxWritePartitions,
+		Slots:              c.opts.QueryPartitions,
+		MaxWritePartitions: c.opts.WritePartitions,
 	}
 	if cur := c.maps.current(); cur != nil {
 		hello.Map = cur.m.Clone()
@@ -554,7 +535,7 @@ func (c *Cluster) publishEpochAck(epoch uint64) {
 }
 
 // CurrentMap returns a copy of the partition map the cluster currently
-// routes by, or nil when none is installed yet (a grid-mode process before
+// routes by, or nil when none is installed yet (a named process before
 // its first control-topic delivery).
 func (c *Cluster) CurrentMap() *PartitionMap {
 	cur := c.maps.current()
@@ -567,8 +548,8 @@ func (c *Cluster) CurrentMap() *PartitionMap {
 // reportsQueryErrors reports whether this process should publish
 // compile-error notifications for malformed subscriptions. Every process
 // sees all control traffic, so exactly one — the owner of global row 0 —
-// speaks for the cluster to avoid duplicate error notifications. The
-// single-process identity map always owns row 0.
+// speaks for the cluster to avoid duplicate error notifications. An unnamed
+// process's identity map always owns row 0.
 func (c *Cluster) reportsQueryErrors() bool {
 	cur := c.maps.current()
 	return cur != nil && cur.ownedSlot(0) >= 0

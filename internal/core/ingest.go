@@ -230,7 +230,7 @@ func (b *queryIngestBolt) handleSubscribe(req *SubscribeRequest) {
 	hash := TenantQueryHash(req.Tenant, q)
 	r := b.c.maps.at(req.Epoch)
 	if r == nil {
-		return // grid node awaiting its first partition map
+		return // a named process awaiting its first partition map
 	}
 	row := r.m.Row(hash)
 	slot := r.ownedSlot(row)
@@ -435,7 +435,7 @@ func (b *writeIngestBolt) Execute(t *topology.Tuple) {
 	// between enqueue here and flush never loses a notification.
 	cur := b.c.maps.current()
 	if cur == nil {
-		return // grid node awaiting its first partition map
+		return // a named process awaiting its first partition map
 	}
 	b.c.mWrites.Inc()
 	we := &WriteEvent{

@@ -151,8 +151,8 @@ type matchBolt struct {
 	// exposed in the old opts-derived gridCell.
 	cell GridCell
 	// origin stamps outgoing notifications with this node instance's
-	// identity ("m<task>.<incarnation>", prefixed with the node id in
-	// multi-process grids) so application servers can deduplicate
+	// identity ("<node>:m<task>.<incarnation>", the node prefix empty in an
+	// unnamed process) so application servers can deduplicate
 	// redeliveries per emitting instance.
 	origin string
 
@@ -195,13 +195,9 @@ func (b *matchBolt) Prepare(ctx *topology.BoltContext, out topology.Collector) e
 		row, col := b.c.layout.cell(ctx.TaskID)
 		b.cell = GridCell{Row: row, Col: col}
 	}
-	if b.c.opts.NodeID != "" {
-		// Node-qualified origin: task ids repeat across processes in a
-		// multi-process grid, so the per-instance dedup identity must not.
-		b.origin = fmt.Sprintf("%s:m%d.%d", b.c.opts.NodeID, ctx.TaskID, ctx.Incarnation)
-	} else {
-		b.origin = fmt.Sprintf("m%d.%d", ctx.TaskID, ctx.Incarnation)
-	}
+	// Node-qualified origin: task ids repeat across the processes of a
+	// coordinated grid, so the per-instance dedup identity must not.
+	b.origin = fmt.Sprintf("%s:m%d.%d", b.c.opts.NodeID, ctx.TaskID, ctx.Incarnation)
 	b.queries = map[uint64]*matchQuery{}
 	b.buckets = map[string]*queryBucket{}
 	b.keys = keyTable{m: map[string]keyState{}}

@@ -134,8 +134,9 @@ type Notification struct {
 	Index int
 	// Seq orders notifications emitted for the same query by the same node.
 	Seq uint64
-	// Origin identifies the emitting node instance ("m3.0" = matching
-	// task 3, incarnation 0). Together with Seq it lets application
+	// Origin identifies the emitting node instance ("a:m3.0" = matching
+	// task 3, incarnation 0, of the process named a; ":m3.0" in an unnamed
+	// process, "s1.0" = sorting task 1, incarnation 0). Together with Seq it lets application
 	// servers deduplicate redelivered notifications without mistaking a
 	// restarted node's reset sequence counter for stale duplicates.
 	Origin string
@@ -259,17 +260,18 @@ const (
 	ResizeAxisWP = "wp"
 )
 
-// NodeHello is a server process's periodic announcement on the coordinator
-// topic: its identity, capacity (local grid slots and column headroom), and
-// the highest-epoch partition map it has installed. The map makes the
+// NodeHello is a named process's periodic announcement on the coordinator
+// topic: its identity, capacity (its grid's rows and columns), and the
+// highest-epoch partition map it has installed. The map makes the
 // coordinator crash-recoverable — a replacement coordinator adopts the
 // highest epoch its nodes report instead of restarting from epoch 1.
 type NodeHello struct {
 	Node string
-	// Slots is the number of local query-partition rows the process runs.
+	// Slots is the number of local query-partition rows the process runs
+	// (its Options.QueryPartitions).
 	Slots int
 	// MaxWritePartitions is the process's column capacity — the ceiling on
-	// any map's WritePartitions it can serve.
+	// any map's WritePartitions it can serve (its Options.WritePartitions).
 	MaxWritePartitions int
 	// Map is the highest-epoch partition map the node holds, if any.
 	Map *PartitionMap
@@ -297,8 +299,8 @@ type EpochAck struct {
 type Heartbeat struct {
 	Tenant     string
 	TimeMillis int64
-	// Node is the emitting process (Options.NodeID; "" in single-process
-	// mode). Boot is drawn at random once per Cluster, so a replacement
+	// Node is the emitting process (Options.NodeID; "" for an unnamed
+	// process). Boot is drawn at random once per Cluster, so a replacement
 	// process differs from the one it replaced even without a heartbeat gap;
 	// Restarts counts supervisor restarts of the process's stateful tasks
 	// (matching, sorting, extension stages), each of which came back empty.

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"invalidb/internal/document"
 	"invalidb/internal/query"
@@ -91,7 +92,11 @@ func TestTopics(t *testing.T) {
 
 func TestClusterOptionDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.QueryPartitions != 1 || o.WritePartitions != 1 || o.WriteIngestNodes != 4 || o.QueryIngestNodes != 1 {
+	if o.QueryPartitions != 1 || o.WritePartitions != 1 || o.NodeID != "" {
+		t.Fatalf("defaults: %+v", o)
+	}
+	if o.RetentionTime != 5*time.Second || o.HeartbeatInterval != time.Second ||
+		o.TickInterval != 250*time.Millisecond || o.QueueSize != 4096 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if o.Engine == nil || o.Namespace != "invalidb" {

@@ -10,12 +10,12 @@ import (
 // (DESIGN.md §13). A coordinator process owns the assignment of global grid
 // rows (query partitions) to server processes and publishes it as a
 // PartitionMap on the retained control topic; every cluster process installs
-// the map and routes by it. The single-process deployment is the degenerate
-// case: an identity map at epoch 0 assigning every row to the local process,
-// so there is exactly one routing code path.
+// the map and routes by it. An unnamed process is the degenerate case: an
+// identity map at epoch 0 assigning every row of its own grid to itself, so
+// there is exactly one routing code path.
 
 // RowAssignment places one global query-partition row on a node: the owning
-// process (empty = the local process, single-process deployments) and the
+// process (empty = the local, unnamed process) and the
 // local slot index the row occupies inside that process's grid.
 type RowAssignment struct {
 	Node string
@@ -59,8 +59,8 @@ func (m *PartitionMap) Clone() *PartitionMap {
 	return &cp
 }
 
-// IdentityMap is the single-process routing state: every row of a QP x WP
-// grid is owned by the local process (node "") at slot = row, epoch 0.
+// IdentityMap is an unnamed process's routing state: every row of its QP x
+// WP grid is owned by the local process (node "") at slot = row, epoch 0.
 func IdentityMap(qp, wp int) *PartitionMap {
 	rows := make([]RowAssignment, qp)
 	for i := range rows {
@@ -173,7 +173,7 @@ func (s *mapState) install(m *PartitionMap, nodeID string) bool {
 }
 
 // current returns the current routing (nil before the first map arrives —
-// a grid-mode process routes nothing until the coordinator places it).
+// a named process routes nothing until the coordinator places it).
 func (s *mapState) current() *routing {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

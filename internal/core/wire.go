@@ -1239,8 +1239,8 @@ func (r *wireReader) decodePartitionMap() (*PartitionMap, error) {
 	return m, nil
 }
 
-// decodeNodeHello rejects what no grid process sends: an unnamed node
-// (NodeID "" is single-process mode, which publishes no hello — and "" is
+// decodeNodeHello rejects what no cluster process sends: an unnamed node
+// (an unnamed process is not coordinated and publishes no hello — and "" is
 // the coordinator's "no node has a free slot" answer) or negative capacity.
 //
 //invalidb:hotpath

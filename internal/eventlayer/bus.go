@@ -44,8 +44,9 @@ type Subscription interface {
 	Close() error
 }
 
-// matchPattern reports whether a topic matches a subscription pattern.
-func matchPattern(pattern, topic string) bool {
+// MatchPattern reports whether a topic matches a subscription pattern: a
+// literal topic, or a prefix followed by '*'.
+func MatchPattern(pattern, topic string) bool {
 	if p, ok := strings.CutSuffix(pattern, "*"); ok {
 		return strings.HasPrefix(topic, p)
 	}
@@ -173,7 +174,7 @@ type memSub struct {
 
 func (s *memSub) matches(topic string) bool {
 	for _, p := range s.patterns {
-		if matchPattern(p, topic) {
+		if MatchPattern(p, topic) {
 			return true
 		}
 	}

@@ -244,8 +244,8 @@ func TestMatchPattern(t *testing.T) {
 		{"a.*", "b.a", false},
 	}
 	for _, c := range cases {
-		if got := matchPattern(c.pattern, c.topic); got != c.want {
-			t.Errorf("matchPattern(%q, %q) = %v, want %v", c.pattern, c.topic, got, c.want)
+		if got := MatchPattern(c.pattern, c.topic); got != c.want {
+			t.Errorf("MatchPattern(%q, %q) = %v, want %v", c.pattern, c.topic, got, c.want)
 		}
 	}
 }

@@ -175,7 +175,7 @@ func (fb *FaultBus) Publish(topic string, payload []byte) error {
 	fb.stats.Published++
 
 	for _, p := range fb.partitions {
-		if matchPattern(p, topic) {
+		if MatchPattern(p, topic) {
 			fb.stats.Partitioned++
 			flush := fb.takeHeldLocked()
 			fb.mu.Unlock()
@@ -190,7 +190,7 @@ func (fb *FaultBus) Publish(topic string, payload []byte) error {
 
 	eligible := len(fb.cfg.Topics) == 0
 	for _, p := range fb.cfg.Topics {
-		if matchPattern(p, topic) {
+		if MatchPattern(p, topic) {
 			eligible = true
 			break
 		}

@@ -60,14 +60,20 @@ func (cs *connState) shutdown() {
 // active subscriptions are replayed to the broker on reconnect; messages
 // published by others while disconnected are lost (fire-and-forget pub/sub,
 // the same guarantee the in-process bus gives a late subscriber).
+//
+// The broker sends each message once per connection; the client
+// demultiplexes it to its local subscriptions through an in-process MemBus,
+// which also replays retained control-plane payloads to every later local
+// subscriber — the broker replays them only when a pattern is first
+// subscribed on the connection.
 type Client struct {
-	addr string
-	opts ClientOptions
+	addr  string
+	opts  ClientOptions
+	local *eventlayer.MemBus
 
 	mu       sync.Mutex
 	cs       *connState
-	subs     map[*clientSub]struct{}
-	patterns map[string]int
+	patterns map[string]int // broker subscriptions, refcounted by local ones
 	closed   bool
 
 	done chan struct{}
@@ -99,7 +105,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	c := &Client{
 		addr:     addr,
 		opts:     opts,
-		subs:     map[*clientSub]struct{}{},
+		local:    eventlayer.NewMemBus(eventlayer.MemBusOptions{BufferSize: opts.BufferSize}),
 		patterns: map[string]int{},
 		done:     make(chan struct{}),
 	}
@@ -189,12 +195,13 @@ func (c *Client) Subscribe(patterns ...string) (eventlayer.Subscription, error) 
 	if c.closed {
 		return nil, eventlayer.ErrBusClosed
 	}
-	s := &clientSub{
-		client:   c,
-		patterns: append([]string(nil), patterns...),
-		ch:       make(chan eventlayer.Message, c.opts.BufferSize),
+	// The local subscription exists before the broker is asked for a fresh
+	// pattern, so the retained payloads the broker replays reach it.
+	local, err := c.local.Subscribe(patterns...)
+	if err != nil {
+		return nil, err
 	}
-	c.subs[s] = struct{}{}
+	s := &subscription{Subscription: local, client: c, patterns: append([]string(nil), patterns...)}
 	var fresh []string
 	for _, p := range patterns {
 		c.patterns[p]++
@@ -236,11 +243,8 @@ func (c *Client) Close() error {
 		c.cs.shutdown()
 		c.cs = nil
 	}
-	for s := range c.subs {
-		s.closeInner()
-	}
-	c.subs = map[*clientSub]struct{}{}
 	c.mu.Unlock()
+	_ = c.local.Close()
 	c.wg.Wait()
 	return nil
 }
@@ -331,94 +335,45 @@ func (c *Client) readLoop(cs *connState) {
 			c.dropConn(cs)
 			return
 		}
-		if f.op != opMessage {
-			continue
+		if f.op == opMessage {
+			_ = c.local.Publish(f.topic, f.payload)
 		}
-		msg := eventlayer.Message{Topic: f.topic, Payload: f.payload}
-		c.mu.Lock()
-		for s := range c.subs {
-			if s.matches(f.topic) {
-				s.deliver(msg)
-			}
-		}
-		c.mu.Unlock()
 	}
 }
 
-type clientSub struct {
+// subscription is a local MemBus subscription holding a reference on each
+// of its patterns' broker subscriptions.
+type subscription struct {
+	eventlayer.Subscription
 	client   *Client
 	patterns []string
-	ch       chan eventlayer.Message
-	dropped  atomic.Uint64
-
-	mu     sync.Mutex
-	closed bool
+	closed   atomic.Bool
 }
 
-func (s *clientSub) matches(topic string) bool {
-	for _, p := range s.patterns {
-		if matchPattern(p, topic) {
-			return true
-		}
+// Close ends the local subscription and releases its broker patterns; the
+// broker is told to unsubscribe the ones no other local subscription holds.
+func (s *subscription) Close() error {
+	err := s.Subscription.Close()
+	if !s.closed.CompareAndSwap(false, true) {
+		return err
 	}
-	return false
-}
-
-func (s *clientSub) deliver(msg eventlayer.Message) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	select {
-	case s.ch <- msg:
-		return
-	default:
-	}
-	select {
-	case <-s.ch:
-		s.dropped.Add(1)
-	default:
-	}
-	select {
-	case s.ch <- msg:
-	default:
-		s.dropped.Add(1)
-	}
-}
-
-func (s *clientSub) C() <-chan eventlayer.Message { return s.ch }
-
-func (s *clientSub) Dropped() uint64 { return s.dropped.Load() }
-
-func (s *clientSub) Close() error {
 	c := s.client
 	c.mu.Lock()
-	if _, active := c.subs[s]; active {
-		delete(c.subs, s)
-		var gone []string
-		for _, p := range s.patterns {
-			if c.patterns[p] > 1 {
-				c.patterns[p]--
-			} else {
-				delete(c.patterns, p)
-				gone = append(gone, p)
-			}
-		}
-		if len(gone) > 0 && !c.closed {
-			c.enqueueControlLocked(frame{op: opUnsubscribe, patterns: gone})
+	defer c.mu.Unlock()
+	if c.closed {
+		return err
+	}
+	var gone []string
+	for _, p := range s.patterns {
+		if c.patterns[p] > 1 {
+			c.patterns[p]--
+		} else {
+			delete(c.patterns, p)
+			gone = append(gone, p)
 		}
 	}
-	c.mu.Unlock()
-	s.closeInner()
-	return nil
-}
-
-func (s *clientSub) closeInner() {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.ch)
+	if len(gone) > 0 {
+		c.enqueueControlLocked(frame{op: opUnsubscribe, patterns: gone})
 	}
-	s.mu.Unlock()
+	return err
 }

@@ -161,7 +161,14 @@ func (s *Server) acceptLoop() {
 			out:    make(chan frame, s.opts.QueueSize),
 			done:   make(chan struct{}),
 		}
+		// Close sets closed before it collects the sessions under s.mu, so a
+		// connection accepted concurrently is either collected or refused.
 		s.mu.Lock()
+		if s.closed.Load() {
+			s.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
 		s.session[sess] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(2)
@@ -272,7 +279,7 @@ func (sess *session) matches(topic string) bool {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	for p := range sess.patterns {
-		if matchPattern(p, topic) {
+		if eventlayer.MatchPattern(p, topic) {
 			return true
 		}
 	}
@@ -326,22 +333,13 @@ func (s *Server) replayRetained(sess *session, patterns []string) {
 	defer s.retMu.Unlock()
 	for topic, payload := range s.retained {
 		for _, p := range patterns {
-			if matchPattern(p, topic) {
+			if eventlayer.MatchPattern(p, topic) {
 				sess.enqueue(frame{op: opMessage, topic: topic, payload: payload})
 				s.delivered.Add(1)
 				break
 			}
 		}
 	}
-}
-
-// matchPattern mirrors eventlayer.matchPattern: literal match or '*' suffix
-// prefix match.
-func matchPattern(pattern, topic string) bool {
-	if p, ok := strings.CutSuffix(pattern, "*"); ok {
-		return strings.HasPrefix(topic, p)
-	}
-	return pattern == topic
 }
 
 func isConnReset(err error) bool {

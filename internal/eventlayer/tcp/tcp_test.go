@@ -430,3 +430,38 @@ func TestBrokerRetainsControlTopics(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 }
+
+// TestEveryLocalSubscriberGetsTheRetainedPayload: the broker replays a
+// retained payload once per connection, when the pattern is first
+// subscribed; a second subscription on the same client, made before or
+// after that replay arrived, must receive it as well — an application server
+// and a grid node sharing one connection both learn the partition map.
+func TestEveryLocalSubscriberGetsTheRetainedPayload(t *testing.T) {
+	srv := newBroker(t)
+	c := newClient(t, srv)
+	if err := c.Publish("x.control", []byte("map")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the broker retain it
+	subscribe := func() eventlayer.Subscription {
+		s, err := c.Subscribe("x.control")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	receive := func(i int, s eventlayer.Subscription) {
+		select {
+		case m := <-s.C():
+			if string(m.Payload) != "map" {
+				t.Fatalf("subscription %d got %q, want the retained payload", i, m.Payload)
+			}
+		case <-time.After(500 * time.Millisecond):
+			t.Fatalf("subscription %d never received the retained payload", i)
+		}
+	}
+	first, second := subscribe(), subscribe()
+	receive(1, first)
+	receive(2, second)
+	receive(3, subscribe()) // after the broker's replay arrived
+}

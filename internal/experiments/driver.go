@@ -48,10 +48,6 @@ type Config struct {
 	// Drain is the post-measurement grace period for in-flight
 	// notifications. Default 400ms.
 	Drain time.Duration
-	// WriteIngestNodes and QueryIngestNodes match the paper's fixed
-	// ingestion deployment (4 and 1).
-	WriteIngestNodes int
-	QueryIngestNodes int
 	// AppServerWriteCapacity models the single application server's write
 	// ceiling for the Quaestor experiments (paper: ~6 000 ops/s). Scaled
 	// default 6 000.
@@ -81,12 +77,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Drain <= 0 {
 		c.Drain = 400 * time.Millisecond
-	}
-	if c.WriteIngestNodes <= 0 {
-		c.WriteIngestNodes = 4
-	}
-	if c.QueryIngestNodes <= 0 {
-		c.QueryIngestNodes = 1
 	}
 	if c.AppServerWriteCapacity <= 0 {
 		c.AppServerWriteCapacity = 6_000
@@ -160,8 +150,6 @@ func clusterOptions(cfg Config, qp, wp int) core.Options {
 		QueryPartitions:   qp,
 		WritePartitions:   wp,
 		NodeCapacity:      cfg.NodeCapacity,
-		QueryIngestNodes:  cfg.QueryIngestNodes,
-		WriteIngestNodes:  cfg.WriteIngestNodes,
 		HeartbeatInterval: time.Second,
 		TickInterval:      100 * time.Millisecond,
 		RetentionTime:     5 * time.Second,
@@ -406,13 +394,11 @@ func RunQuaestorPoint(cfg Config, qp, wp, queries, opsPerSec int) (Point, error)
 	bus := eventlayer.NewMemBus(eventlayer.MemBusOptions{BufferSize: 1 << 16})
 	defer bus.Close()
 	cluster, err := core.NewCluster(bus, core.Options{
-		QueryPartitions:  qp,
-		WritePartitions:  wp,
-		NodeCapacity:     cfg.NodeCapacity,
-		QueryIngestNodes: cfg.QueryIngestNodes,
-		WriteIngestNodes: cfg.WriteIngestNodes,
-		TickInterval:     100 * time.Millisecond,
-		QueueSize:        1 << 15,
+		QueryPartitions: qp,
+		WritePartitions: wp,
+		NodeCapacity:    cfg.NodeCapacity,
+		TickInterval:    100 * time.Millisecond,
+		QueueSize:       1 << 15,
 	})
 	if err != nil {
 		return Point{}, err

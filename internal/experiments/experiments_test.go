@@ -202,7 +202,7 @@ func TestRenderers(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.NodeCapacity != 150_000 || c.MatchingQueries != 40 || c.WriteIngestNodes != 4 {
+	if c.NodeCapacity != 150_000 || c.MatchingQueries != 40 {
 		t.Fatalf("defaults: %+v", c)
 	}
 }

@@ -67,13 +67,13 @@ func RunResizePoint(cfg Config, writeRate int) (ResizePoint, error) {
 	var clusters []*core.Cluster
 	for _, name := range []string{"a", "b"} {
 		cl, err := core.NewCluster(bus, core.Options{
-			NodeID:             name,
-			GridSlots:          2,
-			MaxWritePartitions: 2,
-			TickInterval:       20 * time.Millisecond,
-			HeartbeatInterval:  20 * time.Millisecond,
-			RetentionTime:      5 * time.Second,
-			QueueSize:          1 << 15,
+			NodeID:            name,
+			QueryPartitions:   2,
+			WritePartitions:   2,
+			TickInterval:      20 * time.Millisecond,
+			HeartbeatInterval: 20 * time.Millisecond,
+			RetentionTime:     5 * time.Second,
+			QueueSize:         1 << 15,
 		})
 		if err != nil {
 			return ResizePoint{}, err
@@ -269,7 +269,7 @@ func RunResizePoint(cfg Config, writeRate int) (ResizePoint, error) {
 		Before: recBefore.Snapshot(), During: recDuring.Snapshot(), After: recAfter.Snapshot(),
 		ResizeTook: took,
 		//invalidb:allow epochcapture the experiment report records the epoch's shape as data, it never routes by it
-		Epoch:      m.Epoch, QP: m.QueryPartitions, WP: m.WritePartitions,
+		Epoch: m.Epoch, QP: m.QueryPartitions, WP: m.WritePartitions,
 		Dropped: dropped, Duplicated: duplicated, Errors: errs,
 		FinalMatch: finalMatch,
 		Migrations: srv.Metrics().Counter("appserver.migrations").Value(),

@@ -21,7 +21,7 @@ import (
 	"invalidb/internal/storage"
 )
 
-// TestResizeSmoke is `make resize-smoke`: it boots a broker, two grid-mode
+// TestResizeSmoke is `make resize-smoke`: it boots a broker, two named
 // invalidb-server processes, and a coordinator, then performs a live
 // query-partition resize with the one-shot CLI while writes flow, and
 // asserts that no notification was dropped or duplicated and that the
@@ -44,8 +44,8 @@ func TestResizeSmoke(t *testing.T) {
 	addr := freeAddr(t)
 	spawn(t, filepath.Join(bin, "eventlayerd"), "-addr", addr, "-stats", "0")
 	waitDialable(t, addr)
-	spawn(t, filepath.Join(bin, "invalidb-server"), "-broker", addr, "-node", "a", "-slots", "2", "-max-wp", "2", "-stats", "0")
-	spawn(t, filepath.Join(bin, "invalidb-server"), "-broker", addr, "-node", "b", "-slots", "2", "-max-wp", "2", "-stats", "0")
+	spawn(t, filepath.Join(bin, "invalidb-server"), "-broker", addr, "-node", "a", "-qp", "2", "-wp", "2", "-stats", "0")
+	spawn(t, filepath.Join(bin, "invalidb-server"), "-broker", addr, "-node", "b", "-qp", "2", "-wp", "2", "-stats", "0")
 	spawn(t, filepath.Join(bin, "invalidb-coordinator"), "-broker", addr, "-qp", "2", "-wp", "2", "-stats", "1s")
 
 	// The application server runs in-process so the test can audit its
