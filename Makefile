@@ -69,6 +69,7 @@ chaos:
 bench-smoke:
 	$(GO) test . -run xxx -bench 'BenchmarkFanOutRouting' -benchmem -benchtime=100000x
 	$(GO) test . -run xxx -bench 'BenchmarkMatchRangeQuery|BenchmarkMatchComplexFilter|BenchmarkSortComparator' -benchmem -benchtime=100000x
+	$(GO) test . -run xxx -bench 'BenchmarkStorageIndexedFind|BenchmarkStorageBootstrapPinned' -benchmem -benchtime=100x
 	$(GO) test ./internal/core -run xxx -bench 'BenchmarkEnvelopeWire' -benchmem -benchtime=1x
 	$(GO) test ./internal/core -run xxx -bench 'BenchmarkCandidateProbe' -benchmem -benchtime=1000x
 	$(GO) test ./internal/gateway -run TestGatewayFanOutPerDeliveryAllocs -bench 'BenchmarkGatewayFanOut' -benchmem -benchtime=1000x -count=1
@@ -87,6 +88,7 @@ alloc-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzMatch -fuzztime 2000x
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzApplyUpdate -fuzztime 2000x
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzIndexedFind -fuzztime 2000x
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEnvelopeWire -fuzztime 2000x
 	$(GO) test ./internal/coordinator -run '^$$' -fuzz FuzzCoordinatorHandle -fuzztime 2000x
 

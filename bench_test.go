@@ -347,6 +347,26 @@ func BenchmarkStorageIndexedFind(b *testing.B) {
 	}
 }
 
+// BenchmarkStorageBootstrapPinned measures subscribe-churn's admission read,
+// a group query over 20 000 documents, as a subscriber issues it: no
+// EnsureIndex, so the collection builds the index on the pinned path itself
+// at the first Find. Read it beside BenchmarkStorageIndexedFind.
+func BenchmarkStorageBootstrapPinned(b *testing.B) {
+	db := storage.Open(storage.Options{})
+	c := db.C("c")
+	for i := 0; i < 20000; i++ {
+		_, _ = c.Insert(document.Document{"_id": fmt.Sprint(i), "g": float64(i % 20), "n": i})
+	}
+	q := query.MustCompile(query.Spec{Collection: "c", Filter: map[string]any{"g": float64(3)}})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		docs, err := c.Find(q)
+		if err != nil || len(docs) != 1000 {
+			b.Fatalf("find: %d docs, %v", len(docs), err)
+		}
+	}
+}
+
 // BenchmarkMemBusPublish measures the in-process event layer.
 func BenchmarkMemBusPublish(b *testing.B) {
 	bus := eventlayer.NewMemBus(eventlayer.MemBusOptions{BufferSize: 1 << 16})

@@ -239,22 +239,24 @@ func (q *Query) Rewritten(slack int) *Query {
 // EqualityPaths extracts the top-level exact-equality conditions of the
 // filter ({path: scalar} or {path: {$eq: scalar}}). Storage engines use these
 // as index hints: any document matching the query must carry exactly these
-// values at these paths.
+// values at these paths. Null is no hint: {path: null} also matches a
+// document that lacks the path, which carries no value there.
 func (q *Query) EqualityPaths() map[string]any {
 	out := map[string]any{}
 	for path, v := range q.raw {
 		if strings.HasPrefix(path, "$") {
 			continue
 		}
-		switch t := v.(type) {
-		case map[string]any:
-			if eq, ok := t["$eq"]; ok && len(t) == 1 && !isContainer(eq) {
-				out[path] = eq
+		if t, ok := v.(map[string]any); ok {
+			if len(t) != 1 {
+				continue
 			}
-		default:
-			if !isContainer(v) {
-				out[path] = v
+			if v, ok = t["$eq"]; !ok {
+				continue
 			}
+		}
+		if v != nil && !isContainer(v) {
+			out[path] = v
 		}
 	}
 	return out

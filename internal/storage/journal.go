@@ -215,16 +215,17 @@ func (db *DB) Recover(path string) (int, error) {
 		switch ai.Op {
 		case document.OpDelete:
 			if rec, ok := s.docs[ai.Key]; ok {
-				c.indexRemove(ai.Key, rec.doc)
+				c.indexMove(s, ai.Key, rec.doc, nil)
 				delete(s.docs, ai.Key)
 			}
 		default:
 			doc := ai.Doc.Clone()
+			var old document.Document
 			if rec, ok := s.docs[ai.Key]; ok {
-				c.indexRemove(ai.Key, rec.doc)
+				old = rec.doc
 			}
 			s.docs[ai.Key] = &record{doc: doc, version: ai.Version}
-			c.indexAdd(ai.Key, doc)
+			c.indexMove(s, ai.Key, old, doc)
 		}
 		s.mu.Unlock()
 		// Keep the version sequence ahead of everything replayed.

@@ -106,8 +106,24 @@ func TestReadsReturnPrivateCopies(t *testing.T) {
 // the stored records, so any in-place mutation of a stored document would
 // be a reported race here.
 func TestSharedAfterImagesUnderConcurrentUpdates(t *testing.T) {
+	concurrentUpdates(t, "")
+}
+
+// TestIndexedFindUnderConcurrentUpdates is the same with the scanned path
+// indexed before the first write: every update re-files the key, and a Find
+// between taking it out of its bucket and putting it back found nothing.
+func TestIndexedFindUnderConcurrentUpdates(t *testing.T) {
+	concurrentUpdates(t, "user.tags")
+}
+
+func concurrentUpdates(t *testing.T, index string) {
 	db := Open(Options{Shards: 2, OplogCapacity: 4096})
 	c := db.C("c")
+	if index != "" {
+		if err := c.EnsureIndex(index); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := c.Insert(nested("k")); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -69,7 +70,7 @@ func (db *DB) C(name string) *Collection {
 	}
 	c = &Collection{name: name, db: db, shards: make([]*shard, db.shards)}
 	for i := range c.shards {
-		c.shards[i] = &shard{docs: map[string]*record{}}
+		c.shards[i] = &shard{n: i, docs: map[string]*record{}}
 	}
 	db.collections[name] = c
 	return c
@@ -111,12 +112,16 @@ type Collection struct {
 	db     *DB
 	shards []*shard
 
-	idxMu   sync.RWMutex
-	indexes map[string]*hashIndex
+	// indexes is the published index list, replaced whole by ensureIndex
+	// while it holds every shard's read lock and idxMu. A writer reads it
+	// under its shard's write lock, a reader before taking any lock.
+	idxMu   sync.Mutex
+	indexes atomic.Pointer[[]*hashIndex]
 }
 
 type shard struct {
 	mu   sync.RWMutex
+	n    int // position in Collection.shards, and of its part of every index
 	docs map[string]*record
 	// keyGen counts keyset changes (insert of a new key, delete). Updates in
 	// place do not bump it: chunk cursors only need the key set, and caching
@@ -173,7 +178,7 @@ func (c *Collection) Insert(d document.Document) (*document.AfterImage, error) {
 	ver := c.db.nextSeq()
 	s.docs[key] = &record{doc: d, version: ver}
 	s.keyGen++
-	c.indexAdd(key, d)
+	c.indexMove(s, key, nil, d)
 	s.mu.Unlock()
 
 	ai := &document.AfterImage{Collection: c.name, Key: key, Version: ver, Op: document.OpInsert, Doc: d}
@@ -198,8 +203,7 @@ func (c *Collection) Replace(key string, d document.Document) (*document.AfterIm
 	d["_id"] = key
 	ver := c.db.nextSeq()
 	s.docs[key] = &record{doc: d, version: ver}
-	c.indexRemove(key, rec.doc)
-	c.indexAdd(key, d)
+	c.indexMove(s, key, rec.doc, d)
 	s.mu.Unlock()
 
 	ai := &document.AfterImage{Collection: c.name, Key: key, Version: ver, Op: document.OpUpdate, Doc: d}
@@ -242,10 +246,7 @@ func (c *Collection) FindAndModify(key string, update map[string]any, upsert boo
 	if !exists {
 		s.keyGen++
 	}
-	if old != nil {
-		c.indexRemove(key, old)
-	}
-	c.indexAdd(key, updated)
+	c.indexMove(s, key, old, updated)
 	s.mu.Unlock()
 
 	ai := &document.AfterImage{Collection: c.name, Key: key, Version: ver, Op: op, Doc: updated}
@@ -267,7 +268,7 @@ func (c *Collection) Delete(key string) (*document.AfterImage, error) {
 	delete(s.docs, key)
 	s.keyGen++
 	ver := c.db.nextSeq()
-	c.indexRemove(key, rec.doc)
+	c.indexMove(s, key, rec.doc, nil)
 	s.mu.Unlock()
 
 	ai := &document.AfterImage{Collection: c.name, Key: key, Version: ver, Op: document.OpDelete}
@@ -327,8 +328,14 @@ func (c *Collection) FindEntries(q *query.Query) ([]Entry, error) {
 	if q.Collection != c.name {
 		return nil, fmt.Errorf("storage: query targets %q, collection is %q", q.Collection, c.name)
 	}
-	matched := c.scan(q)
+	return c.find(q, true), nil
+}
 
+// find is FindEntries through scan; indexed false forces the full scan, the
+// reference the index is tested against.
+func (c *Collection) find(q *query.Query, indexed bool) []Entry {
+	var matched []Entry
+	c.scan(q, indexed, func(snap []scanned) { matched = matchSnapshot(q, snap, matched) })
 	sortEntries(matched, q)
 	if q.Offset > 0 {
 		if q.Offset >= len(matched) {
@@ -347,7 +354,7 @@ func (c *Collection) FindEntries(q *query.Query) ([]Entry, error) {
 			matched[i].Doc = matched[i].Doc.Clone()
 		}
 	}
-	return matched, nil
+	return matched
 }
 
 // scanned is a point-in-time reference to a stored record. Records are
@@ -386,48 +393,21 @@ func matchSnapshot(q *query.Query, snap []scanned, out []Entry) []Entry {
 	return out
 }
 
-// scan gathers matching entries, using a hash index when the query pins an
-// indexed path to a constant, and falling back to a full collection scan.
-// Both paths evaluate the predicate outside the shard locks (see snapshot).
-func (c *Collection) scan(q *query.Query) []Entry {
-	if keys, ok := c.indexCandidates(q); ok {
-		snap := make([]scanned, 0, len(keys))
-		for _, key := range keys {
-			s := c.shardFor(key)
-			s.mu.RLock()
-			if rec, exists := s.docs[key]; exists {
-				snap = append(snap, scanned{key: key, rec: rec})
-			}
-			s.mu.RUnlock()
-		}
-		return matchSnapshot(q, snap, nil)
-	}
-	var out []Entry
-	var snap []scanned
-	for _, s := range c.shards {
-		snap = s.snapshot(snap[:0])
-		out = matchSnapshot(q, snap, out)
-	}
-	return out
-}
-
 // Count returns the number of documents matching the query's filter
-// (ignoring limit/offset). Like scan, the predicate runs on a lock-free
-// record snapshot so counting never blocks writers.
+// (ignoring limit/offset). Like FindEntries, it reads through scan, so the
+// predicate runs on lock-free record snapshots and never blocks writers.
 func (c *Collection) Count(q *query.Query) (int, error) {
 	if q.Collection != c.name {
 		return 0, fmt.Errorf("storage: query targets %q, collection is %q", q.Collection, c.name)
 	}
 	n := 0
-	var snap []scanned
-	for _, s := range c.shards {
-		snap = s.snapshot(snap[:0])
+	c.scan(q, true, func(snap []scanned) {
 		for _, sn := range snap {
 			if q.Match(sn.rec.doc) {
 				n++
 			}
 		}
-	}
+	})
 	return n, nil
 }
 
@@ -441,8 +421,8 @@ func sortEntries(entries []Entry, q *query.Query) {
 		return
 	}
 	if len(q.Sort) == 0 {
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+		slices.SortFunc(entries, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
 		return
 	}
-	sort.Slice(entries, func(i, j int) bool { return q.Compare(entries[i].Doc, entries[j].Doc) < 0 })
+	slices.SortFunc(entries, func(a, b Entry) int { return q.Compare(a.Doc, b.Doc) })
 }
