@@ -410,8 +410,9 @@ func BenchmarkTopologyFieldsGrouping(b *testing.B) {
 }
 
 // BenchmarkFanOutRouting measures the steady-state routing hot path —
-// pooled tuple, type-switched key hash, channel hand-off — with pre-built
-// value slices, so a non-zero allocs/op directly indicts the routing layer.
+// type-switched key hash, a tuple sent by value over the task queue — with
+// pre-built value slices, so a non-zero allocs/op directly indicts the
+// routing layer.
 // The acceptance bar is 0 allocs/op for both key types.
 func BenchmarkFanOutRouting(b *testing.B) {
 	mkStringVals := func(i int) topology.Values { return topology.Values{fmt.Sprintf("key-%d", i)} }

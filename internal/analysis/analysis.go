@@ -1,9 +1,10 @@
 // Package analysis is InvaliDB's custom static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
 // programming model (Analyzer, Pass, diagnostics) plus the analyzers that
-// machine-check the invariants the paper's performance claims rest on —
-// allocation-free hot paths (PR 1), no blocking under locks and sound
-// pooled-tuple lifecycles (PR 2), and constant metric series keys (PR 3).
+// machine-check the invariants the paper's performance claims rest on:
+// allocation-free hot paths, no blocking under locks, constant metric series
+// keys, a tick-driven clock in the matching node, no partition-map shape
+// kept past its epoch, and no goroutine that cannot be stopped.
 //
 // The suite runs as `make lint` via cmd/invalidb-vet. Two source
 // directives drive it:

@@ -22,14 +22,13 @@ var Directive = &Analyzer{
 
 // knownAnalyzerNames are the valid //invalidb:allow targets.
 var knownAnalyzerNames = map[string]bool{
-	"hotpathalloc":    true,
-	"lockblock":       true,
-	"metrickey":       true,
-	"pooledlifecycle": true,
-	"coarseclock":     true,
-	"directive":       true,
-	"epochcapture":    true,
-	"goroleak":        true,
+	"hotpathalloc": true,
+	"lockblock":    true,
+	"metrickey":    true,
+	"coarseclock":  true,
+	"directive":    true,
+	"epochcapture": true,
+	"goroleak":     true,
 }
 
 func runDirective(pass *Pass) (any, error) {

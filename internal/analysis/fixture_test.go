@@ -138,10 +138,6 @@ func TestMetricKeyFixture(t *testing.T) {
 	runFixture(t, MetricKey, "testdata/src/metrickey", "fixture/metrickey")
 }
 
-func TestPooledLifecycleFixture(t *testing.T) {
-	runFixture(t, PooledLifecycle, "testdata/src/pooledlifecycle", "fixture/pooledlifecycle")
-}
-
 // The coarse-clock analyzer is package-sensitive: inside a coarse-clock
 // package every time.Now is flagged; elsewhere only hot-path functions are.
 // The same analyzer runs over two fixtures under the two package paths.

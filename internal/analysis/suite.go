@@ -8,7 +8,6 @@ var Suite = []*Analyzer{
 	HotpathAlloc,
 	LockBlock,
 	MetricKey,
-	PooledLifecycle,
 	CoarseClock,
 	EpochCapture,
 	GoroLeak,

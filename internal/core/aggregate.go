@@ -53,7 +53,7 @@ func (b *aggregateBolt) Prepare(ctx *topology.BoltContext, out topology.Collecto
 func (b *aggregateBolt) Cleanup() {}
 
 func (b *aggregateBolt) Execute(t *topology.Tuple) {
-	if t.Component == "tick" {
+	if t.Component() == "tick" {
 		return
 	}
 	kindV, _ := t.Get("kind")

@@ -220,13 +220,13 @@ func (b *matchBolt) Execute(t *topology.Tuple) {
 		// The hook may panic (fault injection): the supervisor then drops the
 		// in-flight tuple and restarts the cell with an empty query set.
 		kind := "tick"
-		if t.Component != "tick" {
+		if t.Component() != "tick" {
 			kindV, _ := t.Get("kind")
 			kind, _ = kindV.(string)
 		}
 		hook(b.taskID, kind)
 	}
-	if t.Component == "tick" {
+	if t.Component() == "tick" {
 		// Tick tuples carry their emission timestamp; reusing it keeps the
 		// node's coarse clock consistent without another time.Now() call.
 		now, _ := t.Values[0].(time.Time)

@@ -109,7 +109,7 @@ func (b *sortBolt) Prepare(ctx *topology.BoltContext, out topology.Collector) er
 }
 
 func (b *sortBolt) Execute(t *topology.Tuple) {
-	if t.Component == "tick" {
+	if t.Component() == "tick" {
 		return // the sorting stage has no timers; expiry arrives as a tuple
 	}
 	kindV, _ := t.Get("kind")

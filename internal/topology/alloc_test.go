@@ -3,7 +3,6 @@ package topology
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -37,13 +36,57 @@ func TestRouteHashNoAllocs(t *testing.T) {
 	}
 }
 
+// TestDeliverNoAllocs pins the routing claim of DESIGN.md §7: fanOut, the
+// queue hand-off and execute move a tuple to every grouping's tasks without
+// allocating. The topology is built but not started, so one goroutine plays
+// the emitter and every receiving task.
+func TestDeliverNoAllocs(t *testing.T) {
+	executed := 0
+	count := &funcBolt{fn: func(Collector, *Tuple) { executed++ }}
+	b := NewBuilder()
+	b.SetSpout("src", func() Spout { return &listSpout{} }, 1, "key", "n")
+	b.SetBolt("shuffle", func() Bolt { return count }, 2).ShuffleGrouping("src")
+	b.SetBolt("fields", func() Bolt { return count }, 2).FieldsGrouping("src", "key")
+	b.SetBolt("broadcast", func() Bolt { return count }, 2).BroadcastGrouping("src")
+	b.SetBolt("direct", func() Bolt { return count }, 2).DirectGrouping("src")
+	top, err := b.Build(Config{QueueSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := top.comps["src"]
+	var tasks []*task
+	for _, comp := range top.comps {
+		if comp != src {
+			tasks = append(tasks, comp.tasks...)
+		}
+	}
+	vals := []Values{{"user:12345", 1}, {uint64(987654321), 2}, {"tenant-a", 3}}
+	const runs = 1000
+	i := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		src.fanOut(DefaultStream, vals[i%len(vals)], i%2)
+		i++
+		for _, tk := range tasks {
+			for len(tk.in) > 0 {
+				tk.execute(<-tk.in)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("fanOut → deliver → execute allocates %.1f per emit, want 0", n)
+	}
+	// Each emit reaches one shuffle, one fields, both broadcast and one
+	// direct task; AllocsPerRun adds one warm-up run.
+	if want := 5 * (runs + 1); executed != want {
+		t.Fatalf("executed %d tuples, want %d", executed, want)
+	}
+}
+
 // keepBolt retains what the ownership contract allows — a tuple's Values —
-// and records which *Tuple carried each, forwarding the values downstream.
+// and forwards them downstream.
 type keepBolt struct {
-	out    Collector
-	mu     sync.Mutex
-	kept   []any
-	tuples map[*Tuple]int
+	out  Collector
+	mu   sync.Mutex
+	kept []any
 }
 
 func (b *keepBolt) Prepare(ctx *BoltContext, out Collector) error { b.out = out; return nil }
@@ -51,24 +94,55 @@ func (b *keepBolt) Cleanup()                                      {}
 func (b *keepBolt) Execute(t *Tuple) {
 	b.mu.Lock()
 	b.kept = append(b.kept, t.Values[0])
-	b.tuples[t]++
 	b.mu.Unlock()
 	b.out.Emit(t.Values)
 }
 
-// TestTupleRecycling pins the ownership contract: a *Tuple is valid for the
-// duration of Execute, Values may be kept. The runtime recycles the tuple when
-// Execute returns — values kept by the bolt and forwarded downstream stay
-// intact while the *Tuple is reused — and a tuple in flight at a panic is
-// recycled exactly once, by the supervisor.
-func TestTupleRecycling(t *testing.T) {
-	t.Run("kept values outlive the reused tuple", func(t *testing.T) {
+// chanSpout emits whatever arrives on in, so the test holds no reference to
+// an emitted payload.
+type chanSpout struct {
+	in  chan Values
+	ctx *SpoutContext
+}
+
+func (s *chanSpout) Open(ctx *SpoutContext) error { s.ctx = ctx; return nil }
+func (s *chanSpout) Close()                       {}
+func (s *chanSpout) Next() {
+	select {
+	case v := <-s.in:
+		s.ctx.Emit(v)
+	case <-s.ctx.Done:
+	}
+}
+
+// payload is large enough to bypass the tiny allocator, whose shared blocks
+// would delay its finalizer.
+type payload struct{ b [64]byte }
+
+// sendPayload emits one tuple carrying a fresh payload and returns a channel
+// that closes once the payload has been garbage collected.
+//
+//go:noinline
+func sendPayload(in chan<- Values) <-chan struct{} {
+	collected := make(chan struct{})
+	p := &payload{}
+	runtime.SetFinalizer(p, func(*payload) { close(collected) })
+	in <- Values{p}
+	return collected
+}
+
+// TestTupleOwnership pins the ownership contract: a *Tuple is valid for the
+// duration of Execute; Values may be kept. Values a bolt keeps or forwards
+// stay intact, the runtime keeps nothing once Execute returns or panics, and
+// a tuple in flight at a panic is counted once.
+func TestTupleOwnership(t *testing.T) {
+	t.Run("kept values outlive Execute", func(t *testing.T) {
 		const n = 500
 		items := make([]Values, n)
 		for i := range items {
 			items[i] = Values{&[1]int{i}}
 		}
-		keep := &keepBolt{tuples: map[*Tuple]int{}}
+		keep := &keepBolt{}
 		sink := &collectBolt{}
 		b := NewBuilder()
 		b.SetSpout("src", func() Spout { return &listSpout{items: items} }, 1, "v")
@@ -87,7 +161,7 @@ func TestTupleRecycling(t *testing.T) {
 		defer keep.mu.Unlock()
 		for i, v := range keep.kept {
 			if got := v.(*[1]int)[0]; got != i {
-				t.Fatalf("kept value %d reads %d after its tuple was recycled", i, got)
+				t.Fatalf("kept value %d reads %d after Execute returned", i, got)
 			}
 		}
 		for i, v := range sink.snapshot() {
@@ -95,23 +169,15 @@ func TestTupleRecycling(t *testing.T) {
 				t.Fatalf("forwarded value %d reads %d downstream", i, got)
 			}
 		}
-		if len(keep.tuples) == n {
-			t.Fatalf("%d tuples carried %d deliveries: the pool never reused one", len(keep.tuples), n)
-		}
 	})
 
-	t.Run("a panicking Execute recycles its tuple once", func(t *testing.T) {
-		// One P: the pool's per-P cache is then the whole pool, so draining it
-		// below sees every Put the task goroutine made.
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		var crashed atomic.Pointer[Tuple]
-		sink := &funcBolt{fn: func(_ Collector, tup *Tuple) {
-			crashed.Store(tup)
-			panic("in flight")
-		}}
+	// run starts src → sink with fn as the sink's Execute and returns the
+	// spout's input.
+	run := func(t *testing.T, fn func(Collector, *Tuple)) (*Topology, chan Values) {
+		in := make(chan Values)
 		b := NewBuilder()
-		b.SetSpout("src", func() Spout { return &listSpout{items: values(1)} }, 1, "key", "n")
-		b.SetBolt("sink", func() Bolt { return sink }, 1).ShuffleGrouping("src")
+		b.SetSpout("src", func() Spout { return &chanSpout{in: in} }, 1, "v")
+		b.SetBolt("sink", func() Bolt { return &funcBolt{fn: fn} }, 1).ShuffleGrouping("src")
 		top, err := b.Build(Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -119,23 +185,43 @@ func TestTupleRecycling(t *testing.T) {
 		if err := top.Start(); err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(top.Stop)
+		return top, in
+	}
+
+	t.Run("nothing outlives Execute", func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			fn   func(Collector, *Tuple)
+			done func(TaskStats) bool
+		}{
+			{"returns", func(Collector, *Tuple) {}, func(s TaskStats) bool { return s.Executed == 1 }},
+			{"panics", func(Collector, *Tuple) { panic("in flight") }, func(s TaskStats) bool { return s.Restarts == 1 }},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				top, in := run(t, tc.fn)
+				collected := sendPayload(in)
+				waitFor(t, 5*time.Second, func() bool { return tc.done(findStats(t, top, "sink", 0)) }, "tuple not executed")
+				waitFor(t, 5*time.Second, func() bool {
+					runtime.GC()
+					select {
+					case <-collected:
+						return true
+					default:
+						return false
+					}
+				}, "the runtime still holds the payload after Execute "+tc.name)
+			})
+		}
+	})
+
+	t.Run("a panic is counted once", func(t *testing.T) {
+		top, in := run(t, func(Collector, *Tuple) { panic("in flight") })
+		in <- Values{1}
 		waitFor(t, 5*time.Second, func() bool { return findStats(t, top, "sink", 0).Restarts == 1 }, "bolt not restarted")
 		top.Stop()
 		if s := findStats(t, top, "sink", 0); s.Failed != 1 || s.Executed != 1 {
 			t.Fatalf("stats = %+v, want Failed=1 Executed=1", s)
-		}
-		tup := crashed.Load()
-		if tup.Component != "" || tup.Stream != "" || tup.Values != nil || tup.fields != nil {
-			t.Fatalf("in-flight tuple not reset by the supervisor: %+v", tup)
-		}
-		puts := 0
-		for i := 0; i < 64; i++ {
-			if tuplePool.Get().(*Tuple) == tup {
-				puts++
-			}
-		}
-		if puts > 1 {
-			t.Fatalf("in-flight tuple came out of the pool %d times: recycled more than once", puts)
 		}
 	})
 }

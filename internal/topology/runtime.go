@@ -12,7 +12,6 @@ import (
 // Topology is a running dataflow. Create one with Builder.Build, start it
 // with Start, and tear it down with Stop.
 type Topology struct {
-	cfg     Config
 	comps   map[string]*component
 	order   []string
 	stopped chan struct{}
@@ -25,6 +24,7 @@ type component struct {
 	top    *Topology
 	def    *componentDef
 	tasks  []*task
+	srcs   map[string]*source  // stream -> what its tuples share
 	routes map[string][]*route // stream -> downstream subscriptions
 }
 
@@ -37,7 +37,7 @@ type route struct {
 type task struct {
 	comp  *component
 	id    int
-	in    chan *Tuple
+	in    chan Tuple
 	spout Spout
 	bolt  Bolt
 	// ready records that the instance was opened/prepared, so Stop closes
@@ -48,11 +48,16 @@ type task struct {
 	emitted  atomic.Uint64
 	failed   atomic.Uint64
 
+	// cur is the tuple inside Execute. execute zeroes it when Execute
+	// returns, and the supervisor when Execute panics, so no payload
+	// outlives its Execute.
+	cur Tuple
+
 	// Supervisor state. inflight and incarnation are touched only on the
 	// task goroutine; the counters are atomics so Stats can read them
 	// concurrently.
-	inflight    *Tuple // tuple currently inside Execute
-	incarnation int    // supervisor restarts of this task so far
+	inflight    bool // cur is inside Execute
+	incarnation int  // supervisor restarts of this task so far
 	restarts    atomic.Uint64
 	panics      atomic.Uint64
 	dead        atomic.Bool
@@ -67,36 +72,22 @@ func (tk *task) recordPanic(r any) {
 		tk.comp.def.id, tk.id, r, debug.Stack()))
 }
 
-// tuplePool recycles Tuple objects across deliveries. A tuple is drawn in
-// deliver and returned by the receiving task when Execute returns, so a
-// steady-state topology routes without allocating tuples at all.
-var tuplePool = sync.Pool{New: func() any { return new(Tuple) }}
-
-// recycleTuple resets a delivered tuple and returns it to the pool.
-//
-//invalidb:hotpath
-func recycleTuple(t *Tuple) {
-	t.Component = ""
-	t.Stream = ""
-	t.Values = nil
-	t.fields = nil
-	tuplePool.Put(t)
-}
-
 func newTopology(b *Builder, cfg Config) (*Topology, error) {
 	t := &Topology{
-		cfg:     cfg,
 		comps:   map[string]*component{},
 		order:   append([]string(nil), b.order...),
 		stopped: make(chan struct{}),
 	}
 	for _, id := range b.order {
 		def := b.components[id]
-		comp := &component{top: t, def: def, routes: map[string][]*route{}}
+		comp := &component{top: t, def: def, srcs: map[string]*source{}, routes: map[string][]*route{}}
+		for stream, fields := range def.outputs {
+			comp.srcs[stream] = &source{component: id, stream: stream, fields: fields}
+		}
 		for i := 0; i < def.parallelism; i++ {
 			tk := &task{comp: comp, id: i}
 			if def.bolt != nil {
-				tk.in = make(chan *Tuple, cfg.QueueSize)
+				tk.in = make(chan Tuple, cfg.QueueSize)
 				tk.bolt = def.bolt()
 			} else {
 				tk.spout = def.spout()
@@ -289,7 +280,7 @@ func (t *Topology) RegisterMetrics(r *metrics.Registry) {
 
 // spoutLoop supervises one spout task: it drives the spout until the
 // topology stops, recovering panics and replacing the crashed spout with a
-// fresh instance up to MaxTaskRestarts times. A spout that exhausts its
+// fresh instance up to maxTaskRestarts times. A spout that exhausts its
 // restarts is marked dead and stops emitting.
 func (tk *task) spoutLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
@@ -298,7 +289,7 @@ func (tk *task) spoutLoop(wg *sync.WaitGroup) {
 			return // topology stopped
 		}
 		tk.panics.Add(1)
-		if int(tk.restarts.Load()) >= tk.comp.top.cfg.MaxTaskRestarts {
+		if tk.restarts.Load() >= maxTaskRestarts {
 			tk.dead.Store(true)
 			return
 		}
@@ -378,7 +369,7 @@ func (tk *task) emit(stream string, values Values, direct int) {
 // boltLoop supervises one bolt task: it consumes the input queue until the
 // topology stops, recovering panics thrown by Execute/Idle. A panic drops
 // the in-flight tuple and the crashed bolt is replaced with a fresh instance
-// from the component factory, up to MaxTaskRestarts times; after that the
+// from the component factory, up to maxTaskRestarts times; after that the
 // task is marked dead but keeps draining — and dropping — its input so
 // upstream emitters never block on a queue nobody reads.
 func (tk *task) boltLoop(wg *sync.WaitGroup) {
@@ -388,11 +379,11 @@ func (tk *task) boltLoop(wg *sync.WaitGroup) {
 			return // topology stopped
 		}
 		tk.panics.Add(1)
-		if tk.inflight != nil {
-			tk.drop(tk.inflight)
-			tk.inflight = nil
+		if tk.inflight {
+			tk.inflight = false
+			tk.drop()
 		}
-		if int(tk.restarts.Load()) >= tk.comp.top.cfg.MaxTaskRestarts {
+		if tk.restarts.Load() >= maxTaskRestarts {
 			tk.dead.Store(true)
 			tk.drainDead()
 			return
@@ -455,24 +446,26 @@ func (tk *task) runBolt() (stopped bool) {
 	}
 }
 
-// execute runs the bolt on one tuple and recycles it when Execute returns.
-// A panic skips the recycle and leaves the tuple in inflight, where the
-// supervisor finds and drops it — so every tuple is recycled exactly once.
+// execute runs the bolt on one tuple. The tuple is copied into the task's
+// own slot, so the pointer Execute receives does not escape to the heap, and
+// the slot is zeroed when Execute returns. A panic skips both and leaves
+// inflight set, where the supervisor finds the tuple and drops it.
 //
 //invalidb:hotpath
-func (tk *task) execute(tup *Tuple) {
+func (tk *task) execute(tup Tuple) {
 	tk.executed.Add(1)
-	tk.inflight = tup
-	tk.bolt.Execute(tup)
-	tk.inflight = nil
-	recycleTuple(tup)
+	tk.cur = tup
+	tk.inflight = true
+	tk.bolt.Execute(&tk.cur)
+	tk.inflight = false
+	tk.cur = Tuple{}
 }
 
 // drop is the supervisor's verdict on a tuple no bolt will finish: counted
-// in failed, recycled.
-func (tk *task) drop(tup *Tuple) {
+// in failed, and not kept.
+func (tk *task) drop() {
 	tk.failed.Add(1)
-	recycleTuple(tup)
+	tk.cur = Tuple{}
 }
 
 // drainDead keeps a dead task's input queue moving: every tuple is dropped
@@ -483,8 +476,8 @@ func (tk *task) drainDead() {
 		select {
 		case <-stop:
 			return
-		case tup := <-tk.in:
-			tk.drop(tup)
+		case <-tk.in:
+			tk.drop()
 		}
 	}
 }
@@ -495,22 +488,22 @@ func (tk *task) drainDead() {
 //
 //invalidb:hotpath
 func (comp *component) fanOut(stream string, values Values, directTask int) {
-	fields := comp.def.outputs[stream]
+	src := comp.srcs[stream]
 	for _, r := range comp.routes[stream] {
 		tasks := r.target.tasks
 		switch r.sub.kind {
 		case groupShuffle:
-			if !comp.deliver(stream, fields, values, tasks[r.rr.Add(1)%uint64(len(tasks))]) {
+			if !comp.deliver(src, values, tasks[r.rr.Add(1)%uint64(len(tasks))]) {
 				return
 			}
 		case groupFields:
 			h := hashFields(values, r.sub.indexes)
-			if !comp.deliver(stream, fields, values, tasks[h%uint64(len(tasks))]) {
+			if !comp.deliver(src, values, tasks[h%uint64(len(tasks))]) {
 				return
 			}
 		case groupBroadcast:
 			for _, target := range tasks {
-				if !comp.deliver(stream, fields, values, target) {
+				if !comp.deliver(src, values, target) {
 					return
 				}
 			}
@@ -518,25 +511,20 @@ func (comp *component) fanOut(stream string, values Values, directTask int) {
 			if directTask < 0 {
 				continue // non-direct emit skips direct routes
 			}
-			if !comp.deliver(stream, fields, values, tasks[directTask%len(tasks)]) {
+			if !comp.deliver(src, values, tasks[directTask%len(tasks)]) {
 				return
 			}
 		}
 	}
 }
 
-// deliver sends one pooled tuple copy to target, blocking while its queue is
+// deliver sends one tuple to target by value, blocking while its queue is
 // full. It reports false when the topology stopped.
 //
 //invalidb:hotpath
-func (comp *component) deliver(stream string, fields []string, values Values, target *task) bool {
-	tup := tuplePool.Get().(*Tuple)
-	tup.Component = comp.def.id
-	tup.Stream = stream
-	tup.Values = values
-	tup.fields = fields
+func (comp *component) deliver(src *source, values Values, target *task) bool {
 	select {
-	case target.in <- tup:
+	case target.in <- Tuple{src: src, Values: values}:
 		return true
 	case <-comp.top.stopped:
 		return false

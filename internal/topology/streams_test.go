@@ -118,7 +118,7 @@ func TestTupleCarriesStreamName(t *testing.T) {
 	sink := &funcBolt{}
 	sink.fn = func(out Collector, tup *Tuple) {
 		mu.Lock()
-		streams = append(streams, tup.Stream)
+		streams = append(streams, tup.Stream())
 		mu.Unlock()
 	}
 	b := NewBuilder()

@@ -120,7 +120,7 @@ func TestSupervisorMarksTaskDeadAfterBoundedRestarts(t *testing.T) {
 	b := NewBuilder()
 	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
 	b.SetBolt("sink", func() Bolt { return &alwaysPanicBolt{} }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{MaxTaskRestarts: 2})
+	top, err := b.Build(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,8 @@ func TestSupervisorMarksTaskDeadAfterBoundedRestarts(t *testing.T) {
 		return findStats(t, top, "sink", 0).Failed == n && spout.returns.Load() == n
 	}, "tuples stuck behind a dead task")
 	s := findStats(t, top, "sink", 0)
-	if !s.Dead || s.Restarts != 2 || s.Panics != 3 {
-		t.Fatalf("stats = %+v, want Dead=true Restarts=2 Panics=3", s)
+	if !s.Dead || s.Restarts != 3 || s.Panics != 4 {
+		t.Fatalf("stats = %+v, want Dead=true Restarts=3 Panics=4", s)
 	}
 }
 

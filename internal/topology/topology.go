@@ -21,24 +21,32 @@ const DefaultStream = "default"
 
 // Tuple is one data item flowing through the topology.
 //
-// Tuples are owned by the runtime and recycled through a pool: a *Tuple is
-// valid for the duration of Execute; Values and what they point to may be
-// kept.
+// A *Tuple is valid for the duration of Execute; Values may be kept.
 type Tuple struct {
-	// Component is the id of the component that emitted the tuple.
-	Component string
-	// Stream is the named output stream the tuple was emitted on.
-	Stream string
+	src *source
 	// Values is the positional payload, aligned with the emitting
 	// component's declared output fields for the stream.
 	Values Values
-
-	fields []string
 }
+
+// source is what every tuple of one (component, stream) pair shares. The
+// runtime builds one per declared stream and never mutates it, so a tuple
+// carries a pointer instead of copies.
+type source struct {
+	component string
+	stream    string
+	fields    []string
+}
+
+// Component returns the id of the component that emitted the tuple.
+func (t *Tuple) Component() string { return t.src.component }
+
+// Stream returns the named output stream the tuple was emitted on.
+func (t *Tuple) Stream() string { return t.src.stream }
 
 // Get returns the value of a named output field.
 func (t *Tuple) Get(field string) (any, bool) {
-	for i, f := range t.fields {
+	for i, f := range t.src.fields {
 		if f == field && i < len(t.Values) {
 			return t.Values[i], true
 		}
@@ -98,8 +106,8 @@ type Collector interface {
 	EmitDirect(taskID int, values Values)
 }
 
-// Bolt processes tuples. The input tuple belongs to the runtime again when
-// Execute returns (see Tuple).
+// Bolt processes tuples. The input tuple is valid only until Execute returns
+// (see Tuple).
 type Bolt interface {
 	Prepare(ctx *BoltContext, out Collector) error
 	Execute(t *Tuple)
@@ -257,14 +265,14 @@ func (d *BoltDecl) DirectGrouping(from string) *BoltDecl {
 type Config struct {
 	// QueueSize is the per-task input queue capacity. Zero selects 1024.
 	QueueSize int
-	// MaxTaskRestarts bounds how many times the supervisor replaces a
-	// panicking task with a fresh component instance before marking the
-	// task dead (a dead bolt task keeps draining and dropping its input so
-	// upstream never blocks). Zero selects 3; negative disables restarts
-	// entirely (first panic kills the task). A restarted task has lost its
-	// state; TaskStats.Restarts is how whoever owns that state finds out.
-	MaxTaskRestarts int
 }
+
+// maxTaskRestarts bounds how many times the supervisor replaces a panicking
+// task with a fresh component instance before marking the task dead (a dead
+// bolt task keeps draining and dropping its input so upstream never blocks).
+// A restarted task has lost its state; TaskStats.Restarts is how whoever
+// owns that state finds out.
+const maxTaskRestarts = 3
 
 // Build validates the definition and instantiates a runnable topology.
 func (b *Builder) Build(cfg Config) (*Topology, error) {
@@ -276,11 +284,6 @@ func (b *Builder) Build(cfg Config) (*Topology, error) {
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
-	}
-	if cfg.MaxTaskRestarts == 0 {
-		cfg.MaxTaskRestarts = 3
-	} else if cfg.MaxTaskRestarts < 0 {
-		cfg.MaxTaskRestarts = 0
 	}
 	hasSpout := false
 	for _, id := range b.order {

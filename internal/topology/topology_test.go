@@ -217,7 +217,7 @@ func TestBroadcastGroupingReplicates(t *testing.T) {
 }
 
 func TestTupleGet(t *testing.T) {
-	tup := &Tuple{Values: Values{"a", 7}, fields: []string{"key", "n"}}
+	tup := &Tuple{src: &source{fields: []string{"key", "n"}}, Values: Values{"a", 7}}
 	if v, ok := tup.Get("n"); !ok || v != 7 {
 		t.Fatalf("Get(n) = %v, %v", v, ok)
 	}
