@@ -23,9 +23,9 @@ staticcheck:
 	fi
 
 # InvaliDB's own analyzer suite (internal/analysis): hot-path allocation,
-# lock-discipline, metric-key, coarse-clock, epoch-capture, goroutine-leak
-# and directive checks over the whole module, interprocedurally (DESIGN.md
-# §9). Its own CI job (and deliberately not part of `check`, so the two run
+# lock-discipline, coarse-clock, epoch-capture, goroutine-leak and directive
+# checks over the whole module, interprocedurally (DESIGN.md §9); metric
+# series names are held by the type system (metrics.name) instead. Its own CI job (and deliberately not part of `check`, so the two run
 # in parallel there); `make all` runs both.
 lint:
 	$(GO) run ./cmd/invalidb-vet ./...
@@ -78,10 +78,11 @@ bench-smoke:
 # diet around it (DESIGN.md §7): fanOut → queue → execute and the routing
 # hash, path walks, Match, Compare and the full-scan cell loop at 0 allocs/op, ingest not re-copying decoded images, one insert within its
 # budget, a bootstrap read copying only the rows it returns, an idle
-# subscription within its heap footprint and without a goroutine. Run without
-# the race detector, whose instrumentation allocates.
+# subscription within its heap footprint and without a goroutine, and the
+# metrics hot path (counter adds, windowed recorders, stage records). Run
+# without the race detector, whose instrumentation allocates.
 alloc-smoke:
-	$(GO) test ./internal/topology ./internal/document ./internal/query ./internal/core ./internal/storage ./internal/appserver -count=1 \
+	$(GO) test ./internal/topology ./internal/document ./internal/query ./internal/core ./internal/storage ./internal/appserver ./internal/metrics -count=1 \
 		-run 'NoAllocs|AllocBudget|Footprint|TestIngestDoesNotCopyDecodedImage'
 
 # Fuzz smoke: run each native fuzz target briefly past its seed corpus.

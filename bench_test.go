@@ -396,7 +396,7 @@ func BenchmarkTopologyFieldsGrouping(b *testing.B) {
 	builder.SetBolt("sink", func() topology.Bolt {
 		return &benchBolt{target: b.N, done: done, count: &count}
 	}, 1).FieldsGrouping("src", "key")
-	top, err := builder.Build(topology.Config{QueueSize: 1 << 14})
+	top, err := builder.Build(1 << 14)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func BenchmarkFanOutRouting(b *testing.B) {
 			builder.SetBolt("sink", func() topology.Bolt {
 				return &benchBolt{target: b.N, done: done, count: &count}
 			}, 1).FieldsGrouping("src", "key")
-			top, err := builder.Build(topology.Config{QueueSize: 1 << 14})
+			top, err := builder.Build(1 << 14)
 			if err != nil {
 				b.Fatal(err)
 			}

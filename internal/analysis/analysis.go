@@ -2,9 +2,9 @@
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
 // programming model (Analyzer, Pass, diagnostics) plus the analyzers that
 // machine-check the invariants the paper's performance claims rest on:
-// allocation-free hot paths, no blocking under locks, constant metric series
-// keys, a tick-driven clock in the matching node, no partition-map shape
-// kept past its epoch, and no goroutine that cannot be stopped.
+// allocation-free hot paths, no blocking under locks, a tick-driven clock in
+// the matching node, no partition-map shape kept past its epoch, and no
+// goroutine that cannot be stopped.
 //
 // The suite runs as `make lint` via cmd/invalidb-vet. Two source
 // directives drive it:

@@ -24,7 +24,6 @@ var Directive = &Analyzer{
 var knownAnalyzerNames = map[string]bool{
 	"hotpathalloc": true,
 	"lockblock":    true,
-	"metrickey":    true,
 	"coarseclock":  true,
 	"directive":    true,
 	"epochcapture": true,

@@ -134,8 +134,25 @@ func TestLockBlockFixture(t *testing.T) {
 	runFixture(t, LockBlock, "testdata/src/lockblock", "fixture/lockblock")
 }
 
-func TestMetricKeyFixture(t *testing.T) {
-	runFixture(t, MetricKey, "testdata/src/metrickey", "fixture/metrickey")
+// TestMetricNameIsTyped: a series name built at runtime does not compile
+// against the metrics registry (DESIGN.md §9).
+func TestMetricNameIsTyped(t *testing.T) {
+	const src = `package p
+
+import "invalidb/internal/metrics"
+
+func f(r *metrics.Registry, s string) { r.Counter(s) }
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = TypeCheck(fset, importer.ForCompiler(fset, "source", nil), "fixture/metricname", "", []*ast.File{f})
+	want := "cannot use s (variable of type string) as metrics.name value"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("type-checking a runtime series name: err = %v, want %q", err, want)
+	}
 }
 
 // The coarse-clock analyzer is package-sensitive: inside a coarse-clock

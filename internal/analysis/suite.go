@@ -7,7 +7,6 @@ var Suite = []*Analyzer{
 	Directive,
 	HotpathAlloc,
 	LockBlock,
-	MetricKey,
 	CoarseClock,
 	EpochCapture,
 	GoroLeak,

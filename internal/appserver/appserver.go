@@ -145,11 +145,9 @@ type Server struct {
 	nodes map[string]core.Heartbeat
 
 	// pmap is the newest partition map from the coordinator's retained
-	// control topic (nil in static clusters); mapKick wakes the migration
-	// loop after a map with a higher epoch is adopted.
-	pmMu    sync.Mutex
-	pmap    *core.PartitionMap
-	mapKick chan struct{}
+	// control topic (nil in static clusters).
+	pmMu sync.Mutex
+	pmap *core.PartitionMap
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -162,9 +160,11 @@ type Server struct {
 	reconnects  atomic.Uint64
 
 	// One re-subscription pass runs at a time (resubBusy); requests that
-	// arrive meanwhile share one more pass after it (resubAgain).
+	// arrive meanwhile share one more pass after it (resubAgain) over the
+	// union of their scopes (resubNext).
 	resubMu               sync.Mutex
 	resubBusy, resubAgain bool
+	resubNext             scope
 
 	// bfCerts routes backfill certificates from the notification loop to the
 	// per-backfill driver goroutines; backfillActive counts in-flight
@@ -184,7 +184,7 @@ type Server struct {
 	// mResubBackoff counts backoff sleeps taken while retrying a failed
 	// re-subscription publish; mBackfillRetries counts chunk re-sends after
 	// a certificate timeout; mMigrations counts subscriptions re-installed
-	// because a partition-map epoch moved their query row.
+	// because a partition-map epoch moved their query row (reinstall).
 	mResubBackoff    *metrics.Int
 	mBackfillRetries *metrics.Int
 	mMigrations      *metrics.Int
@@ -212,7 +212,6 @@ func New(db *storage.DB, bus eventlayer.Bus, opts Options) (*Server, error) {
 		renewals:    map[uint64]time.Time{},
 		lastHB:      time.Now(),
 		connected:   true,
-		mapKick:     make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
 		metrics:     reg,
@@ -255,10 +254,9 @@ func New(db *storage.DB, bus eventlayer.Bus, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("appserver: subscribe notifications: %w", err)
 	}
 	s.notifSub = sub
-	s.wg.Add(3)
+	s.wg.Add(2)
 	go s.notifLoop()
 	go s.maintenanceLoop()
-	go s.migrationLoop()
 	return s, nil
 }
 
@@ -575,19 +573,19 @@ func (s *Server) handleHeartbeat(h *core.Heartbeat) {
 		s.mClusterRestarts.Inc()
 		s.restartBackfills(h.Node)
 	}
-	var scope func(placement) bool // nil: every subscription
+	var in scope // nil: every subscription
 	switch {
 	case wasDown: // any query may be lost (a renewal for those that survived)
 		s.reconnects.Add(1)
 	case changed:
-		scope = func(p placement) bool { return p.on(h.Node) }
+		in = func(old, _ placement) bool { return old.on(h.Node) }
 	default:
 		return
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.resubscribe(scope)
+		s.resubscribe(in)
 	}()
 }
 
@@ -764,68 +762,121 @@ func (s *Server) disconnectAll(err error) {
 	}
 }
 
-// resubscribe re-bootstraps and re-subscribes the subscriptions whose
-// placement is in scope (nil: all), then resets each with the refreshed
-// result (EventReconnected): a renewal for queries the cluster still
-// maintains, a fresh activation for those it lost. Concurrent invocations
-// coalesce: while a pass runs, further requests return at once and share one
-// more pass over everything after it — a fault observed mid-pass must still
-// reach the subscriptions the pass had already handled.
-func (s *Server) resubscribe(scope func(placement) bool) {
+// scope selects the subscriptions a re-subscription pass re-installs, from
+// the placement a subscription was installed under (old) and its placement
+// under the newest map (np); nil selects every subscription.
+type scope func(old, np placement) bool
+
+// or unites two scopes; nil (every subscription) absorbs the other.
+func (a scope) or(b scope) scope {
+	if a == nil || b == nil {
+		return nil
+	}
+	return func(old, np placement) bool { return a(old, np) || b(old, np) }
+}
+
+// resubscribe re-installs the subscriptions in scope (reinstall): a renewal
+// for queries the cluster still maintains, a fresh activation for those it
+// lost, a move for those a partition map placed elsewhere. Concurrent
+// invocations coalesce: while a pass runs, further requests return at once
+// and share one more pass after it over the union of their scopes — a fault
+// observed mid-pass must still reach the subscriptions the pass had already
+// handled. Heartbeat recovery and map changes therefore never re-install
+// concurrently.
+func (s *Server) resubscribe(in scope) {
 	s.resubMu.Lock()
 	if s.resubBusy {
-		s.resubAgain = true
+		if s.resubAgain {
+			in = s.resubNext.or(in)
+		}
+		s.resubAgain, s.resubNext = true, in
 		s.resubMu.Unlock()
 		return
 	}
 	s.resubBusy = true
-	for again := true; again; scope = nil {
+	for again := true; again; {
 		s.resubMu.Unlock()
-		s.resubscribePass(scope)
+		for _, sub := range s.snapshotSubs() {
+			s.reinstall(sub, in)
+		}
 		s.resubMu.Lock()
-		again, s.resubAgain = s.resubAgain, false
+		again, in = s.resubAgain, s.resubNext
+		s.resubAgain, s.resubNext = false, nil
 	}
 	s.resubBusy = false
 	s.resubMu.Unlock()
 }
 
-func (s *Server) resubscribePass(scope func(placement) bool) {
-	for _, sub := range s.snapshotSubs() {
-		sub.mu.Lock()
-		slack := sub.slack
-		closed := sub.closed
-		backfilling := sub.backfilling
-		place := sub.place
-		sub.mu.Unlock()
-		if closed || scope != nil && !scope(place) {
-			continue
-		}
-		if backfilling {
-			// A backfill is in flight: its driver recovers on its own (chunk
-			// timeouts, restartBackfills); a monolithic re-bootstrap here
-			// would race the incremental admission.
-			continue
-		}
-		// The outage may have hidden one or more map epochs; re-place the
-		// subscription under the newest map so the re-subscription installs
-		// on the current owner.
-		if m := s.currentMap(); m != nil {
-			sub.setPlace(placeFor(m, sub.hash))
-		}
-		entries, err := s.bootstrapResult(sub.q, slack)
-		if err != nil {
-			// A failed bootstrap query is terminal: the local database is
-			// broken, retrying against it buys nothing.
-			sub.fail(fmt.Errorf("appserver: re-subscription failed: %w", err))
-			continue
-		}
-		if err := s.publishSubscribeRetry(sub, entries); err != nil {
-			sub.fail(fmt.Errorf("appserver: re-subscription failed: %w", err))
-			continue
-		}
-		s.mResubs.Inc()
-		sub.reset(entries)
+// reinstall is the one repair step of a subscription: it re-places the
+// subscription under the newest map and, when in selects it, bootstraps the
+// query afresh, publishes the subscribe (retrying transient failures), and
+// resets the subscription to the fresh result (EventReconnected). A
+// subscription out of scope whose owner is unchanged just adopts the newest
+// epoch. When the owner changed, the old install is cancelled at its old
+// epoch: before the publish for ordered queries, whose windows cannot
+// compose diffs from two origins at once, after it for unordered ones, so
+// the old owner keeps notifying until the new one is live. A moved unordered
+// subscription with Backfill on migrates through the watermark-certified
+// backfill instead (DESIGN.md §13): no gap, no reset.
+func (s *Server) reinstall(sub *Subscription, in scope) {
+	sub.mu.Lock()
+	slack, closed, backfilling, old := sub.slack, sub.closed, sub.backfilling, sub.place
+	sub.mu.Unlock()
+	if closed || backfilling {
+		// A backfill in flight recovers on its own (chunk timeouts,
+		// restartBackfills) and re-checks the placement at admission; a
+		// re-bootstrap here would race the incremental admission.
+		return
 	}
+	np := old
+	if m := s.currentMap(); m != nil {
+		np = placeFor(m, sub.hash)
+	}
+	moved := old.moved(np)
+	if in != nil && !in(old, np) {
+		if !moved {
+			sub.setPlace(np)
+		}
+		return
+	}
+	retire := old.known && !old.sameOwner(np)
+	if moved {
+		s.mMigrations.Inc()
+		if s.opts.Backfill && !sub.ordered {
+			switch err := s.runBackfill(sub, np, true); err {
+			case nil:
+				sub.setPlace(np)
+				if retire {
+					s.cancelAt(sub, old.epoch)
+				}
+				return
+			case errBackfillAborted:
+				return
+			}
+			// A failed migration backfill (e.g. the new owner restarted
+			// mid-migration) still needs the row installed somewhere.
+		}
+	}
+	if sub.ordered && retire {
+		s.cancelAt(sub, old.epoch)
+	}
+	entries, err := s.bootstrapResult(sub.q, slack)
+	if err != nil {
+		// A failed bootstrap query is terminal: the local database is
+		// broken, retrying against it buys nothing.
+		sub.fail(fmt.Errorf("appserver: re-subscription failed: %w", err))
+		return
+	}
+	sub.setPlace(np)
+	if err := s.publishSubscribeRetry(sub, entries); err != nil {
+		sub.fail(fmt.Errorf("appserver: re-subscription failed: %w", err))
+		return
+	}
+	if !sub.ordered && retire {
+		s.cancelAt(sub, old.epoch)
+	}
+	s.mResubs.Inc()
+	sub.reset(entries)
 }
 
 // publishSubscribeRetry publishes a re-subscription, retrying transient

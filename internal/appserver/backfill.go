@@ -63,20 +63,12 @@ func (s *Server) backfillLoop(sub *Subscription) {
 				return
 			}
 		}
-		start := sub.getPlace()
-		err = s.runBackfill(sub, start, false)
+		err = s.runBackfill(sub, sub.getPlace(), false)
 		if err == nil {
 			// Admitted. Map epochs published mid-backfill were deliberately
-			// left to this driver (migrateAll skips backfilling
-			// subscriptions): if the query row moved meanwhile, migrate now.
-			if m := s.currentMap(); m != nil {
-				np := placeFor(m, sub.hash)
-				if start.moved(np) {
-					s.migrateSub(sub, start, np)
-				} else {
-					sub.setPlace(np)
-				}
-			}
+			// left to this driver (reinstall skips backfilling
+			// subscriptions): if the query row moved meanwhile, move it now.
+			s.reinstall(sub, placement.moved)
 			return
 		}
 		if err == errBackfillAborted {

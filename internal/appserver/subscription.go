@@ -38,7 +38,8 @@ const (
 	EventDisconnected
 	// EventReconnected carries the full current result in Docs, superseding
 	// every event delivered before it: after a completed automatic
-	// re-subscription (heartbeat outage, restarted cluster node), or in place
+	// re-subscription (heartbeat outage, restarted cluster node, a partition
+	// map that moved the query without a migration backfill), or in place
 	// of the events a consumer missed by falling more than
 	// Options.EventBuffer behind.
 	EventReconnected
@@ -107,8 +108,8 @@ type Subscription struct {
 	// client until admit() delivers EventInitial (DESIGN.md §12).
 	backfilling bool
 	// place is where the query row was last installed (node, slot, column
-	// count, epoch); the migration loop compares it against new partition
-	// maps to decide whether the subscription must move (DESIGN.md §13).
+	// count, epoch); reinstall compares it against the newest partition map
+	// to decide whether the subscription must move (DESIGN.md §13).
 	place placement
 
 	// The event queue (DESIGN.md §14.3): events is a small fixed handoff to

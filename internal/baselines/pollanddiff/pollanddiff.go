@@ -49,7 +49,7 @@ type Engine struct {
 
 	// DBQueries counts pull queries issued by polling — the overhead metric
 	// the paper quotes.
-	DBQueries *metrics.Counter
+	DBQueries *metrics.Int
 }
 
 // New creates a poll-and-diff engine.
@@ -64,7 +64,7 @@ func New(db *storage.DB, opts Options) *Engine {
 		db:        db,
 		opts:      opts,
 		subs:      map[*Subscription]struct{}{},
-		DBQueries: metrics.NewCounter(),
+		DBQueries: &metrics.Int{},
 	}
 }
 
@@ -172,7 +172,7 @@ func (s *Subscription) loop() {
 // and serializes the result, the server deserializes it and analyzes it for
 // relevant changes.
 func (s *Subscription) poll(emit bool) ([]storage.Entry, error) {
-	s.e.DBQueries.Add(1)
+	s.e.DBQueries.Inc()
 	entries, err := s.e.db.C(s.q.Collection).FindEntries(s.q)
 	if err != nil {
 		return nil, err

@@ -412,3 +412,41 @@ func TestGridMigrationReplaysOnlyWatermarkWindow(t *testing.T) {
 	}
 	t.Logf("migration replayed %d retention-ring writes (ring holds %d)", delta, n)
 }
+
+// TestGridResizeWritePartitionDefaultOptions runs a write-partition resize
+// in the shipped configuration — default appserver.Options, so no migration
+// backfill: the moved subscription is repaired by a fresh read handed to it
+// as one EventReconnected. Inserts race the resize, then half the documents
+// leave the result by update; push must equal pull after each phase.
+func TestGridResizeWritePartitionDefaultOptions(t *testing.T) {
+	e := newGridEnv(t, map[string]int{"a": 2, "b": 2}, 3, 2, 2, appserver.Options{})
+	spec := query.Spec{Collection: "c", Filter: map[string]any{"v": map[string]any{"$gte": 0}}}
+	sub, rec := gridSubscribe(t, e, spec)
+
+	const n = 120
+	for i := 0; i < n; i++ {
+		if err := e.server.Insert("c", document.Document{"_id": fmt.Sprintf("k%03d", i), "v": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.coord.AddWritePartition(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.coord.WaitConverged(10 * time.Second) {
+		t.Fatal("grid never converged on the resized map")
+	}
+	waitGridConverged(t, e, sub, spec, 20*time.Second)
+
+	for i := 0; i < n; i += 2 {
+		if err := e.server.Update("c", fmt.Sprintf("k%03d", i), map[string]any{"$set": map[string]any{"v": -1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitGridConverged(t, e, sub, spec, 20*time.Second)
+	if got := len(sub.Result()); got != n/2 {
+		t.Fatalf("result holds %d docs after the updates, want %d", got, n/2)
+	}
+	if errs := rec.countType(appserver.EventError); errs != 0 {
+		t.Errorf("saw %d error events, want 0", errs)
+	}
+}

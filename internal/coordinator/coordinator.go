@@ -319,8 +319,8 @@ func (c *Coordinator) tryInitialPlacement() {
 // AddQueryPartition grows the grid by one query-partition row, placed on
 // the node with the most free slots, and publishes the new epoch. The new
 // row changes every query's hash->row mapping, so application servers
-// migrate affected subscriptions through the backfill engine on seeing the
-// epoch; writes keep flowing to the old rows throughout (the cluster routes
+// re-install the subscriptions it moved on seeing the epoch; writes keep
+// flowing to the old rows throughout (the cluster routes
 // writes by the newest map only, and every owned row receives them).
 func (c *Coordinator) AddQueryPartition() error {
 	c.mu.Lock()
@@ -347,10 +347,10 @@ func (c *Coordinator) AddQueryPartition() error {
 
 // AddWritePartition grows the grid by one write-partition column and
 // publishes the new epoch. Every assigned node must have the column
-// headroom (MaxWritePartitions); the columns already exist as idle tasks on
-// each process, so no rows move — keys re-hash across columns, and the
-// migration backfill plus the clients' per-key version guards absorb the
-// re-slicing.
+// headroom (its WritePartitions); the columns already exist as idle tasks on
+// each process, so no rows move — keys re-hash across columns, and each
+// subscription's re-install plus the clients' per-key version guards absorb
+// the re-slicing.
 func (c *Coordinator) AddWritePartition() error {
 	c.mu.Lock()
 	if c.cur == nil {

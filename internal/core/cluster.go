@@ -302,7 +302,7 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 			BroadcastGrouping("tick")
 	}
 
-	top, err := b.Build(topology.Config{QueueSize: opts.QueueSize})
+	top, err := b.Build(opts.QueueSize)
 	if err != nil {
 		return nil, err
 	}

@@ -430,9 +430,9 @@ func (b *writeIngestBolt) Execute(t *topology.Tuple) {
 	b.c.registerTenant(env.Write.Tenant)
 	// Writes route ONLY by the current map: during a query-partition resize
 	// the old rows keep receiving every write (all owned rows get the
-	// column's batches), and during a write-partition resize the migration
-	// backfill re-reads anything that raced the column flip, so the window
-	// between enqueue here and flush never loses a notification.
+	// column's batches); during a write-partition resize the subscription's
+	// re-install (a fresh read, or a migration backfill with the application
+	// server's Backfill on) covers anything that raced the column flip.
 	cur := b.c.maps.current()
 	if cur == nil {
 		return // a named process awaiting its first partition map
@@ -487,10 +487,10 @@ func (b *writeIngestBolt) Idle() {
 func (b *writeIngestBolt) flush(w int) {
 	events := b.cols[w]
 	// Deliver to column w of every row this process currently owns. A map
-	// installed between enqueue and flush may have reassigned rows; the new
-	// owner's migration backfill covers the gap, so flushing under the map
-	// of the moment is safe (and the only option — the old tasks may not
-	// exist here anymore).
+	// installed between enqueue and flush may have reassigned rows; the moved
+	// subscription's re-install (a fresh read, or a migration backfill) covers
+	// the gap, so flushing under the map of the moment is safe (and the only
+	// option — the old tasks may not exist here anymore).
 	cur := b.c.maps.current()
 	if cur == nil || len(cur.owned) == 0 {
 		b.cols[w] = events[:0]

@@ -133,7 +133,7 @@ func runPollAndDiffPoint(cfg Config) (BaselineResult, error) {
 		}
 	}()
 
-	engine.DBQueries.Reset()
+	queriesBefore, start := engine.DBQueries.Value(), time.Now()
 	write := func(d document.Document) error {
 		_, err := db.C(loadgen.Collection).Insert(d)
 		return err
@@ -146,7 +146,7 @@ func runPollAndDiffPoint(cfg Config) (BaselineResult, error) {
 	}
 	expected := runLoad(measure, 200, cfg.TargetNotifsPerSec, w, stamp, write)
 	time.Sleep(scaledPollInterval + cfg.Drain)
-	pollRate := engine.DBQueries.RatePerSecond()
+	pollRate := float64(engine.DBQueries.Value()-queriesBefore) / time.Since(start).Seconds()
 	engine.Close()
 	forwarders.Wait()
 	close(events)

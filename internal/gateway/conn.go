@@ -209,6 +209,7 @@ func (c *conn) readLoop() {
 	defer c.g.wg.Done()
 	defer c.close()
 	dec := json.NewDecoder(bufio.NewReaderSize(c.nc, c.g.opts.ReadBuffer))
+	dec.UseNumber() // integers beyond 2^53 survive; storage normalizes json.Number
 	for {
 		var req Request
 		if err := dec.Decode(&req); err != nil {

@@ -249,3 +249,21 @@ func TestGatewayClientCloseCleansUpServerSide(t *testing.T) {
 	}
 	t.Fatal("client connection never cleaned up")
 }
+
+// TestGatewayInsertKeepsInt64: an integer beyond float64's 53-bit mantissa
+// written through the gateway is stored as that exact int64, not rounded.
+func TestGatewayInsertKeepsInt64(t *testing.T) {
+	gw, srv := stack(t)
+	c := dial(t, gw)
+	const n = int64(9007199254740993) // 2^53 + 1
+	if err := c.Insert("c", document.Document{"_id": "big", "n": n}); err != nil {
+		t.Fatal(err)
+	}
+	doc, _, ok := srv.DB().C("c").Get("big")
+	if !ok {
+		t.Fatal("inserted document not found")
+	}
+	if got, ok := doc["n"].(int64); !ok || got != n {
+		t.Fatalf("stored n = %v (%T), want int64 %d", doc["n"], doc["n"], n)
+	}
+}

@@ -237,48 +237,3 @@ func (h *Histogram) Total() uint64 {
 	defer h.mu.Unlock()
 	return h.total
 }
-
-// Counter is a concurrency-safe event counter with rate computation.
-type Counter struct {
-	mu    sync.Mutex
-	n     uint64
-	since time.Time
-}
-
-// NewCounter creates a counter with its rate window starting now.
-func NewCounter() *Counter {
-	return &Counter{since: time.Now()}
-}
-
-// Add increments the counter.
-func (c *Counter) Add(delta uint64) {
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// RatePerSecond returns the average rate since the last Reset (or creation).
-func (c *Counter) RatePerSecond() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	elapsed := time.Since(c.since).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.n) / elapsed
-}
-
-// Reset zeroes the counter and restarts the rate window.
-func (c *Counter) Reset() {
-	c.mu.Lock()
-	c.n = 0
-	c.since = time.Now()
-	c.mu.Unlock()
-}

@@ -215,17 +215,18 @@ func TestHistogramFrequenciesSumToOne(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	c := NewCounter()
+	r := NewRegistry()
+	c := r.Counter("test.events")
 	c.Add(5)
-	c.Add(3)
-	if c.Value() != 8 {
+	c.Inc()
+	if c.Value() != 6 {
 		t.Fatalf("Value = %d", c.Value())
 	}
-	if c.RatePerSecond() <= 0 {
-		t.Fatal("rate should be positive after events")
+	if r.Counter("test.events") != c {
+		t.Fatal("Counter returned a second instrument for the same name")
 	}
-	c.Reset()
+	c.Set(0)
 	if c.Value() != 0 {
-		t.Fatal("Reset failed")
+		t.Fatal("Set failed")
 	}
 }

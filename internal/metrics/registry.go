@@ -4,11 +4,31 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
+
+// name is a metric series name. It is unexported, so from another package
+// only an untyped constant converts to it: a key built at runtime — from a
+// remote address, a session, a query ID — does not compile. One series per
+// constant name keeps scrape output stable and bounded; per-entity families
+// go through Registry.Collect instead.
+type name string
+
+// namePattern is the required shape of a series name: lowercase dotted
+// segments ("cluster.writes_ingested").
+var namePattern = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`)
+
+// register checks n's shape the first time a registry sees it.
+func (n name) register() string {
+	if !namePattern.MatchString(string(n)) {
+		panic(fmt.Sprintf("metrics: series name %q is not lowercase dotted (want e.g. \"layer.metric_name\")", string(n)))
+	}
+	return string(n)
+}
 
 // Int is a registry counter. The hot path (Add/Inc) is a single atomic
 // add — no locks, no allocations — so instrumented code stays on the
@@ -71,13 +91,13 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Int {
+func (r *Registry) Counter(n name) *Int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
+	c, ok := r.counters[string(n)]
 	if !ok {
 		c = &Int{}
-		r.counters[name] = c
+		r.counters[n.register()] = c
 	}
 	return c
 }
@@ -85,18 +105,24 @@ func (r *Registry) Counter(name string) *Int {
 // Gauge registers a callback sampled at snapshot time. Gauges cost
 // nothing on the hot path: the callback runs only when /metrics or
 // Snapshot is read. Re-registering a name replaces the callback.
-func (r *Registry) Gauge(name string, fn func() float64) {
+func (r *Registry) Gauge(n name, fn func() float64) {
 	r.mu.Lock()
-	r.gauges[name] = fn
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if _, ok := r.gauges[string(n)]; !ok {
+		n.register()
+	}
+	r.gauges[string(n)] = fn
 }
 
 // Text registers a string-valued callback (e.g. a last-panic message),
 // sampled at snapshot time.
-func (r *Registry) Text(name string, fn func() string) {
+func (r *Registry) Text(n name, fn func() string) {
 	r.mu.Lock()
-	r.texts[name] = fn
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if _, ok := r.texts[string(n)]; !ok {
+		n.register()
+	}
+	r.texts[string(n)] = fn
 }
 
 // Latency returns the named latency recorder, creating it on first use.
@@ -104,13 +130,13 @@ func (r *Registry) Text(name string, fn func() string) {
 // samples) so a long-running daemon's memory stays bounded regardless of
 // notification volume; the bench harness uses NewLatencyRecorder directly
 // where exact all-sample percentiles are required.
-func (r *Registry) Latency(name string) *LatencyRecorder {
+func (r *Registry) Latency(n name) *LatencyRecorder {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	l, ok := r.latencies[name]
+	l, ok := r.latencies[string(n)]
 	if !ok {
 		l = NewWindowedLatencyRecorder(DefaultLatencyWindow)
-		r.latencies[name] = l
+		r.latencies[n.register()] = l
 	}
 	return l
 }

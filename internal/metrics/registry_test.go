@@ -62,46 +62,57 @@ func TestSnapshotNegativeSamples(t *testing.T) {
 
 func TestRegistryCounterGaugeText(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("writes")
+	c := r.Counter("test.writes")
 	c.Add(3)
 	c.Inc()
-	if r.Counter("writes") != c {
+	if r.Counter("test.writes") != c {
 		t.Fatal("Counter must return the same instance per name")
 	}
-	r.Gauge("depth", func() float64 { return 7.5 })
-	r.Text("last_panic", func() string { return "boom" })
-	r.Text("empty", func() string { return "" })
+	r.Gauge("test.depth", func() float64 { return 7.5 })
+	r.Text("test.last_panic", func() string { return "boom" })
+	r.Text("test.empty", func() string { return "" })
 	r.Collect(func(emit func(string, float64)) {
 		emit("session.a.dropped", 2)
 	})
 	snap := r.Snapshot()
-	if snap.Counters["writes"] != 4 {
-		t.Fatalf("writes = %d", snap.Counters["writes"])
+	if snap.Counters["test.writes"] != 4 {
+		t.Fatalf("writes = %d", snap.Counters["test.writes"])
 	}
-	if snap.Gauges["depth"] != 7.5 {
-		t.Fatalf("depth = %v", snap.Gauges["depth"])
+	if snap.Gauges["test.depth"] != 7.5 {
+		t.Fatalf("depth = %v", snap.Gauges["test.depth"])
 	}
 	if snap.Gauges["session.a.dropped"] != 2 {
 		t.Fatalf("collector gauge = %v", snap.Gauges["session.a.dropped"])
 	}
-	if snap.Texts["last_panic"] != "boom" {
+	if snap.Texts["test.last_panic"] != "boom" {
 		t.Fatalf("texts = %v", snap.Texts)
 	}
-	if _, ok := snap.Texts["empty"]; ok {
+	if _, ok := snap.Texts["test.empty"]; ok {
 		t.Fatal("empty text values should be omitted")
 	}
 }
 
+// A series name is checked once, when first registered: only lowercase
+// dotted names are accepted.
+func TestRegistryRejectsUndottedName(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering an undotted series name did not panic")
+		}
+	}()
+	NewRegistry().Counter("writes")
+}
+
 func TestRegistryLatencyAndReset(t *testing.T) {
 	r := NewRegistry()
-	r.Latency("e2e").Record(5 * time.Millisecond)
-	r.Counter("n").Add(9)
-	if s := r.Snapshot(); s.Latencies["e2e"].Count != 1 {
-		t.Fatalf("latency count = %d", s.Latencies["e2e"].Count)
+	r.Latency("test.e2e").Record(5 * time.Millisecond)
+	r.Counter("test.n").Add(9)
+	if s := r.Snapshot(); s.Latencies["test.e2e"].Count != 1 {
+		t.Fatalf("latency count = %d", s.Latencies["test.e2e"].Count)
 	}
 	r.Reset()
 	s := r.Snapshot()
-	if s.Counters["n"] != 0 || s.Latencies["e2e"].Count != 0 {
+	if s.Counters["test.n"] != 0 || s.Latencies["test.e2e"].Count != 0 {
 		t.Fatalf("Reset left state: %+v", s)
 	}
 }
@@ -109,8 +120,8 @@ func TestRegistryLatencyAndReset(t *testing.T) {
 func TestRegistryWriters(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.b").Add(1)
-	r.Gauge("g", func() float64 { return 2 })
-	r.Latency("l").Record(time.Millisecond)
+	r.Gauge("test.g", func() float64 { return 2 })
+	r.Latency("test.l").Record(time.Millisecond)
 
 	var jsonBuf bytes.Buffer
 	if err := r.WriteJSON(&jsonBuf); err != nil {
@@ -129,7 +140,7 @@ func TestRegistryWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := textBuf.String()
-	for _, want := range []string{"a.b 1", "g 2", "l_count 1"} {
+	for _, want := range []string{"a.b 1", "test.g 2", "test.l_count 1"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("WriteText missing %q in:\n%s", want, text)
 		}
@@ -168,15 +179,15 @@ func TestRegistryStagesAndBreakdown(t *testing.T) {
 // Satellite: parallel Record/Snapshot/Reset under -race.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("depth", func() float64 { return 1 })
+	r.Gauge("test.depth", func() float64 { return 1 })
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := r.Counter("writes")
-			l := r.Latency("e2e")
+			c := r.Counter("test.writes")
+			l := r.Latency("test.e2e")
 			for i := 0; i < 2000; i++ {
 				c.Inc()
 				l.Record(time.Duration(i) * time.Microsecond)
@@ -193,7 +204,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				return
 			default:
 				r.Snapshot()
-				r.Counter("writes") // concurrent get-or-create
+				r.Counter("test.writes") // concurrent get-or-create
 			}
 		}
 	}()
@@ -214,7 +225,7 @@ func TestRegistryConcurrent(t *testing.T) {
 // buffer instead of growing ~32B per notification forever.
 func TestRegistryLatencyIsWindowed(t *testing.T) {
 	r := NewRegistry()
-	l := r.Latency("e2e")
+	l := r.Latency("test.e2e")
 	// Overfill past the window: the old samples must be evicted.
 	for i := 0; i < DefaultLatencyWindow; i++ {
 		l.Record(100 * time.Millisecond)
@@ -251,7 +262,7 @@ func TestRecordStagesHotPathNoAllocs(t *testing.T) {
 // sit on the PR 1 zero-alloc hot path.
 func TestCounterHotPathNoAllocs(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hot")
+	c := r.Counter("test.hot")
 	if n := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(3) }); n != 0 {
 		t.Fatalf("Int.Add allocates: %v allocs/op", n)
 	}

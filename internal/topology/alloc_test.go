@@ -49,7 +49,7 @@ func TestDeliverNoAllocs(t *testing.T) {
 	b.SetBolt("fields", func() Bolt { return count }, 2).FieldsGrouping("src", "key")
 	b.SetBolt("broadcast", func() Bolt { return count }, 2).BroadcastGrouping("src")
 	b.SetBolt("direct", func() Bolt { return count }, 2).DirectGrouping("src")
-	top, err := b.Build(Config{QueueSize: 4})
+	top, err := b.Build(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestTupleOwnership(t *testing.T) {
 		b.SetSpout("src", func() Spout { return &listSpout{items: items} }, 1, "v")
 		b.SetBolt("keep", func() Bolt { return keep }, 1, "v").ShuffleGrouping("src")
 		b.SetBolt("sink", func() Bolt { return sink }, 1).ShuffleGrouping("keep")
-		top, err := b.Build(Config{QueueSize: 4})
+		top, err := b.Build(4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestTupleOwnership(t *testing.T) {
 		b := NewBuilder()
 		b.SetSpout("src", func() Spout { return &chanSpout{in: in} }, 1, "v")
 		b.SetBolt("sink", func() Bolt { return &funcBolt{fn: fn} }, 1).ShuffleGrouping("src")
-		top, err := b.Build(Config{})
+		top, err := b.Build(0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func (tk *task) recordPanic(r any) {
 		tk.comp.def.id, tk.id, r, debug.Stack()))
 }
 
-func newTopology(b *Builder, cfg Config) (*Topology, error) {
+func newTopology(b *Builder, queueSize int) (*Topology, error) {
 	t := &Topology{
 		comps:   map[string]*component{},
 		order:   append([]string(nil), b.order...),
@@ -87,7 +87,7 @@ func newTopology(b *Builder, cfg Config) (*Topology, error) {
 		for i := 0; i < def.parallelism; i++ {
 			tk := &task{comp: comp, id: i}
 			if def.bolt != nil {
-				tk.in = make(chan Tuple, cfg.QueueSize)
+				tk.in = make(chan Tuple, queueSize)
 				tk.bolt = def.bolt()
 			} else {
 				tk.spout = def.spout()

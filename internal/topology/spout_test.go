@@ -18,7 +18,7 @@ func TestIdleSpoutsDoNotWakeUp(t *testing.T) {
 		return s
 	}, tasks, "key", "n")
 	b.SetBolt("sink", func() Bolt { return &collectBolt{} }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestStopReturnsWithSpoutsParked(t *testing.T) {
 	b.SetSpout("blocked", func() Spout { return blocked }, 1, "key", "n")
 	b.SetBolt("sink", func() Bolt { return sink }, 1).
 		ShuffleGrouping("idle").ShuffleGrouping("blocked")
-	top, err := b.Build(Config{QueueSize: 1})
+	top, err := b.Build(1)
 	if err != nil {
 		t.Fatal(err)
 	}

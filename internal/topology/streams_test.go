@@ -40,7 +40,7 @@ func TestNamedStreamsRouteIndependently(t *testing.T) {
 		ShuffleGrouping("src")
 	b.SetBolt("evens", func() Bolt { return evens }, 1).ShuffleGrouping("split")
 	b.SetBolt("odds", func() Bolt { return odds }, 1).FieldsGroupingStream("split", "odd", "key")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFieldsGroupingOnNamedStream(t *testing.T) {
 		mu.Unlock()
 		return cb
 	}, 3).FieldsGroupingStream("split", "odd", "key")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSubscribeToUndeclaredStreamFails(t *testing.T) {
 	b := NewBuilder()
 	b.SetSpout("src", func() Spout { return &listSpout{} }, 1, "key")
 	b.SetBolt("sink", func() Bolt { return &collectBolt{} }, 1).FieldsGroupingStream("src", "nope", "key")
-	if _, err := b.Build(Config{}); err == nil {
+	if _, err := b.Build(0); err == nil {
 		t.Fatal("subscription to undeclared stream accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestTupleCarriesStreamName(t *testing.T) {
 	b.SetBolt("sink", func() Bolt { return sink }, 1).
 		ShuffleGrouping("split").
 		FieldsGroupingStream("split", "odd", "key")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}

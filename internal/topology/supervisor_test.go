@@ -66,7 +66,7 @@ func TestSupervisorRestartsPanickingBolt(t *testing.T) {
 	b := NewBuilder()
 	b.SetSpout("src", func() Spout { return spout }, 1, "v")
 	b.SetBolt("sink", func() Bolt { return &boomBolt{shared: shared} }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSupervisorMarksTaskDeadAfterBoundedRestarts(t *testing.T) {
 	b := NewBuilder()
 	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
 	b.SetBolt("sink", func() Bolt { return &alwaysPanicBolt{} }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestSupervisorRestartsPanickingSpout(t *testing.T) {
 	b := NewBuilder()
 	b.SetSpout("src", func() Spout { return &crashySpout{shared: shared} }, 1, "v")
 	b.SetBolt("sink", func() Bolt { return sink }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestFailedStartReleasesWhatItStarted(t *testing.T) {
 	b.SetSpout("second", func() Spout { return &lifecycleSpout{fail: true, opened: &opened, closed: &closed} }, 1, "v")
 	b.SetBolt("sink", func() Bolt { return &lifecycleBolt{prepared: &prepared, cleaned: &cleaned} }, 2).
 		ShuffleGrouping("first").ShuffleGrouping("second")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}

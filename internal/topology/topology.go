@@ -261,12 +261,6 @@ func (d *BoltDecl) DirectGrouping(from string) *BoltDecl {
 	return d
 }
 
-// Config tunes a running topology.
-type Config struct {
-	// QueueSize is the per-task input queue capacity. Zero selects 1024.
-	QueueSize int
-}
-
 // maxTaskRestarts bounds how many times the supervisor replaces a panicking
 // task with a fresh component instance before marking the task dead (a dead
 // bolt task keeps draining and dropping its input so upstream never blocks).
@@ -274,16 +268,17 @@ type Config struct {
 // owns that state finds out.
 const maxTaskRestarts = 3
 
-// Build validates the definition and instantiates a runnable topology.
-func (b *Builder) Build(cfg Config) (*Topology, error) {
+// Build validates the definition and instantiates a runnable topology whose
+// tasks have input queues of queueSize tuples (zero selects 1024).
+func (b *Builder) Build(queueSize int) (*Topology, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	if len(b.components) == 0 {
 		return nil, fmt.Errorf("topology: no components")
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 1024
+	if queueSize <= 0 {
+		queueSize = 1024
 	}
 	hasSpout := false
 	for _, id := range b.order {
@@ -325,7 +320,7 @@ func (b *Builder) Build(cfg Config) (*Topology, error) {
 	if !hasSpout {
 		return nil, fmt.Errorf("topology: no spout")
 	}
-	return newTopology(b, cfg)
+	return newTopology(b, queueSize)
 }
 
 func fieldIndex(fields []string, name string) int {

@@ -133,14 +133,14 @@ func TestBuilderValidation(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			b := NewBuilder()
 			c.build(b)
-			if _, err := b.Build(Config{}); err == nil {
+			if _, err := b.Build(0); err == nil {
 				t.Fatal("invalid topology accepted")
 			}
 		})
 	}
 }
 
-func runSimple(t *testing.T, parallelism int, grouping func(*BoltDecl) *BoltDecl, n int, cfg Config) (*Topology, *listSpout, []*collectBolt) {
+func runSimple(t *testing.T, parallelism int, grouping func(*BoltDecl) *BoltDecl, n int) (*Topology, *listSpout, []*collectBolt) {
 	t.Helper()
 	spout := &listSpout{items: values(n)}
 	var bolts []*collectBolt
@@ -154,7 +154,7 @@ func runSimple(t *testing.T, parallelism int, grouping func(*BoltDecl) *BoltDecl
 		boltMu.Unlock()
 		return cb
 	}, parallelism))
-	top, err := b.Build(cfg)
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func totalSeen(bolts []*collectBolt) int {
 
 func TestShuffleDeliversAll(t *testing.T) {
 	const n = 200
-	_, _, bolts := runSimple(t, 3, func(d *BoltDecl) *BoltDecl { return d.ShuffleGrouping("src") }, n, Config{})
+	_, _, bolts := runSimple(t, 3, func(d *BoltDecl) *BoltDecl { return d.ShuffleGrouping("src") }, n)
 	waitFor(t, 2*time.Second, func() bool { return totalSeen(bolts) == n }, "all tuples delivered")
 	// Shuffle should spread work across tasks.
 	for i, b := range bolts {
@@ -187,7 +187,7 @@ func TestShuffleDeliversAll(t *testing.T) {
 
 func TestFieldsGroupingPartitionsByKey(t *testing.T) {
 	const n = 200
-	_, _, bolts := runSimple(t, 4, func(d *BoltDecl) *BoltDecl { return d.FieldsGrouping("src", "key") }, n, Config{})
+	_, _, bolts := runSimple(t, 4, func(d *BoltDecl) *BoltDecl { return d.FieldsGrouping("src", "key") }, n)
 	waitFor(t, 2*time.Second, func() bool { return totalSeen(bolts) == n }, "all tuples delivered")
 	// Every distinct key must land on exactly one task.
 	owner := map[string]int{}
@@ -207,7 +207,7 @@ func TestFieldsGroupingPartitionsByKey(t *testing.T) {
 
 func TestBroadcastGroupingReplicates(t *testing.T) {
 	const n = 50
-	_, _, bolts := runSimple(t, 3, func(d *BoltDecl) *BoltDecl { return d.BroadcastGrouping("src") }, n, Config{})
+	_, _, bolts := runSimple(t, 3, func(d *BoltDecl) *BoltDecl { return d.BroadcastGrouping("src") }, n)
 	waitFor(t, 2*time.Second, func() bool { return totalSeen(bolts) == 3*n }, "broadcast delivered to all tasks")
 	for i, b := range bolts {
 		if got := len(b.snapshot()); got != n {
@@ -254,7 +254,7 @@ func TestEmitDirect(t *testing.T) {
 		mu.Unlock()
 		return cb
 	}, 4).DirectGrouping("router")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestStatsAndDoubleLifecycle(t *testing.T) {
 		return &listSpout{items: values(5)}
 	}, 2, "key", "n")
 	b.SetBolt("sink", func() Bolt { return sink }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestMultipleSubscribersBothReceive(t *testing.T) {
 	b.SetSpout("src", func() Spout { return spout }, 1, "key", "n")
 	b.SetBolt("a", func() Bolt { return a }, 1).ShuffleGrouping("src")
 	b.SetBolt("c", func() Bolt { return c }, 1).ShuffleGrouping("src")
-	top, err := b.Build(Config{})
+	top, err := b.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
