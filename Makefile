@@ -35,7 +35,7 @@ lint:
 # wire codec, the number of //invalidb:allow exceptions in force (the
 # analyzer fixtures under internal/analysis/testdata are not exceptions), and
 # the number of independently settable options: exported fields of
-# core.Options, topology.Config, appserver.Options and gateway.Options plus
+# core.Options, appserver.Options and gateway.Options plus
 # the flag definitions under cmd/.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
@@ -44,8 +44,8 @@ loc:
 	printf '%-28s %6d\n' "(root package)" "$$(count . -maxdepth 1)"; \
 	printf '%-28s %6d\n' "core: wire.go + messages.go" "$$(cat internal/core/wire.go internal/core/messages.go | wc -l)"; \
 	printf '%-28s %6d\n' "//invalidb:allow" "$$(grep -rE '^[[:space:]]*//invalidb:allow' --include='*.go' --exclude-dir=testdata --exclude-dir=.build . | wc -l)"; \
-	printf '%-28s %6d\n' "options" "$$(( $$(fields internal/core/cluster.go Options) + $$(fields internal/topology/topology.go Config) \
-		+ $$(fields internal/appserver/appserver.go Options) + $$(fields internal/gateway/gateway.go Options) \
+	printf '%-28s %6d\n' "options" "$$(( $$(fields internal/core/cluster.go Options) + $$(fields internal/appserver/appserver.go Options) \
+		+ $$(fields internal/gateway/gateway.go Options) \
 		+ $$(grep -rhoE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var)\(' cmd | wc -l) ))"
 
 test:

@@ -3,7 +3,7 @@
 // users, the pull-based database, and the InvaliDB cluster. It executes
 // writes through FindAndModify and forwards the after-images to the cluster,
 // runs initial queries (rewriting sorted queries with slack, §5.2),
-// subscribes and renews real-time queries, extends TTLs, watches heartbeats,
+// subscribes and renews real-time queries, leases TTLs, watches heartbeats,
 // and fans change notifications out to end-user subscriptions.
 package appserver
 
@@ -39,7 +39,8 @@ type Options struct {
 	// TTL is the subscription time-to-live registered with the cluster.
 	// Default 30s.
 	TTL time.Duration
-	// ExtendInterval is the TTL-extension cadence. Default TTL/3.
+	// ExtendInterval is the lease cadence: every interval one lease extends
+	// the TTL of every subscription. Default TTL/3.
 	ExtendInterval time.Duration
 	// HeartbeatTimeout marks the server disconnected when no cluster
 	// heartbeat arrives for this long (§5.1): every subscription receives a
@@ -134,7 +135,6 @@ type Server struct {
 	subsByHash map[uint64]map[string]*Subscription
 	renewals   map[uint64]time.Time // per-query poll rate limit
 	closed     bool
-	attached   uint64 // subscriptions ever attached; the next one's extendSlot
 
 	notifSub  eventlayer.Subscription
 	lastHB    time.Time
@@ -243,7 +243,12 @@ func New(db *storage.DB, bus eventlayer.Bus, opts Options) (*Server, error) {
 	reg.Gauge("appserver.renewals", func() float64 { return float64(s.renewalsCtr.Load()) })
 	reg.Gauge("appserver.reconnects", func() float64 { return float64(s.reconnects.Load()) })
 	reg.Gauge("backfill.active", func() float64 { return float64(s.backfillActive.Load()) })
-	reg.Gauge("appserver.epoch", func() float64 { return float64(s.currentEpoch()) })
+	reg.Gauge("appserver.epoch", func() float64 {
+		if m := s.currentMap(); m != nil {
+			return float64(m.Epoch)
+		}
+		return 0
+	})
 	if opts.WriteCapacity > 0 {
 		s.writeBucket = ratelimit.New(float64(opts.WriteCapacity), 0) // ratelimit's default burst
 	}
@@ -441,8 +446,6 @@ func (s *Server) Subscribe(spec query.Spec) (*Subscription, error) {
 // attach registers a subscription in the routing tables.
 func (s *Server) attach(sub *Subscription) {
 	s.mu.Lock()
-	sub.extendSlot = s.attached
-	s.attached++
 	s.subsByID[sub.id] = sub
 	byHash := s.subsByHash[sub.hash]
 	if byHash == nil {
@@ -659,38 +662,11 @@ func (s *Server) renew(hash uint64, sub *Subscription) {
 // pull-query load the poll frequency rate limit bounds (§5.2).
 func (s *Server) Renewals() uint64 { return s.renewalsCtr.Load() }
 
-// TTL extensions are paced: ExtendInterval is cut into slices and each tick
-// extends only the subscriptions of one slice, so no burst of extend requests
-// ever exceeds 1/extendSlices of the population. One extend per subscription
-// published back to back overflows the broker's drop-oldest session queue
-// (4 096 frames) beyond ~4 000 subscriptions — and what it drops are writes.
-const (
-	extendSlices  = 64
-	minExtendTick = 5 * time.Millisecond // coarser slicing for very short intervals
-)
-
-// extendSchedule cuts the extend interval into ticks. A subscription belongs
-// to slice extendSlot % slices and every slice comes round once per interval,
-// so each subscription is extended exactly once per ExtendInterval, the first
-// time less than one interval after it attached.
-func extendSchedule(interval time.Duration) (tick time.Duration, slices int) {
-	slices = extendSlices
-	if interval/extendSlices < minExtendTick {
-		slices = int(interval / minExtendTick)
-		if slices < 1 {
-			slices = 1
-		}
-	}
-	return interval / time.Duration(slices), slices
-}
-
-// maintenanceLoop extends TTLs and watches heartbeats.
+// maintenanceLoop leases the subscriptions' TTLs and watches heartbeats.
 func (s *Server) maintenanceLoop() {
 	defer s.wg.Done()
-	tick, slices := extendSchedule(s.opts.ExtendInterval)
-	extend := time.NewTicker(tick)
+	extend := time.NewTicker(s.opts.ExtendInterval)
 	defer extend.Stop()
-	slice := 0
 	// Check the heartbeat a few times per timeout so short timeouts (tests,
 	// aggressive deployments) are detected promptly.
 	interval := 500 * time.Millisecond
@@ -707,8 +683,7 @@ func (s *Server) maintenanceLoop() {
 		case <-s.done:
 			return
 		case <-extend.C:
-			s.extendSlice(slice, slices)
-			slice = (slice + 1) % slices
+			s.lease()
 		case <-hbCheck.C:
 			if s.opts.HeartbeatTimeout < 0 {
 				continue
@@ -727,27 +702,27 @@ func (s *Server) maintenanceLoop() {
 	}
 }
 
-// extendSlice publishes the TTL extension of every subscription in one slice.
-func (s *Server) extendSlice(slice, slices int) {
+// leaseChunk bounds the entries of one lease frame: a lease of N
+// subscriptions is ⌈N/leaseChunk⌉ frames of about 100 KiB at most, far below
+// the event layer's 16 MiB frame limit, where one frame per subscription
+// overflowed the broker's 4 096-frame session queue.
+const leaseChunk = 4096
+
+// lease extends the TTL of every subscription this server holds (§5.1), in
+// frames of at most leaseChunk entries; with none it publishes nothing.
+func (s *Server) lease() {
 	s.mu.Lock()
-	var subs []*Subscription
-	for _, sub := range s.subsByID {
-		if sub.extendSlot%uint64(slices) == uint64(slice) {
-			subs = append(subs, sub)
-		}
+	subs := make([]core.LeaseEntry, 0, len(s.subsByID))
+	for id, sub := range s.subsByID {
+		subs = append(subs, core.LeaseEntry{SubscriptionID: id, QueryHash: sub.hash})
 	}
 	s.mu.Unlock()
-	for _, sub := range subs {
-		env := &core.Envelope{Kind: core.KindExtend, Extend: &core.ExtendRequest{
-			Tenant:         s.opts.Tenant,
-			SubscriptionID: sub.id,
-			QueryHash:      sub.hash,
-			TTLMillis:      s.opts.TTL.Milliseconds(),
-			Epoch:          s.currentEpoch(),
-		}}
-		if data, err := env.Encode(); err == nil {
-			_ = s.bus.Publish(s.topics.Queries(), data)
-		}
+	for len(subs) > 0 {
+		n := min(len(subs), leaseChunk)
+		_ = s.publishEnvelope(s.topics.Queries(), &core.Envelope{Kind: core.KindLease, Lease: &core.Lease{
+			Tenant: s.opts.Tenant, TTLMillis: s.opts.TTL.Milliseconds(), Subs: subs[:n],
+		}})
+		subs = subs[n:]
 	}
 }
 

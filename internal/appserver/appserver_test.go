@@ -187,34 +187,30 @@ func TestOverTCPBroker(t *testing.T) {
 	}
 }
 
-// TestExtendPacingKeepsBrokerQueueBounded: 5 000 subscriptions on one
-// application server — more than the broker's 4 096-frame drop-oldest session
-// queue — must not cost a single dropped frame when their TTLs are extended.
-// Published back to back, one round of extends overflows the cluster's
-// session and the frames dropped are whatever was queued first: writes.
-func TestExtendPacingKeepsBrokerQueueBounded(t *testing.T) {
+// TestLeaseIsOneFramePerChunk: one lease of 5 000 subscriptions — more than
+// the broker's 4 096-frame drop-oldest session queue — is ⌈5000/leaseChunk⌉
+// = 2 frames on a TCP broker, and the broker drops none of them.
+func TestLeaseIsOneFramePerChunk(t *testing.T) {
 	const subs = 5000
-	interval := 500 * time.Millisecond
-	broker, srv := newTCPStack(t, Options{ExtendInterval: interval})
+	broker, srv := newTCPStack(t, Options{ExtendInterval: time.Hour}) // the ticker never leases
 	for i := 0; i < subs; i++ {
-		if _, err := srv.Subscribe(query.Spec{Collection: "c", Filter: map[string]any{"x": i}}); err != nil {
-			t.Fatal(err)
+		srv.attach(srv.newSubscription(query.MustCompile(query.Spec{Collection: "c", Filter: map[string]any{"x": i}})))
+	}
+	gauge := func(name string) float64 { return srv.Metrics().Snapshot().Gauges[name] }
+	encoded, decoded := gauge("wire.encode.lease.messages"), gauge("wire.decode.lease.messages")
+	srv.lease()
+	if got := gauge("wire.encode.lease.messages") - encoded; got != 2 {
+		t.Fatalf("one lease of %d subscriptions published %v frames, want 2", subs, got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gauge("wire.decode.lease.messages")-decoded < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the cluster never decoded both lease frames")
 		}
-		if i%250 == 249 {
-			time.Sleep(10 * time.Millisecond) // the test paces its own subscribe burst
-		}
+		time.Sleep(time.Millisecond)
 	}
-	published, _, dropped := broker.Stats()
-	if dropped != 0 {
-		t.Fatalf("set-up itself dropped %d frames", dropped)
-	}
-	time.Sleep(2*interval + interval/4)
-	after, _, dropped := broker.Stats()
-	if dropped != 0 {
-		t.Fatalf("broker dropped %d frames across two extend intervals of %d subscriptions", dropped, subs)
-	}
-	if extends := after - published; extends < 2*subs {
-		t.Fatalf("%d frames published in two intervals, want at least one extend per subscription and interval (%d)", extends, 2*subs)
+	if _, _, dropped := broker.Stats(); dropped != 0 {
+		t.Fatalf("broker dropped %d frames", dropped)
 	}
 }
 

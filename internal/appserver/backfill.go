@@ -207,10 +207,11 @@ func (s *Server) runBackfill(sub *Subscription, at placement, migration bool) er
 				break
 			}
 		case <-timer.C:
-			// Oldest chunk uncertified: the chunk, a mark, or the
-			// certificates were lost. Re-read the same key range under a
-			// fresh watermark window and re-send; the cell-side install is
-			// idempotent.
+			// Oldest chunk uncertified: the start, the chunk, a mark, or the
+			// certificates were lost. Re-announce the backfill — a cell that
+			// never installed the query withholds every certificate — then
+			// re-read the same key range under a fresh watermark window and
+			// re-send. A cell that holds the query only gains the id again.
 			fc := inflight[0]
 			if fc.retries >= maxChunkRetries {
 				return fmt.Errorf("chunk %d uncertified after %d attempts", fc.bc.Chunk, fc.retries+1)
@@ -220,6 +221,9 @@ func (s *Server) runBackfill(sub *Subscription, at placement, migration bool) er
 				return errBackfillAborted
 			}
 			fc.retries++
+			if err := s.publishBackfillStart(sub, bfid, at.epoch); err != nil {
+				return err
+			}
 			entries, _, err := s.backfillChunk(sub, bfid, fc.bc.Chunk, cur, fc.segs)
 			if err != nil {
 				return err

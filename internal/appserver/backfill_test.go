@@ -51,6 +51,53 @@ func TestBackfillDeliversFullInitialResult(t *testing.T) {
 	}
 }
 
+// dropFirstStart is a Bus that loses the first BackfillStart published on it.
+type dropFirstStart struct {
+	eventlayer.Bus
+	dropped atomic.Bool
+}
+
+func (b *dropFirstStart) Publish(topic string, data []byte) error {
+	if env, err := core.DecodeWire(data); err == nil && env.Kind == core.KindBackfillStart && b.dropped.CompareAndSwap(false, true) {
+		return nil
+	}
+	return b.Bus.Publish(topic, data)
+}
+
+// TestBackfillSurvivesALostStart: the start announcing a backfill is lost, so
+// no cell of the query's row installs it and every chunk goes uncertified.
+// The chunk timeout re-announces the backfill before it re-sends, and the
+// subscription is admitted with the pull result.
+func TestBackfillSurvivesALostStart(t *testing.T) {
+	lossy := &dropFirstStart{}
+	e := newEnvVia(t, core.Options{QueryPartitions: 2, WritePartitions: 2},
+		Options{Backfill: true, BackfillChunkSize: 16, BackfillChunkTimeout: 100 * time.Millisecond},
+		func(b eventlayer.Bus) eventlayer.Bus { lossy.Bus = b; return lossy })
+	for i := 0; i < 40; i++ {
+		if err := e.server.Insert("c", document.Document{"_id": fmt.Sprintf("k%03d", i), "grp": int64(i % 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := query.Spec{Collection: "c", Filter: map[string]any{"grp": 1}}
+	sub, err := e.server.Subscribe(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := waitEvent(t, sub, EventInitial); len(ev.Docs) != 20 {
+		t.Fatalf("initial result has %d docs, want 20", len(ev.Docs))
+	}
+	if !lossy.dropped.Load() {
+		t.Fatal("no BackfillStart was published, so none was lost")
+	}
+	if err := e.server.Insert("c", document.Document{"_id": "late", "grp": int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := waitEvent(t, sub, EventAdd); got.Key != "late" {
+		t.Fatalf("post-admission add delivered %q, want %q", got.Key, "late")
+	}
+	waitResult(t, e, sub, spec)
+}
+
 func TestBackfillUnderSustainedWrites(t *testing.T) {
 	// The virtual-cut guarantee under full write load: a backfilled
 	// subscription's result after quiescing equals the pull query's — no

@@ -23,6 +23,13 @@ type env struct {
 
 func newEnv(t *testing.T, clusterOpts core.Options, serverOpts Options) *env {
 	t.Helper()
+	return newEnvVia(t, clusterOpts, serverOpts, nil)
+}
+
+// newEnvVia is newEnv with the application server on wrap(bus) (nil: the bus
+// itself), so a test can lose or count what the server publishes.
+func newEnvVia(t *testing.T, clusterOpts core.Options, serverOpts Options, wrap func(eventlayer.Bus) eventlayer.Bus) *env {
+	t.Helper()
 	if clusterOpts.TickInterval == 0 {
 		clusterOpts.TickInterval = 20 * time.Millisecond
 	}
@@ -41,7 +48,11 @@ func newEnv(t *testing.T, clusterOpts core.Options, serverOpts Options) *env {
 		t.Fatal(err)
 	}
 	db := storage.Open(storage.Options{})
-	srv, err := New(db, bus, serverOpts)
+	var serverBus eventlayer.Bus = bus
+	if wrap != nil {
+		serverBus = wrap(bus)
+	}
+	srv, err := New(db, serverBus, serverOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

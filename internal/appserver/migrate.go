@@ -59,17 +59,6 @@ func (s *Server) currentMap() *core.PartitionMap {
 	return s.pmap
 }
 
-// currentEpoch is the epoch stamped on envelopes not tied to one
-// subscription's install (TTL extends).
-func (s *Server) currentEpoch() uint64 {
-	s.pmMu.Lock()
-	defer s.pmMu.Unlock()
-	if s.pmap == nil {
-		return 0
-	}
-	return s.pmap.Epoch
-}
-
 // handleMap adopts a coordinator map (newer epochs only) and starts a
 // re-subscription pass over the subscriptions it moved. Runs on the
 // notification loop, so it must not block.

@@ -93,9 +93,6 @@ type Subscription struct {
 	hash    uint64
 	ordered bool
 	slack   int
-	// extendSlot is the subscription's attach order on its server; it picks
-	// the slice of the extend interval in which its TTL is extended.
-	extendSlot uint64
 
 	mu     sync.Mutex
 	order  []string // visible window, in result order (sorted queries)

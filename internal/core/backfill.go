@@ -125,9 +125,11 @@ func (b *matchBolt) handleBackfillChunk(p *backfillChunkPayload) {
 func (b *matchBolt) reconcileChunk(p *backfillChunkPayload) {
 	mq := b.queries[p.hash]
 	if mq == nil {
-		// No live query at this cell: the subscribe tuple was lost or the
+		// No live query at this cell: the start was lost or the
 		// subscription expired mid-backfill. Withhold the certificate — the
-		// application server's chunk timeout resends, and a restarted cell
+		// application server's chunk timeout re-publishes the start before
+		// it resends (an install that exists only gains the subscription
+		// id, and a backfill install skips replay), and a restarted cell
 		// shows in the heartbeat, which restarts the backfill at its driver.
 		return
 	}

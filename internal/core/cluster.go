@@ -96,7 +96,7 @@ const (
 	writeIngestNodes = 4
 )
 
-// defaultTTL applies to subscribe and extend requests that carry no TTL.
+// defaultTTL applies to subscribe requests and leases that carry no TTL.
 const defaultTTL = 60 * time.Second
 
 // ttlOf converts a request's TTLMillis, defaulting when it carries none.

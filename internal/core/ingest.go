@@ -105,7 +105,7 @@ func (s *tickSpout) Close() {
 const (
 	kindSubscribe  = "subscribe"
 	kindCancel     = "cancel"
-	kindExtend     = "extend"
+	kindLease      = "lease"
 	kindWrite      = "write"
 	kindWriteBatch = "writeBatch" // several after-images in one tuple
 	kindDelta      = "delta"      // filtering-stage output for sorted queries
@@ -178,28 +178,42 @@ func (b *queryIngestBolt) Execute(t *topology.Tuple) {
 		// Cancels resolve at their stamped epoch: during a migration the
 		// application server cancels the OLD owner specifically, while the
 		// new owner's fresh install stays untouched.
-		if r := b.c.maps.at(env.Cancel.Epoch); r != nil {
-			b.fanToRow(r, kindCancel, env.Cancel.QueryHash, env.Cancel)
-			if r.ownedSlot(r.m.Row(env.Cancel.QueryHash)) >= 0 {
-				b.out.EmitStream(streamBootstrap, topology.Values{kindCancel, QueryIDString(env.Cancel.QueryHash), env.Cancel})
+		r := b.c.maps.at(env.Cancel.Epoch)
+		if r == nil {
+			return // a named process awaiting its first partition map
+		}
+		if slot := r.ownedSlot(r.m.Row(env.Cancel.QueryHash)); slot >= 0 {
+			vals := topology.Values{kindCancel, QueryIDString(env.Cancel.QueryHash), env.Cancel}
+			for w := 0; w < r.m.WritePartitions; w++ {
+				b.out.EmitDirect(b.c.layout.task(slot, w), vals)
 			}
+			b.out.EmitStream(streamBootstrap, vals)
 		}
-	case KindExtend:
-		// Registering the tenant here matters for failover: a replacement
-		// cluster that has never seen this tenant learns of it from the
-		// periodic TTL extensions and starts heartbeating, which is the
-		// signal application servers wait for before re-subscribing.
-		b.c.registerTenant(env.Extend.Tenant)
-		// Extends fan under BOTH epochs: mid-migration the subscription is
-		// installed on the old and the new owner, and an extend that reached
-		// only one would let the other expire under load. Repeats to the
-		// same cell are idempotent renewals.
+	case KindLease:
+		// The lease teaches a replacement cluster its tenants, so it starts
+		// heartbeating: the signal application servers wait for before they
+		// re-subscribe. Entries group by owned row under BOTH epochs:
+		// mid-migration a subscription is installed on the old and the new
+		// owner, and each must stay alive.
+		l := env.Lease
+		b.c.registerTenant(l.Tenant)
 		cur, prev := b.c.maps.both()
-		if cur != nil {
-			b.fanToRow(cur, kindExtend, env.Extend.QueryHash, env.Extend)
-		}
-		if prev != nil {
-			b.fanToRow(prev, kindExtend, env.Extend.QueryHash, env.Extend)
+		for _, r := range [2]*routing{cur, prev} {
+			if r == nil {
+				continue
+			}
+			bySlot := map[int][]LeaseEntry{}
+			for _, e := range l.Subs {
+				if slot := r.ownedSlot(r.m.Row(e.QueryHash)); slot >= 0 {
+					bySlot[slot] = append(bySlot[slot], e)
+				}
+			}
+			for slot, subs := range bySlot {
+				p := &Lease{Tenant: l.Tenant, TTLMillis: l.TTLMillis, Subs: subs}
+				for w := 0; w < r.m.WritePartitions; w++ {
+					b.out.EmitDirect(b.c.layout.task(slot, w), topology.Values{kindLease, "", p})
+				}
+			}
 		}
 	case KindBackfillStart:
 		b.handleBackfillStart(env.BackfillStart)
@@ -356,25 +370,13 @@ func (b *queryIngestBolt) handleBackfillChunk(bc *BackfillChunk) {
 	}
 }
 
-// fanToRow delivers a control message to every matching cell of the query's
-// partition row under the given routing, when this process owns the row.
-func (b *queryIngestBolt) fanToRow(r *routing, kind string, hash uint64, payload any) {
-	slot := r.ownedSlot(r.m.Row(hash))
-	if slot < 0 {
-		return
-	}
-	for w := 0; w < r.m.WritePartitions; w++ {
-		b.out.EmitDirect(b.c.layout.task(slot, w), topology.Values{kind, QueryIDString(hash), payload})
-	}
-}
-
 func (b *queryIngestBolt) Cleanup() {}
 
 // TenantQueryHash derives the partitioning hash from the tenant and the
 // canonical query identity, so distinct subscriptions to the same query are
 // always routed to the same partition (§5.1) while tenants stay isolated.
 // Application servers remember this hash for the lifetime of a subscription
-// and attach it to cancellation and TTL-extension requests.
+// and attach it to cancellation requests and leases.
 func TenantQueryHash(tenant string, q *query.Query) uint64 {
 	return q.Hash() ^ document.HashKey("tenant:"+tenant)
 }

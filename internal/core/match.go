@@ -251,9 +251,9 @@ func (b *matchBolt) Execute(t *topology.Tuple) {
 		if p, ok := payloadV.(*CancelRequest); ok {
 			b.handleCancel(p)
 		}
-	case kindExtend:
-		if p, ok := payloadV.(*ExtendRequest); ok {
-			b.handleExtend(p)
+	case kindLease:
+		if p, ok := payloadV.(*Lease); ok {
+			b.handleLease(p)
 		}
 	case kindWrite:
 		if p, ok := payloadV.(*WriteEvent); ok {
@@ -547,16 +547,18 @@ func (b *matchBolt) handleCancel(p *CancelRequest) {
 	}
 }
 
-func (b *matchBolt) handleExtend(p *ExtendRequest) {
-	mq := b.queries[p.QueryHash]
-	if mq == nil {
-		return // meaningless without a prior subscription (§5.1, footnote 3)
+// handleLease pushes out the TTL deadline of every leased subscription this
+// cell holds; an id it does not hold means nothing here (§5.1, footnote 3).
+func (b *matchBolt) handleLease(p *Lease) {
+	//invalidb:allow coarseclock control-plane TTL deadline at lease time
+	deadline := time.Now().Add(ttlOf(p.TTLMillis))
+	for _, e := range p.Subs {
+		if mq := b.queries[e.QueryHash]; mq != nil {
+			if _, ok := mq.subs[e.SubscriptionID]; ok {
+				mq.subs[e.SubscriptionID] = deadline
+			}
+		}
 	}
-	if _, ok := mq.subs[p.SubscriptionID]; !ok {
-		return
-	}
-	//invalidb:allow coarseclock control-plane TTL deadline at extend time
-	mq.subs[p.SubscriptionID] = time.Now().Add(ttlOf(p.TTLMillis))
 }
 
 // handleTick advances the coarse clock, expires subscriptions whose TTL

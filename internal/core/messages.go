@@ -92,17 +92,18 @@ type CancelRequest struct {
 	Epoch uint64
 }
 
-// ExtendRequest pushes a subscription's TTL deadline out (§5: "TTL extension
-// requests are periodically issued by the application server").
-type ExtendRequest struct {
-	Tenant         string
+// Lease extends the TTL of an application server's subscriptions (§5: "TTL
+// extension requests are periodically issued by the application server").
+type Lease struct {
+	Tenant    string
+	TTLMillis int64
+	Subs      []LeaseEntry
+}
+
+// LeaseEntry is one leased subscription and the query hash that routes it.
+type LeaseEntry struct {
 	SubscriptionID string
 	QueryHash      uint64
-	TTLMillis      int64
-	// Epoch is the sender's view of the map epoch (zero = current). Extends
-	// are deliberately processed by the owner under the current AND previous
-	// epoch, keeping the old install alive mid-migration.
-	Epoch uint64
 }
 
 // WriteEvent carries one after-image from an application server to the
@@ -315,7 +316,6 @@ type Envelope struct {
 	Kind          string
 	Subscribe     *SubscribeRequest
 	Cancel        *CancelRequest
-	Extend        *ExtendRequest
 	Write         *WriteEvent
 	Notification  *Notification
 	Heartbeat     *Heartbeat
@@ -327,13 +327,13 @@ type Envelope struct {
 	Hello         *NodeHello
 	Resize        *ResizeRequest
 	EpochAck      *EpochAck
+	Lease         *Lease
 }
 
 // Envelope kinds.
 const (
 	KindSubscribe     = "subscribe"
 	KindCancel        = "cancel"
-	KindExtend        = "extend"
 	KindWrite         = "write"
 	KindNotification  = "notification"
 	KindHeartbeat     = "heartbeat"
@@ -345,6 +345,7 @@ const (
 	KindNodeHello     = "nodeHello"
 	KindResize        = "resize"
 	KindEpochAck      = "epochAck"
+	KindLease         = "lease"
 )
 
 // Encode serializes an envelope for the event layer (DESIGN.md §10) into a

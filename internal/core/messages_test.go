@@ -23,7 +23,7 @@ func TestEnvelopeRoundTrips(t *testing.T) {
 			Result: []ResultEntry{{Key: "k", Version: 2, Doc: document.Document{"_id": "k", "x": int64(1)}}},
 		}},
 		{Kind: KindCancel, Cancel: &CancelRequest{Tenant: "t", SubscriptionID: "s", QueryHash: 42}},
-		{Kind: KindExtend, Extend: &ExtendRequest{Tenant: "t", SubscriptionID: "s", QueryHash: 42, TTLMillis: 500}},
+		{Kind: KindLease, Lease: &Lease{Tenant: "t", TTLMillis: 500, Subs: []LeaseEntry{{SubscriptionID: "s", QueryHash: 42}}}},
 		{Kind: KindWrite, Write: &WriteEvent{Tenant: "t", Image: &document.AfterImage{
 			Collection: "c", Key: "k", Version: 3, Op: document.OpUpdate,
 			Doc: document.Document{"_id": "k", "x": int64(9)},

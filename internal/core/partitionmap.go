@@ -140,11 +140,12 @@ func (r *routing) ownedSlot(row int) int {
 }
 
 // mapState holds the cluster's current and previous routing epochs. Two
-// epochs suffice: a resize completes (all migrations cut over, TTLs expire
-// the leftovers) before the next begins, and requests stamped with an epoch
-// older than prev fall back to cur — their installs land best-effort and
-// the TTL sweep reclaims any that landed on a cell that no longer owns the
-// row.
+// epochs suffice: a resize completes (all migrations cut over and cancel the
+// old installs) before the next begins, and requests stamped with an epoch
+// older than prev fall back to cur, landing best-effort. A lease refreshes
+// only the cells that own a subscription's row under cur or prev, so an
+// install on any other cell lapses with its TTL; an old install whose cancel
+// was lost stays leased until the next resize demotes prev.
 type mapState struct {
 	mu   sync.RWMutex
 	cur  *routing

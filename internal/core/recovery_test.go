@@ -119,9 +119,9 @@ func TestHeartbeatCarriesTheIncarnation(t *testing.T) {
 	first := start(hook.hook)
 	defer first.Stop()
 
-	// An extend for a subscription nobody holds only makes the tenant known,
-	// so heartbeats start.
-	publishEnv(t, bus, topics.Queries(), &Envelope{Kind: KindExtend, Extend: &ExtendRequest{Tenant: "t", SubscriptionID: "none"}})
+	// A lease of a subscription nobody holds only makes the tenant known, so
+	// heartbeats start.
+	publishEnv(t, bus, topics.Queries(), &Envelope{Kind: KindLease, Lease: &Lease{Tenant: "t", Subs: []LeaseEntry{{SubscriptionID: "none"}}}})
 	hb := nextHeartbeat(t, notif)
 	boot := hb.Boot
 	if hb.Node != "" || hb.Restarts != 0 {
@@ -204,10 +204,10 @@ func TestNodeHoldsNothingForRowsItDoesNotOwn(t *testing.T) {
 		Tenant: "t", SubscriptionID: "s1", Query: spec, TTLMillis: ttl, Epoch: 1,
 		Result: []ResultEntry{{Key: "k", Version: 1, Doc: document.Document{"_id": "k"}}},
 	}})
-	// An extend flushes both nodes' query ingestion: node b's ingest has
+	// A lease flushes both nodes' query ingestion: node b's ingest has
 	// handled the subscribe once its tenant table shows the tenant.
-	publishEnv(t, bus, topics.Queries(), &Envelope{Kind: KindExtend, Extend: &ExtendRequest{
-		Tenant: "t", SubscriptionID: "s1", TTLMillis: ttl, QueryHash: hash,
+	publishEnv(t, bus, topics.Queries(), &Envelope{Kind: KindLease, Lease: &Lease{
+		Tenant: "t", TTLMillis: ttl, Subs: []LeaseEntry{{SubscriptionID: "s1", QueryHash: hash}},
 	}})
 	gauges := func(name string) (queries, subs, tenants float64) {
 		g := clusters[name].Metrics().Snapshot().Gauges
@@ -215,10 +215,10 @@ func TestNodeHoldsNothingForRowsItDoesNotOwn(t *testing.T) {
 	}
 	waitUntil(t, "node a holds the query", func() bool {
 		q, s, _ := gauges("a")
-		return a.count(kindExtend) == 1 && q == 1 && s == 1
+		return a.count(kindLease) == 1 && q == 1 && s == 1
 	})
 	waitUntil(t, "node b knows the tenant", func() bool { _, _, n := gauges("b"); return n == 1 })
-	if got := b.count(kindSubscribe) + b.count(kindExtend); got != 0 {
+	if got := b.count(kindSubscribe) + b.count(kindLease); got != 0 {
 		t.Errorf("node b's cell executed %d control tuples for a row it does not own", got)
 	}
 	time.Sleep(30 * time.Millisecond) // a few of node b's ticks
@@ -263,4 +263,66 @@ func TestClusterStartFailureLeavesNothingRunning(t *testing.T) {
 		t.Fatal("second Start succeeded on a topology that already failed to start")
 	}
 	cl.Stop()
+}
+
+// TestLeaseRefreshesBothEpochsInstalls: mid-migration a subscription is
+// installed under the previous map and under the current one. When its row
+// moved to another slot of the same process, one lease must reach both
+// installs — a lease that refreshed only one would let the other lapse.
+func TestLeaseRefreshesBothEpochsInstalls(t *testing.T) {
+	bus := eventlayer.NewMemBus(eventlayer.MemBusOptions{})
+	defer bus.Close()
+	topics := NewTopics("")
+	hook := &kindCounter{}
+	cl, err := NewCluster(bus, Options{
+		NodeID: "a", QueryPartitions: 2, WritePartitions: 1,
+		TickInterval: 10 * time.Millisecond, MatchHook: hook.hook,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	adopt := func(m *PartitionMap) {
+		publishEnv(t, bus, topics.Control(), &Envelope{Kind: KindPartitionMap, Map: m})
+		waitUntil(t, "partition map installed", func() bool { cur := cl.CurrentMap(); return cur != nil && cur.Epoch == m.Epoch })
+	}
+	var spec query.Spec
+	for v := 0; ; v++ {
+		spec = query.Spec{Collection: "c", Filter: map[string]any{"v": v}}
+		if TenantQueryHash("t", query.MustCompile(spec))%2 == 0 {
+			break // row 0 under a two-row map
+		}
+	}
+	hash := TenantQueryHash("t", query.MustCompile(spec))
+	subscribe := func(sid string, epoch uint64) {
+		publishEnv(t, bus, topics.Queries(), &Envelope{Kind: KindSubscribe, Subscribe: &SubscribeRequest{
+			Tenant: "t", SubscriptionID: sid, Query: spec, TTLMillis: time.Second.Milliseconds(), Epoch: epoch,
+		}})
+	}
+	held := func() float64 { return cl.Metrics().Snapshot().Gauges["cluster.subscriptions"] }
+
+	// Epoch 1 places the one row at slot 1, epoch 2 places row 0 at slot 0:
+	// the query's install moves from cell 1 to cell 0 of the same process.
+	adopt(&PartitionMap{Epoch: 1, QueryPartitions: 1, WritePartitions: 1, Rows: []RowAssignment{{Node: "a", Slot: 1}}})
+	subscribe("s1", 1)
+	waitUntil(t, "s1 installed under epoch 1", func() bool { return held() == 1 })
+	adopt(&PartitionMap{Epoch: 2, QueryPartitions: 2, WritePartitions: 1, Rows: []RowAssignment{{Node: "a", Slot: 0}, {Node: "a", Slot: 1}}})
+	subscribe("s1", 2)
+	subscribe("s2", 2) // never leased: it shows the TTL sweep ran
+	waitUntil(t, "s1 installed under both epochs, s2 under the current one", func() bool { return held() == 3 })
+
+	publishEnv(t, bus, topics.Queries(), &Envelope{Kind: KindLease, Lease: &Lease{
+		Tenant: "t", TTLMillis: time.Minute.Milliseconds(), Subs: []LeaseEntry{{SubscriptionID: "s1", QueryHash: hash}},
+	}})
+	waitUntil(t, "s2 expired", func() bool { return held() == 2 })
+	if got := hook.count(kindLease); got != 2 {
+		t.Fatalf("%d lease tuples executed, want one per install (2)", got)
+	}
+	time.Sleep(50 * time.Millisecond) // a few more ticks
+	if got := held(); got != 2 {
+		t.Fatalf("%v subscriptions held after the lease, want s1 under both epochs (2)", got)
+	}
 }

@@ -29,7 +29,7 @@ const wireMagic = 0xB1
 const (
 	wireTagSubscribe byte = iota + 1
 	wireTagCancel
-	wireTagExtend
+	_ // 3 was the per-subscription extend; reserved like 7
 	wireTagWrite
 	wireTagNotification
 	wireTagHeartbeat
@@ -42,6 +42,7 @@ const (
 	wireTagNodeHello
 	wireTagResize
 	wireTagEpochAck
+	wireTagLease
 )
 
 // Document value tags. Every document value is one tag byte followed by
@@ -94,7 +95,6 @@ type wireKind struct {
 var wireKinds = [...]wireKind{
 	wireTagSubscribe:     {KindSubscribe, appendSubscribe, decodeSubscribe},
 	wireTagCancel:        {KindCancel, appendCancel, decodeCancel},
-	wireTagExtend:        {KindExtend, appendExtend, decodeExtend},
 	wireTagWrite:         {KindWrite, appendWrite, decodeWrite},
 	wireTagNotification:  {KindNotification, appendNotification, decodeNotification},
 	wireTagHeartbeat:     {KindHeartbeat, appendHeartbeat, decodeHeartbeat},
@@ -106,6 +106,7 @@ var wireKinds = [...]wireKind{
 	wireTagNodeHello:     {KindNodeHello, appendNodeHello, decodeNodeHello},
 	wireTagResize:        {KindResize, appendResize, decodeResize},
 	wireTagEpochAck:      {KindEpochAck, appendEpochAck, decodeEpochAck},
+	wireTagLease:         {KindLease, appendLease, decodeLease},
 }
 
 // wireStats counts messages and bytes crossing the codec, per envelope
@@ -277,17 +278,21 @@ func appendCancel(b []byte, e *Envelope) ([]byte, error) {
 	return appendUvarint(b, c.Epoch), nil
 }
 
-//invalidb:hotpath
-func appendExtend(b []byte, e *Envelope) ([]byte, error) {
-	x := e.Extend
-	if x == nil {
+// appendLease and decodeLease are control-plane rows — a few frames
+// per application server and extend interval — and carry no hotpath mark.
+func appendLease(b []byte, e *Envelope) ([]byte, error) {
+	l := e.Lease
+	if l == nil {
 		return nil, errWireNoPayload
 	}
-	b = appendString(b, x.Tenant)
-	b = appendString(b, x.SubscriptionID)
-	b = appendFixed64(b, x.QueryHash)
-	b = appendSvarint(b, x.TTLMillis)
-	return appendUvarint(b, x.Epoch), nil
+	b = appendString(b, l.Tenant)
+	b = appendSvarint(b, l.TTLMillis)
+	b = appendUvarint(b, uint64(len(l.Subs)))
+	for i := range l.Subs {
+		b = appendString(b, l.Subs[i].SubscriptionID)
+		b = appendFixed64(b, l.Subs[i].QueryHash)
+	}
+	return b, nil
 }
 
 // appendWrite encodes a write event; WriteEvent.IngestNs is process-local
@@ -990,26 +995,28 @@ func decodeCancel(b []byte, e *Envelope) error {
 	return r.end(err)
 }
 
-//invalidb:hotpath
-func decodeExtend(b []byte, e *Envelope) error {
+func decodeLease(b []byte, e *Envelope) error {
 	r := wireReader{b}
-	//invalidb:allow hotpathalloc decoded envelope payload escapes to the caller
-	x := new(ExtendRequest)
-	e.Extend = x
+	l := new(Lease)
+	e.Lease = l
 	var err error
-	if x.Tenant, err = r.str(); err != nil {
+	if l.Tenant, err = r.str(); err != nil {
 		return err
 	}
-	if x.SubscriptionID, err = r.str(); err != nil {
+	if l.TTLMillis, err = r.svarint(); err != nil {
 		return err
 	}
-	if x.QueryHash, err = r.fixed64(); err != nil {
-		return err
+	n, err := r.uvarint()
+	if err == nil && n > uint64(len(r.b))/9 { // id length + fixed64 hash per entry
+		err = errWireTruncated
 	}
-	if x.TTLMillis, err = r.svarint(); err != nil {
-		return err
+	for i := uint64(0); err == nil && i < n; i++ {
+		var le LeaseEntry
+		if le.SubscriptionID, err = r.str(); err == nil {
+			le.QueryHash, err = r.fixed64()
+		}
+		l.Subs = append(l.Subs, le)
 	}
-	x.Epoch, err = r.uvarint()
 	return r.end(err)
 }
 

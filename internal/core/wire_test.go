@@ -45,9 +45,9 @@ func wireTestEnvelopes() []*Envelope {
 		{Kind: KindCancel, Cancel: &CancelRequest{
 			Tenant: "t1", SubscriptionID: "sub-1", QueryHash: 0xDEADBEEFCAFE1234,
 		}},
-		{Kind: KindExtend, Extend: &ExtendRequest{
-			Tenant: "t1", SubscriptionID: "sub-1", QueryHash: 0xDEADBEEFCAFE1234, TTLMillis: 30000,
-		}},
+		{Kind: KindLease, Lease: &Lease{Tenant: "t1", TTLMillis: 30000, Subs: []LeaseEntry{
+			{SubscriptionID: "sub-1", QueryHash: 0xDEADBEEFCAFE1234}, {SubscriptionID: "sub-2", QueryHash: 7},
+		}}},
 		{Kind: KindWrite, Write: &WriteEvent{
 			Tenant: "t2",
 			Image: &document.AfterImage{
@@ -145,9 +145,6 @@ func wireTestEnvelopes() []*Envelope {
 		{Kind: KindCancel, Cancel: &CancelRequest{
 			Tenant: "t1", SubscriptionID: "sub-9", QueryHash: 0xDEADBEEFCAFE1234, Epoch: 6,
 		}},
-		{Kind: KindExtend, Extend: &ExtendRequest{
-			Tenant: "t1", SubscriptionID: "sub-9", QueryHash: 0xDEADBEEFCAFE1234, TTLMillis: 30000, Epoch: 7,
-		}},
 		{Kind: KindBackfillStart, BackfillStart: &BackfillStart{
 			Tenant: "t1", SubscriptionID: "sub-9", BackfillID: "bf-9.1", Epoch: 7,
 			Query: query.Spec{Collection: "orders"},
@@ -198,6 +195,7 @@ func wireCornerEnvelopes() []*Envelope {
 		{Kind: KindBackfillChunk, BackfillChunk: &BackfillChunk{
 			Tenant: "t", SubscriptionID: "s", BackfillID: "b", Entries: []ResultEntry{},
 		}},
+		{Kind: KindLease, Lease: &Lease{Tenant: "t"}},
 	}
 }
 
@@ -254,12 +252,20 @@ func TestEveryWireKindHasSeedAndRoundTrips(t *testing.T) {
 	if wireKinds[0].name != "" {
 		t.Fatal("tag 0 must stay unassigned")
 	}
+	// The retired kinds' seeds stay in the corpus as reject cases.
+	retired, _ := filepath.Glob(filepath.Join(wireSeedDir, "seed-extend-*"))
+	resync, _ := filepath.Glob(filepath.Join(wireSeedDir, "seed-resync-*"))
+	for _, path := range append(retired, resync...) {
+		if _, err := DecodeWire(readSeed(t, path)); err != errWireBadKind {
+			t.Errorf("%s: decodes with %v, want the unknown-kind error", path, err)
+		}
+	}
 	seen := map[string]bool{}
 	for tag := 1; tag < len(wireKinds); tag++ {
 		k := wireKinds[tag]
-		if tag == 7 { // reserved: the resync request's tag is never reused
+		if tag == 3 || tag == 7 { // reserved: the extend's and the resync request's tags are never reused
 			if k.name != "" || k.append != nil || k.decode != nil {
-				t.Fatalf("tag 7 must stay a gap, has row %q", k.name)
+				t.Fatalf("tag %d must stay a gap, has row %q", tag, k.name)
 			}
 			continue
 		}
@@ -396,8 +402,10 @@ func TestWireValidation(t *testing.T) {
 		"heartbeat no boot":  cat([]byte{wireMagic, wireTagHeartbeat}, str("t"), []byte{2}, str("n")),
 		"heartbeat no count": cat([]byte{wireMagic, wireTagHeartbeat}, str("t"), []byte{2}, str("n"), []byte{5}),
 		"tag 0":              {wireMagic, 0},
+		"tag 3 (reserved)":   cat([]byte{wireMagic, 3}, str("t"), str("s"), make([]byte, 8), []byte{2, 0}),
 		"tag 7 (reserved)":   cat([]byte{wireMagic, 7}, str("match"), []byte{8}),
-		"tag 16":             {wireMagic, byte(len(wireKinds)), 0},
+		"lease count > rest": cat([]byte{wireMagic, wireTagLease}, str("t"), []byte{2, 2}, str("s"), make([]byte, 8)),
+		"tag past the table": {wireMagic, byte(len(wireKinds)), 0},
 		"tag 255":            {wireMagic, 0xFF, 0xFF},
 	}
 	for _, env := range wireTestEnvelopes() {
@@ -421,6 +429,7 @@ func TestWireValidation(t *testing.T) {
 		"mark phase 2": func(b []byte) { b[len(b)-2] = 1 }, "cert status 2": func(b []byte) { b[len(b)-1] = 1 },
 		"resize axis 2": func(b []byte) { b[2] = 1 }, "hello presence 2": func(b []byte) { b[len(b)-1] = 0 },
 		"write op 9": func(b []byte) { b[len(b)-3] = 2 }, "sort desc 2": func(b []byte) { b[len(b)-5] = 1 },
+		"lease count > rest": func(b []byte) { b[5] = 1 },
 	} {
 		in := append([]byte(nil), undecodable[name]...)
 		fix(in)

@@ -8,7 +8,6 @@
 package quaestor
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -37,14 +36,15 @@ type Cache struct {
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	invalidations atomic.Uint64
+
+	// afterMiss, when a test sets it, runs between a miss and its subscribe.
+	afterMiss func()
 }
 
 type entry struct {
-	spec   query.Spec
 	result []document.Document
 	valid  bool
 	sub    *appserver.Subscription
-	done   chan struct{}
 }
 
 // New creates a cache over an application server.
@@ -61,8 +61,8 @@ func (c *Cache) Stats() (hits, misses, invalidations uint64) {
 }
 
 // Query serves a pull-based query through the cache. The bool reports
-// whether the result came from cache. On a miss the query is executed,
-// cached, and registered with InvaliDB for invalidation: any result change
+// whether the result came from cache. On a miss the query is registered with
+// InvaliDB and its subscription's initial result is cached: any result change
 // marks the entry stale, so the next read re-executes against the database.
 func (c *Cache) Query(spec query.Spec) ([]document.Document, bool, error) {
 	q, err := query.Compile(spec)
@@ -82,38 +82,37 @@ func (c *Cache) Query(spec query.Spec) ([]document.Document, bool, error) {
 	}
 	c.mu.Unlock()
 	c.misses.Add(1)
-
-	result, err := c.server.Query(spec)
-	if err != nil {
-		return nil, false, err
+	if c.afterMiss != nil {
+		c.afterMiss()
 	}
 
-	// Subscribe before taking the lock: registration bootstraps the result
-	// set with a collection scan, and holding c.mu across that would stall
-	// every concurrent cache read behind one slow bootstrap.
-	sub, subErr := c.server.Subscribe(spec)
-
-	c.mu.Lock()
-	if e, ok = c.entries[hash]; ok {
-		// Another miss installed this query while we subscribed. Revalidate
-		// the winner's entry (its invalidation subscription is live) and
-		// release the redundant subscription outside the lock.
-		e.result = result
-		e.valid = true
-		c.touchLocked(hash)
-		c.mu.Unlock()
-		if subErr == nil {
-			_ = sub.Close()
-		}
-		return result, false, nil
+	// Subscribe before taking the lock: registration reads the result from
+	// the database, and holding c.mu across that would stall every
+	// concurrent cache read behind one slow bootstrap. That read is the one
+	// cached — the snapshot every notification is relative to — so a write
+	// racing the miss invalidates the entry instead of hiding behind it.
+	sub, err := c.server.Subscribe(spec)
+	var result []document.Document
+	if err == nil {
+		result, ok = initialResult(sub)
 	}
-	if subErr != nil {
-		c.mu.Unlock()
+	if err != nil || !ok {
 		// Degraded mode: serve uncached rather than fail the read — the
 		// pull-based path must survive a real-time outage (§5).
+		result, err := c.server.Query(spec)
+		return result, false, err
+	}
+
+	c.mu.Lock()
+	if e, ok = c.entries[hash]; ok && e.valid {
+		// Another miss installed this query while we subscribed; its entry
+		// stands on its own subscription's read.
+		c.mu.Unlock()
+		_ = sub.Close()
 		return result, false, nil
 	}
-	e = &entry{spec: spec, result: result, valid: true, done: make(chan struct{}), sub: sub}
+	c.dropLocked(hash) // a stale entry gives way to this read and its subscription
+	e = &entry{result: result, valid: true, sub: sub}
 	c.entries[hash] = e
 	c.lru = append(c.lru, hash)
 	go c.watch(hash, e)
@@ -122,35 +121,38 @@ func (c *Cache) Query(spec query.Spec) ([]document.Document, bool, error) {
 	return result, false, nil
 }
 
-// watch invalidates the entry whenever InvaliDB reports a result change.
+// initialResult waits for a subscription's initial result, past any change
+// delivered ahead of it while another subscription to the query is live: the
+// initial result is the state every later event is relative to. A
+// subscription that fails first is closed.
+func initialResult(sub *appserver.Subscription) ([]document.Document, bool) {
+	for ev := range sub.C() {
+		switch ev.Type {
+		case appserver.EventInitial:
+			return ev.Docs, true
+		case appserver.EventError:
+			_ = sub.Close()
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// watch invalidates the entry whenever InvaliDB reports a result change and
+// drops it when the real-time path is lost, so reads fall back to the
+// database. It ends when the subscription closes.
 func (c *Cache) watch(hash uint64, e *entry) {
-	for {
-		select {
-		case <-e.done:
-			return
-		case ev, ok := <-e.sub.C():
-			if !ok {
-				return
-			}
-			switch ev.Type {
-			case appserver.EventInitial:
-				// The bootstrap snapshot; the cached pull result stands.
-			case appserver.EventError:
-				// Real-time path lost: drop the entry entirely so reads fall
-				// back to the database.
-				c.mu.Lock()
+	for ev := range e.sub.C() {
+		c.mu.Lock()
+		if c.entries[hash] == e {
+			if ev.Type == appserver.EventError {
 				c.dropLocked(hash)
-				c.mu.Unlock()
-				return
-			default:
+			} else {
 				c.invalidations.Add(1)
-				c.mu.Lock()
-				if cur := c.entries[hash]; cur == e {
-					cur.valid = false
-				}
-				c.mu.Unlock()
+				e.valid = false
 			}
 		}
+		c.mu.Unlock()
 	}
 }
 
@@ -182,10 +184,7 @@ func (c *Cache) dropLocked(hash uint64) {
 			break
 		}
 	}
-	close(e.done)
-	if e.sub != nil {
-		_ = e.sub.Close()
-	}
+	_ = e.sub.Close()
 }
 
 // Len returns the number of cached queries.
@@ -201,9 +200,6 @@ func (c *Cache) Close() error {
 	defer c.mu.Unlock()
 	for hash := range c.entries {
 		c.dropLocked(hash)
-	}
-	if len(c.entries) != 0 {
-		return fmt.Errorf("quaestor: %d entries survived close", len(c.entries))
 	}
 	return nil
 }

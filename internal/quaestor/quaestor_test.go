@@ -141,3 +141,64 @@ func TestBadQueryRejected(t *testing.T) {
 		t.Fatal("bad query accepted")
 	}
 }
+
+// TestRacingWriteDoesNotLeaveStaleHit: a write lands between a miss and its
+// subscription. The cache holds the subscription's own read, which has the
+// write, so at quiescence a hit equals the pull query. A cache that held a
+// separate, earlier read would serve it as a hit indefinitely: the write is
+// already in the subscription's bootstrap, so no notification invalidates it.
+func TestRacingWriteDoesNotLeaveStaleHit(t *testing.T) {
+	srv, cache := newStack(t)
+	if err := srv.Insert("articles", document.Document{"_id": "1", "year": 2020}); err != nil {
+		t.Fatal(err)
+	}
+	cache.afterMiss = func() {
+		cache.afterMiss = nil
+		if err := srv.Insert("articles", document.Document{"_id": "2", "year": 2021}); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, _, err := cache.Query(spec()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond) // quiescence
+	got, cached, err := cache.Query(spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := srv.Query(spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || !cached {
+		t.Fatalf("read at quiescence: %d docs (cached=%v), pull query %d", len(got), cached, len(want))
+	}
+}
+
+// TestStaleEntryRevalidates: once a write invalidated an entry, the next miss
+// replaces it with its own read and subscription, and reads hit again.
+func TestStaleEntryRevalidates(t *testing.T) {
+	srv, cache := newStack(t)
+	if _, _, err := cache.Query(spec()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Insert("articles", document.Document{"_id": "1", "year": 2020}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, _, inv := cache.Stats(); inv == 0; _, _, inv = cache.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("the write never invalidated the entry")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got, cached, err := cache.Query(spec()); err != nil || cached || len(got) != 1 {
+		t.Fatalf("read after invalidation: %v (cached=%v, err %v), want a miss with 1 doc", got, cached, err)
+	}
+	if got, cached, err := cache.Query(spec()); err != nil || !cached || len(got) != 1 {
+		t.Fatalf("read after the revalidating miss: %v (cached=%v, err %v), want a hit with 1 doc", got, cached, err)
+	}
+	if cache.Len() != 1 {
+		t.Fatalf("%d entries, want 1", cache.Len())
+	}
+}
