@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzIndexedFind -fuzztime 2000x
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEnvelopeWire -fuzztime 2000x
 	$(GO) test ./internal/coordinator -run '^$$' -fuzz FuzzCoordinatorHandle -fuzztime 2000x
+	$(GO) test ./internal/gateway -run '^$$' -fuzz FuzzGatewayRequest -fuzztime 2000x
 
 # Observability smoke: boot a broker + cluster with -obs-addr and assert
 # /metrics and /healthz answer with real content.

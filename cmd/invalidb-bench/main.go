@@ -64,21 +64,21 @@ func main() {
 		case "table2":
 			fmt.Println(experiments.RenderTable2())
 		case "fig4":
-			sweeps, err := experiments.Fig4(cfg, parts, nil, progress)
+			rows, err := experiments.Fig4(cfg, parts)
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Println(experiments.RenderSweeps(
+			fmt.Println(experiments.RenderScaling(
 				"Figure 4 — read scalability: sustainable real-time queries by query partitions (1 000 ops/s fixed)",
-				"QP", "concurrent queries", sweeps))
+				"QP", "concurrent queries", rows))
 		case "fig5":
-			sweeps, err := experiments.Fig5(cfg, parts, nil, progress)
+			rows, err := experiments.Fig5(cfg, parts)
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Println(experiments.RenderSweeps(
+			fmt.Println(experiments.RenderScaling(
 				fmt.Sprintf("Figure 5 — write scalability: sustainable write throughput by write partitions (%d queries fixed)", experiments.FixedQueries),
-				"WP", "ops/s", sweeps))
+				"WP", "ops/s", rows))
 		case "table3a":
 			pts, err := experiments.Table3a(cfg, parts)
 			if err != nil {

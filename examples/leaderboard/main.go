@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	dep, err := invalidb.Open(invalidb.Config{Slack: 2})
+	dep, err := invalidb.Open(invalidb.ClusterOptions{}, invalidb.ServerOptions{Slack: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

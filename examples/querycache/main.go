@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	dep, err := invalidb.Open(invalidb.Config{})
+	dep, err := invalidb.Open(invalidb.ClusterOptions{}, invalidb.ServerOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

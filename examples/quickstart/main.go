@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	dep, err := invalidb.Open(invalidb.Config{QueryPartitions: 2, WritePartitions: 2})
+	dep, err := invalidb.Open(invalidb.ClusterOptions{QueryPartitions: 2, WritePartitions: 2}, invalidb.ServerOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

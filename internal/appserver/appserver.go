@@ -426,7 +426,7 @@ func (s *Server) Subscribe(spec query.Spec) (*Subscription, error) {
 		return sub, nil
 	}
 
-	entries, err := s.bootstrapResult(q, sub.slack)
+	entries, seq, err := s.bootstrapResult(q, sub.slack)
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +439,7 @@ func (s *Server) Subscribe(spec query.Spec) (*Subscription, error) {
 		s.detach(sub)
 		return nil, err
 	}
-	sub.installInitial(entries)
+	sub.installInitial(entries, seq)
 	return sub, nil
 }
 
@@ -457,18 +457,19 @@ func (s *Server) attach(sub *Subscription) {
 }
 
 // bootstrapResult executes the rewritten query (§5.2) and returns its
-// versioned entries in engine order.
-func (s *Server) bootstrapResult(q *query.Query, slack int) ([]core.ResultEntry, error) {
+// versioned entries in engine order, and the sequence seq it reflects.
+func (s *Server) bootstrapResult(q *query.Query, slack int) (entries []core.ResultEntry, seq uint64, err error) {
+	seq = s.db.Seq()
 	rewritten := q.Rewritten(slack)
 	rows, err := s.db.C(q.Collection).FindEntries(rewritten)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	entries := make([]core.ResultEntry, len(rows))
+	entries = make([]core.ResultEntry, len(rows))
 	for i, r := range rows {
 		entries[i] = core.ResultEntry{Key: r.Key, Version: r.Version, Doc: r.Doc}
 	}
-	return entries, nil
+	return entries, seq, nil
 }
 
 func (s *Server) publishSubscribe(sub *Subscription, entries []core.ResultEntry) error {
@@ -648,7 +649,7 @@ func (s *Server) renew(hash uint64, sub *Subscription) {
 	slack := sub.slack
 	sub.mu.Unlock()
 
-	entries, err := s.bootstrapResult(sub.q, slack)
+	entries, _, err := s.bootstrapResult(sub.q, slack)
 	if err != nil {
 		sub.fail(fmt.Errorf("appserver: query renewal failed: %w", err))
 		return
@@ -835,7 +836,7 @@ func (s *Server) reinstall(sub *Subscription, in scope) {
 	if sub.ordered && retire {
 		s.cancelAt(sub, old.epoch)
 	}
-	entries, err := s.bootstrapResult(sub.q, slack)
+	entries, seq, err := s.bootstrapResult(sub.q, slack)
 	if err != nil {
 		// A failed bootstrap query is terminal: the local database is
 		// broken, retrying against it buys nothing.
@@ -851,7 +852,7 @@ func (s *Server) reinstall(sub *Subscription, in scope) {
 		s.cancelAt(sub, old.epoch)
 	}
 	s.mResubs.Inc()
-	sub.reset(entries)
+	sub.reset(entries, seq)
 }
 
 // publishSubscribeRetry publishes a re-subscription, retrying transient

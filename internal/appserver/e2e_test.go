@@ -717,7 +717,7 @@ func mustStaleSubscribe(t *testing.T, e *env, spec query.Spec) *Subscription {
 	if err := e.server.publishSubscribe(sub, nil); err != nil {
 		t.Fatal(err)
 	}
-	sub.installInitial(nil)
+	sub.installInitial(nil, ai.Version-1)
 	waitEvent(t, sub, EventInitial)
 	return sub
 }

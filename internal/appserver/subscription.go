@@ -256,9 +256,9 @@ func (sub *Subscription) resultLocked() []document.Document {
 // installInitial seeds the client-side state with the initial result and
 // emits the EventInitial. For sorted queries the bootstrap entries cover the
 // rewritten window; the visible result applies the original offset/limit.
-func (sub *Subscription) installInitial(entries []core.ResultEntry) {
+func (sub *Subscription) installInitial(entries []core.ResultEntry, seq uint64) {
 	sub.mu.Lock()
-	docs := sub.installLocked(entries)
+	docs := sub.installLocked(entries, seq)
 	sub.pushLocked(Event{Type: EventInitial, Docs: docs, Index: -1})
 	sub.mu.Unlock()
 }
@@ -275,7 +275,7 @@ func (sub *Subscription) installInitial(entries []core.ResultEntry) {
 // the maintained document: the newer applied state wins (the cluster's
 // retention replay of that newer image is dropped by staleLocked, so
 // installing the older row would stick). Callers hold sub.mu.
-func (sub *Subscription) installLocked(entries []core.ResultEntry) []document.Document {
+func (sub *Subscription) installLocked(entries []core.ResultEntry, seq uint64) []document.Document {
 	prev := sub.docs
 	sub.docs = map[string]document.Document{}
 	sub.order = nil
@@ -319,18 +319,26 @@ func (sub *Subscription) installLocked(entries []core.ResultEntry) []document.Do
 		}
 		docs = append(docs, d)
 	}
+	// A maintained key still missing is absent from the bootstrap, read at
+	// sequence seq: an add the read predates iff its version is newer.
+	for key, d := range prev {
+		if _, ok := sub.docs[key]; !ok && !sub.ordered && sub.vers[key] > seq {
+			sub.docs[key] = d
+			docs = append(docs, d)
+		}
+	}
 	return docs
 }
 
 // reset replaces the maintained result after an automatic re-subscription
-// and emits EventReconnected carrying the full refreshed result.
-func (sub *Subscription) reset(entries []core.ResultEntry) {
+// (read at sequence seq) and emits EventReconnected with the full result.
+func (sub *Subscription) reset(entries []core.ResultEntry, seq uint64) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if sub.closed {
 		return
 	}
-	docs := sub.installLocked(entries)
+	docs := sub.installLocked(entries, seq)
 	sub.pushLocked(Event{Type: EventReconnected, Docs: docs, Index: -1})
 }
 

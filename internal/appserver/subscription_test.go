@@ -78,7 +78,7 @@ func TestApplyProtocolReconstructsWindow(t *testing.T) {
 	sub.installInitial([]core.ResultEntry{
 		{Key: "a", Version: 1, Doc: document.Document{"_id": "a", "n": int64(1)}},
 		{Key: "c", Version: 2, Doc: document.Document{"_id": "c", "n": int64(3)}},
-	})
+	}, 2)
 	// Insert "b" between them.
 	sub.apply(notif(core.MatchAdd, "b", 1, document.Document{"_id": "b", "n": int64(2)}))
 	if got := ids(sub.Result()); got != "a,b,c" {
@@ -103,7 +103,7 @@ func TestApplyProtocolReconstructsWindow(t *testing.T) {
 
 func TestApplyAddIsIdempotentOnDuplicateKey(t *testing.T) {
 	sub := newDetachedSub(t, sortedSpec(), 64)
-	sub.installInitial(nil)
+	sub.installInitial(nil, 0)
 	sub.apply(notif(core.MatchAdd, "k", 0, document.Document{"_id": "k", "n": int64(1)}))
 	// A repeated add for the same key (e.g. across a renewal) must move,
 	// not duplicate.
@@ -116,7 +116,7 @@ func TestApplyAddIsIdempotentOnDuplicateKey(t *testing.T) {
 
 func TestApplyOutOfRangeIndexClamps(t *testing.T) {
 	sub := newDetachedSub(t, sortedSpec(), 64)
-	sub.installInitial(nil)
+	sub.installInitial(nil, 0)
 	sub.apply(notif(core.MatchAdd, "a", 99, document.Document{"_id": "a"}))
 	sub.apply(notif(core.MatchAdd, "b", -5, document.Document{"_id": "b"}))
 	if len(sub.Result()) != 2 {
@@ -178,7 +178,7 @@ func TestOverflowCollapsesToSnapshot(t *testing.T) {
 	// on the full handoff) when five adds arrive: four fill the backlog, the
 	// fifth overflows it.
 	sub := stalled(handoffSlots)
-	sub.installInitial(nil)
+	sub.installInitial(nil, 0)
 	waitBacklog(t, sub, 0)
 	add(sub, bound+1)
 	if got, n := sub.Dropped(), sub.server.mEventDrops.Value(); got != bound+1 || n != bound+1 {
@@ -197,7 +197,7 @@ func TestOverflowCollapsesToSnapshot(t *testing.T) {
 	// behind it: the snapshot takes its place as the first event.
 	sub = stalled(handoffSlots + 1)
 	waitBacklog(t, sub, 0)
-	sub.installInitial(nil)
+	sub.installInitial(nil, 0)
 	add(sub, bound)
 	if got := sub.Dropped(); got != bound+1 {
 		t.Fatalf("Dropped = %d, want %d (the initial result and %d adds)", got, bound+1, bound)
@@ -336,7 +336,7 @@ func TestApplyAfterCloseIsNoop(t *testing.T) {
 // the stale seq history must not gate the new stream.
 func TestResetClearsOriginDedupState(t *testing.T) {
 	sub := newDetachedSub(t, sortedSpec(), 64)
-	sub.installInitial(nil)
+	sub.installInitial(nil, 0)
 	nextEvent(t, sub)
 
 	// Pre-outage stream from matching-node origin "m3.0", seq up to 7.
@@ -352,7 +352,7 @@ func TestResetClearsOriginDedupState(t *testing.T) {
 	// seq restarted at 1.
 	sub.reset([]core.ResultEntry{
 		{Key: "a", Version: 1, Doc: document.Document{"_id": "a", "n": int64(1)}},
-	})
+	}, 1)
 	n = notif(core.MatchAdd, "b", 1, document.Document{"_id": "b", "n": int64(2)})
 	n.Origin, n.Seq = "m3.0", 1
 	sub.apply(n)
@@ -379,7 +379,7 @@ func TestResetPrefersNewerAppliedDoc(t *testing.T) {
 	sub.installInitial([]core.ResultEntry{
 		{Key: "a", Version: 1, Doc: document.Document{"_id": "a", "v": int64(1)}},
 		{Key: "b", Version: 1, Doc: document.Document{"_id": "b"}},
-	})
+	}, 1)
 	nextEvent(t, sub)
 
 	// Applied after the re-subscription bootstrap ran: a newer image of "a"
@@ -395,13 +395,38 @@ func TestResetPrefersNewerAppliedDoc(t *testing.T) {
 	sub.reset([]core.ResultEntry{
 		{Key: "a", Version: 1, Doc: document.Document{"_id": "a", "v": int64(1)}},
 		{Key: "b", Version: 1, Doc: document.Document{"_id": "b"}},
-	})
+	}, 1)
 	res := sub.Result()
 	if got := ids(res); got != "a" {
 		t.Fatalf("reset resurrected a removed doc or lost one: %s", got)
 	}
 	if res[0]["v"] != int64(9) {
 		t.Fatalf("reset regressed doc to bootstrap image: %v", res[0])
+	}
+}
+
+// TestInstallKeepsAKeyTheReadPredates: a notification applied between
+// attach and the bootstrap install can add a key the bootstrap read
+// predates. The install must keep it — the cell's retention replay of the
+// same image is then dropped as stale — and must drop it when the read,
+// taken at or after its version, did not return it.
+func TestInstallKeepsAKeyTheReadPredates(t *testing.T) {
+	for _, tc := range []struct {
+		seq  uint64
+		want string
+	}{{4, "A,K"}, {5, "A"}} {
+		sub := newDetachedSub(t, query.Spec{Collection: "c"}, 64)
+		addK := func() {
+			n := notif(core.MatchAdd, "K", -1, document.Document{"_id": "K"})
+			n.Version = 5
+			sub.apply(n)
+		}
+		addK()
+		sub.installInitial([]core.ResultEntry{{Key: "A", Version: 1, Doc: document.Document{"_id": "A"}}}, tc.seq)
+		addK() // the cell's replay of the same image
+		if got := ids(sub.Result()); got != tc.want {
+			t.Fatalf("read at seq %d: result %s, want %s", tc.seq, got, tc.want)
+		}
 	}
 }
 
@@ -418,7 +443,7 @@ func TestInstallInitialAppliesWindowToSortedQuery(t *testing.T) {
 			Doc: document.Document{"_id": key, "n": int64(i)},
 		})
 	}
-	sub.installInitial(entries)
+	sub.installInitial(entries, 5)
 	ev := <-sub.C()
 	if ev.Type != EventInitial || len(ev.Docs) != 2 {
 		t.Fatalf("initial event: %+v", ev)

@@ -127,7 +127,7 @@ func TestHandleWriteFullScanNoAllocs(t *testing.T) {
 		b.handleWrite(we)
 	}
 
-	before := b.c.mCandEvaluated.Value()
+	before := b.slot.evaluated.Load()
 	const runs = 200
 	n := testing.AllocsPerRun(runs, func() {
 		we.Image.Version++
@@ -137,7 +137,7 @@ func TestHandleWriteFullScanNoAllocs(t *testing.T) {
 		t.Fatalf("full-scan write over %d queries allocates %.2f/op, want 0", perCollection, n)
 	}
 	// AllocsPerRun calls the function runs+1 times (one warm-up).
-	if got := b.c.mCandEvaluated.Value() - before; got != (runs+1)*perCollection {
+	if got := b.slot.evaluated.Load() - before; got != (runs+1)*perCollection {
 		t.Fatalf("evaluated %d candidates over %d writes, want %d per write (the other collection's %d queries must not be visited)",
 			got, runs+1, perCollection, perCollection)
 	}

@@ -32,11 +32,11 @@ type Options struct {
 	// until the first one arrives.
 	NodeID string
 	// NodeCapacity throttles each matching node to this many
-	// match-operations per second (one match-op = one after-image evaluated
-	// against one registered query). Zero disables throttling. This is the
-	// simulation stand-in for the paper's per-node CPU budget (nodes were
-	// capped to 80% of one core); saturation behaviour — queue growth, then
-	// latency SLA violations — emerges exactly as in the testbed.
+	// match-operations per second: a write costs one per query probed for it
+	// plus one for the write itself (Cell.Cost). Zero disables throttling.
+	// This is the simulation stand-in for the paper's per-node CPU budget
+	// (nodes were capped to 80% of one core); saturation behaviour — queue
+	// growth, then latency SLA violations — emerges as in the testbed.
 	NodeCapacity int
 	// RetentionTime bounds the write-stream retention buffer used for
 	// subscription replay and staleness avoidance (§5.1; Baqend production
@@ -57,7 +57,7 @@ type Options struct {
 	// interval tree and only candidate queries are evaluated per
 	// after-image, rather than all registered queries. With the index on,
 	// the simulated per-write cost drops to the candidate count, mirroring
-	// the real CPU saving (see the AblationQueryIndex benchmark).
+	// the real CPU saving.
 	EnableQueryIndex bool
 	// MatchHook, when set, is invoked at the top of every matching
 	// node's Execute with the task id and the tuple kind. It exists for
@@ -161,11 +161,10 @@ type Cluster struct {
 	// stateful names the components whose tasks hold query state; a
 	// supervisor restart of one is reported in the heartbeat (Restarts).
 	stateful map[string]bool
-	// held is what the matching cells hold, one slot per match task, written
-	// by each column-0 cell on its tick (every query lives on all columns of
-	// its row, so column 0 counts each once). A restarted cell overwrites its
-	// slot with its fresh, smaller count.
-	held []heldCounts
+	// cells is one slot per match task, written by that cell only: what it
+	// holds, stored on its tick (a restarted cell overwrites it with its
+	// fresh, smaller count), and the work it has done, kept across restarts.
+	cells []cellSlot
 
 	stopHB  chan struct{}
 	hbWG    sync.WaitGroup
@@ -179,16 +178,6 @@ type Cluster struct {
 	mMatched  *metrics.Int // result changes produced by matching nodes
 	mNotifs   *metrics.Int // notifications published on tenant topics
 	mInstalls *metrics.Int // subscription installs processed by query ingest
-
-	// Query-index selectivity counters: writes that reached the matching
-	// stage, candidates the per-write probe produced, candidates whose
-	// filter was actually evaluated, and evaluations that matched.
-	// probed/writes relative to the registered query count is the index's
-	// pruning power (see `-exp` breakdown tables).
-	mCandWrites    *metrics.Int
-	mCandProbed    *metrics.Int
-	mCandEvaluated *metrics.Int
-	mCandMatched   *metrics.Int
 
 	// Backfill counters (DESIGN.md §12): chunks reconciled by matching
 	// cells, chunk rows superseded by in-window writes, retention-ring
@@ -227,11 +216,6 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 		mNotifs:   reg.Counter("cluster.notifications"),
 		mInstalls: reg.Counter("cluster.subscribes"),
 
-		mCandWrites:    reg.Counter("queryindex.writes"),
-		mCandProbed:    reg.Counter("queryindex.candidates.probed"),
-		mCandEvaluated: reg.Counter("queryindex.candidates.evaluated"),
-		mCandMatched:   reg.Counter("queryindex.candidates.matched"),
-
 		mBackfillChunks:     reg.Counter("backfill.chunks"),
 		mBackfillReconciled: reg.Counter("backfill.reconciled"),
 		mBackfillReplayed:   reg.Counter("backfill.replayed"),
@@ -243,7 +227,7 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 		// Static map. A named process waits for the coordinator's instead.
 		c.maps.install(IdentityMap(opts.QueryPartitions, opts.WritePartitions), "")
 	}
-	c.held = make([]heldCounts, c.layout.tasks())
+	c.cells = make([]cellSlot, c.layout.tasks())
 	b := topology.NewBuilder()
 
 	// Event-layer sources: one spout per inbound topic; the ingestion bolts
@@ -309,20 +293,25 @@ func NewCluster(bus eventlayer.Bus, opts Options) (*Cluster, error) {
 	c.top = top
 	top.RegisterMetrics(reg)
 	RegisterWireMetrics(reg)
-	reg.Gauge("cluster.queries", func() float64 {
-		n := int64(0)
-		for i := range c.held {
-			n += c.held[i].queries.Load()
+	// Every metric of the matching cells is a sum over their slots; what they
+	// hold is read from column 0 only, as a query lives on every column of its row.
+	sum := func(held bool, get func(*cellSlot) int64) func() float64 {
+		return func() float64 {
+			n := int64(0)
+			for i := range c.cells {
+				if _, col := c.layout.cell(i); col == 0 || !held {
+					n += get(&c.cells[i])
+				}
+			}
+			return float64(n)
 		}
-		return float64(n)
-	})
-	reg.Gauge("cluster.subscriptions", func() float64 {
-		n := int64(0)
-		for i := range c.held {
-			n += c.held[i].subs.Load()
-		}
-		return float64(n)
-	})
+	}
+	reg.Gauge("cluster.queries", sum(true, func(s *cellSlot) int64 { return s.queries.Load() }))
+	reg.Gauge("cluster.subscriptions", sum(true, func(s *cellSlot) int64 { return s.subs.Load() }))
+	reg.Gauge("queryindex.writes", sum(false, func(s *cellSlot) int64 { return s.writes.Load() }))
+	reg.Gauge("queryindex.candidates.probed", sum(false, func(s *cellSlot) int64 { return s.probed.Load() }))
+	reg.Gauge("queryindex.candidates.evaluated", sum(false, func(s *cellSlot) int64 { return s.evaluated.Load() }))
+	reg.Gauge("queryindex.candidates.matched", sum(false, func(s *cellSlot) int64 { return s.matched.Load() }))
 	reg.Gauge("cluster.tenants", func() float64 {
 		c.tenantMu.RLock()
 		defer c.tenantMu.RUnlock()
@@ -567,7 +556,33 @@ func (c *Cluster) publishNotification(n *Notification) {
 	_ = c.bus.Publish(c.topics.Notify(n.Tenant), data)
 }
 
-// heldCounts is one matching cell's slot of Cluster.held.
-type heldCounts struct {
-	queries, subs atomic.Int64
+// cellSlot is one matching cell's slot of Cluster.cells, padded to a cache
+// line so that cells counting side by side do not contend.
+type cellSlot struct {
+	queries, subs, writes, probed, evaluated, matched atomic.Int64
+	_                                                 [16]byte
+}
+
+// Cell is one matching cell at its local grid coordinates: the queries it
+// held at its last tick, then the writes it matched, the queries it probed
+// for them (the index's candidates, or all of the write's collection), the
+// filters it evaluated (replays included) and those that matched. Cost is
+// its work in the match-ops NodeCapacity budgets: Writes + Probed, what
+// matchBolt.charge takes.
+type Cell struct {
+	Row, Col                                          int
+	Queries, Writes, Probed, Evaluated, Matched, Cost int64
+}
+
+// Cells snapshots every matching cell's counts.
+func (c *Cluster) Cells() []Cell {
+	out := make([]Cell, len(c.cells))
+	for i := range c.cells {
+		s := &c.cells[i]
+		w, p := s.writes.Load(), s.probed.Load() // a write is counted after its work
+		row, col := c.layout.cell(i)
+		out[i] = Cell{Row: row, Col: col, Queries: s.queries.Load(), Writes: w, Probed: p,
+			Evaluated: s.evaluated.Load(), Matched: s.matched.Load(), Cost: w + p}
+	}
+	return out
 }

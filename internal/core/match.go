@@ -176,9 +176,11 @@ type matchBolt struct {
 	now time.Time
 	// cands is the reusable candidate scratch map for the query index probe.
 	cands map[uint64]*matchQuery
+	// slot is this task's slot of Cluster.cells.
+	slot *cellSlot
 	// evaluated counts filter evaluations since the last flushEvaluated: the
 	// loop over a write's candidates bumps this plain field and publishes the
-	// shared atomic counter once per write, not once per query.
+	// slot's atomic counter once per write, not once per query.
 	evaluated int64
 }
 
@@ -187,6 +189,7 @@ func newMatchBolt(c *Cluster) topology.Bolt { return &matchBolt{c: c} }
 func (b *matchBolt) Prepare(ctx *topology.BoltContext, out topology.Collector) error {
 	b.out = out
 	b.taskID = ctx.TaskID
+	b.slot = &b.c.cells[ctx.TaskID]
 	if gc, ok := ctx.Meta.(GridCell); ok {
 		b.cell = gc
 	} else {
@@ -294,40 +297,45 @@ func (b *matchBolt) handleWrite(we *WriteEvent) {
 	//invalidb:allow hotpathalloc ring growth doubles capacity, amortized O(1) per retained image
 	b.retention.push(retainedImage{we: we, at: b.now})
 
-	// The node's matching budget: evaluating one after-image against every
-	// query of its collection costs that many match-operations — unless the
-	// multi-query index narrows the probe to candidates.
-	b.c.mCandWrites.Inc()
+	// The write is probed against every query of its (tenant, collection) —
+	// unless the multi-query index narrows the probe to candidates.
 	if b.qindex != nil {
 		clear(b.cands)
 		cands := b.qindex.candidatesInto(we, ck, b.cands)
-		b.c.mCandProbed.Add(int64(len(cands)))
-		if b.bucket != nil {
-			b.bucket.Take(float64(len(cands) + 1))
-		}
 		for _, mq := range cands {
 			b.processImage(mq, we)
 		}
-		b.flushEvaluated()
+		b.charge(len(cands))
 		return
 	}
 	var queries []*matchQuery
 	if qb := b.buckets[bucketOfKey(ck, img.Key)]; qb != nil {
 		queries = qb.queries
 	}
-	b.c.mCandProbed.Add(int64(len(queries)))
-	if b.bucket != nil {
-		b.bucket.Take(float64(max(len(queries), 1)))
-	}
 	for _, mq := range queries {
 		b.processImage(mq, we)
 	}
+	b.charge(len(queries))
+}
+
+// charge books a write that probed n queries: into the cell's slot, the
+// write itself last (a reader that sees it counted sees all of its work),
+// and from a throttled node's budget as n+1 match-ops, one per query probed
+// and one for the write — the one definition of a write's cost (Cell.Cost).
+//
+//invalidb:hotpath
+func (b *matchBolt) charge(n int) {
+	b.slot.probed.Add(int64(n))
 	b.flushEvaluated()
+	b.slot.writes.Add(1)
+	if b.bucket != nil {
+		b.bucket.Take(float64(n + 1))
+	}
 }
 
 //invalidb:hotpath
 func (b *matchBolt) flushEvaluated() {
-	b.c.mCandEvaluated.Add(b.evaluated)
+	b.slot.evaluated.Add(b.evaluated)
 	b.evaluated = 0
 }
 
@@ -415,7 +423,7 @@ func (b *matchBolt) processImage(mq *matchQuery, we *WriteEvent) {
 	b.evaluated++
 	isMatch := img.Op != document.OpDelete && b.c.opts.Engine.Match(mq.q, img.Doc)
 	if isMatch {
-		b.c.mCandMatched.Inc()
+		b.slot.matched.Add(1)
 	}
 	switch {
 	case isMatch && !wasTracked:
@@ -590,12 +598,8 @@ func (b *matchBolt) handleTick(now time.Time) {
 			}
 		}
 	}
-	if b.cell.Col == 0 {
-		// The cluster.queries / cluster.subscriptions gauges sum these slots.
-		held := &b.c.held[b.taskID]
-		held.queries.Store(int64(len(b.queries)))
-		held.subs.Store(int64(subs))
-	}
+	b.slot.queries.Store(int64(len(b.queries)))
+	b.slot.subs.Store(int64(subs))
 	b.expireBackfills(now)
 	cutoff := now.Add(-b.c.opts.RetentionTime)
 	b.retention.prune(cutoff)

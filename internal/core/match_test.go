@@ -183,9 +183,9 @@ func TestQueryBucketsStayConsistent(t *testing.T) {
 
 		// A write to c is evaluated against c's two survivors (qs[1] and
 		// qs[3], both unindexable), not against d's $ne query qs[5].
-		before := b.c.mCandEvaluated.Value()
+		before := b.slot.evaluated.Load()
 		b.handleWrite(writeEvent("k", 1000))
-		if got := b.c.mCandEvaluated.Value() - before; got != 2 {
+		if got := b.slot.evaluated.Load() - before; got != 2 {
 			t.Fatalf("index=%v: write to c evaluated %d queries, want 2", indexed, got)
 		}
 
@@ -214,10 +214,10 @@ func TestSubscribeReplaySkipsOtherCollections(t *testing.T) {
 	other.Image.Version = 9
 	b.handleWrite(other)
 
-	before := b.c.mCandEvaluated.Value()
+	before := b.slot.evaluated.Load()
 	q := query.MustCompile(rangeSpec(0, 10))
 	subscribeFor(b, q, "s", time.Hour)
-	if got := b.c.mCandEvaluated.Value() - before; got != 2 {
+	if got := b.slot.evaluated.Load() - before; got != 2 {
 		t.Fatalf("replay evaluated %d retained images, want the 2 of tenant t / collection c", got)
 	}
 	mq := b.queries[TenantQueryHash("t", q)]

@@ -1,6 +1,6 @@
 // Package experiments reproduces the paper's evaluation (§6 InvaliDB
 // cluster performance, §7 Quaestor server performance): workload generation,
-// cluster deployment, latency measurement, saturation search, and the
+// cluster deployment, latency measurement, work counting, and the
 // renderers that print each figure and table. Absolute numbers are scaled to
 // a single process — matching nodes get a configurable match-operation
 // budget standing in for the testbed's per-node CPU cap — but the paper's
@@ -52,10 +52,6 @@ type Config struct {
 	// ceiling for the Quaestor experiments (paper: ~6 000 ops/s). Scaled
 	// default 6 000.
 	AppServerWriteCapacity int
-	// EnableQueryIndex turns on the matching nodes' multi-query interval
-	// index (an optimization the InvaliDB thesis discusses); per-write cost
-	// then drops from #queries to #candidates. Used by the ablation bench.
-	EnableQueryIndex bool
 }
 
 // Defaults fills zero fields.
@@ -100,25 +96,20 @@ type Point struct {
 	// for Quaestor points — appserver dispatch).
 	Breakdown metrics.Breakdown
 	// Query-index selectivity over the run (standalone cluster points only):
-	// Writes counts documents published by the client, WritesMatched counts
-	// writes the matching stage processed, and the Cand* fields snapshot the
-	// cluster's queryindex.* counters. CandProbed/WritesMatched is the
-	// per-write candidate-set size; against Queries it is the index's
-	// pruning factor.
-	Writes        int64
-	WritesMatched int64
-	CandProbed    int64
-	CandEvaluated int64
-	CandMatched   int64
+	// Writes counts documents published by the client, Work sums the
+	// matching cells' counts. Work.Probed/Work.Writes is the per-write
+	// candidate-set size; against Queries it is the index's pruning factor.
+	Writes int64
+	Work   core.Cell
 }
 
 // CandidatesPerWrite returns the mean candidate-set size the matching stage
 // probed per write, or 0 when no writes were processed.
 func (p Point) CandidatesPerWrite() float64 {
-	if p.WritesMatched == 0 {
+	if p.Work.Writes == 0 {
 		return 0
 	}
-	return float64(p.CandProbed) / float64(p.WritesMatched)
+	return float64(p.Work.Probed) / float64(p.Work.Writes)
 }
 
 // DeliveryOK reports whether at least 95% of expected notifications arrived.
@@ -154,7 +145,6 @@ func clusterOptions(cfg Config, qp, wp int) core.Options {
 		TickInterval:      100 * time.Millisecond,
 		RetentionTime:     5 * time.Second,
 		QueueSize:         1 << 15,
-		EnableQueryIndex:  cfg.EnableQueryIndex,
 	}
 }
 
@@ -230,17 +220,7 @@ func runPoint(cfg Config, opts core.Options, w workload, collection string,
 
 	var writes int64
 	publishWrite := func(d document.Document) error {
-		ai := &document.AfterImage{
-			Collection: collection,
-			Key:        mustID(d),
-			Version:    uint64(time.Now().UnixNano()),
-			Op:         document.OpInsert,
-			Doc:        d,
-		}
-		env := &core.Envelope{Kind: core.KindWrite, Write: &core.WriteEvent{
-			Tenant: tenant, Image: ai, SentNs: time.Now().UnixNano(),
-		}}
-		data, err := env.Encode()
+		data, err := writeEnvelope(collection, d)
 		if err != nil {
 			return err
 		}
@@ -255,23 +235,107 @@ func runPoint(cfg Config, opts core.Options, w workload, collection string,
 	_ = notifSub.Close()
 	<-done
 
-	reg := cluster.Metrics()
 	return Point{
 		QP: opts.QueryPartitions, WP: opts.WritePartitions,
 		Queries: queries, OpsPerSec: opsPerSec,
 		Summary: recorder.Snapshot(), Delivered: delivered, Expected: expected,
 		Hist: hist, Breakdown: stages.Breakdown(),
-		Writes:        writes,
-		WritesMatched: reg.Counter("queryindex.writes").Value(),
-		CandProbed:    reg.Counter("queryindex.candidates.probed").Value(),
-		CandEvaluated: reg.Counter("queryindex.candidates.evaluated").Value(),
-		CandMatched:   reg.Counter("queryindex.candidates.matched").Value(),
+		Writes: writes, Work: total(cluster.Cells()),
 	}, nil
 }
 
-func mustID(d document.Document) string {
+// writeEnvelope encodes a document as the insert after-image the benchmark
+// client publishes on the cluster's write topic.
+func writeEnvelope(collection string, d document.Document) ([]byte, error) {
 	id, _ := d.ID()
-	return id
+	ai := &document.AfterImage{
+		Collection: collection,
+		Key:        id,
+		Version:    uint64(time.Now().UnixNano()),
+		Op:         document.OpInsert,
+		Doc:        d,
+	}
+	env := &core.Envelope{Kind: core.KindWrite, Write: &core.WriteEvent{
+		Tenant: tenant, Image: ai, SentNs: time.Now().UnixNano(),
+	}}
+	return env.Encode()
+}
+
+// total sums the cells' counts.
+func total(cells []core.Cell) core.Cell {
+	var sum core.Cell
+	for _, c := range cells {
+		sum.Queries += c.Queries
+		sum.Writes += c.Writes
+		sum.Probed += c.Probed
+		sum.Evaluated += c.Evaluated
+		sum.Matched += c.Matched
+		sum.Cost += c.Cost
+	}
+	return sum
+}
+
+// countPass runs the paper's workload through an unthrottled qp x wp grid:
+// it installs the query population on every cell of its rows, publishes
+// countWrites documents as fast as the grid takes them, and returns the
+// busiest cell's cost per published write — what one write costs the cell a
+// node budget saturates first — and that cost over the mean cell's.
+func countPass(cfg Config, qp, wp, queries int) (perWrite, skew float64, err error) {
+	opts := clusterOptions(cfg, qp, wp)
+	opts.NodeCapacity = 0
+	bus := eventlayer.NewMemBus(eventlayer.MemBusOptions{BufferSize: 1 << 16})
+	defer bus.Close()
+	cluster, err := core.NewCluster(bus, opts)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := cluster.Start(); err != nil {
+		return 0, 0, err
+	}
+	defer cluster.Stop()
+	topics := cluster.Topics()
+	matching := min(cfg.MatchingQueries, queries)
+	w := loadgen.New(1, matching)
+	if err := registerSpecs(bus, cluster, topics, w.Queries(queries, matching)); err != nil {
+		return 0, 0, err
+	}
+	// A write that reached a cell before its queries would be evaluated by
+	// their replay instead of being probed.
+	if err := waitCells(cluster, "query installs", func(sum core.Cell) bool { return sum.Queries == int64(queries*wp) }); err != nil {
+		return 0, 0, err
+	}
+	for i := 0; i < countWrites; i++ {
+		data, err := writeEnvelope(loadgen.Collection, w.Doc(i%20 == 0, i/20))
+		if err != nil {
+			return 0, 0, err
+		}
+		if err := bus.Publish(topics.Writes(), data); err != nil {
+			return 0, 0, err
+		}
+	}
+	// Every write reaches one cell per row.
+	if err := waitCells(cluster, "writes", func(sum core.Cell) bool { return sum.Writes == int64(countWrites*qp) }); err != nil {
+		return 0, 0, err
+	}
+	cells := cluster.Cells()
+	busiest := int64(0)
+	for _, c := range cells {
+		busiest = max(busiest, c.Cost)
+	}
+	sum := total(cells)
+	return float64(busiest) / countWrites, float64(busiest) * float64(len(cells)) / float64(sum.Cost), nil
+}
+
+// waitCells polls the cluster's summed cell counts until done holds.
+func waitCells(cluster *core.Cluster, what string, done func(core.Cell) bool) error {
+	deadline := time.Now().Add(time.Minute)
+	for !done(total(cluster.Cells())) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("experiments: count pass timed out waiting for %s: %+v", what, total(cluster.Cells()))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return nil
 }
 
 // stamp embeds the operation's scheduled send time into a hit document so

@@ -34,59 +34,25 @@ func TestRunClusterPointHealthy(t *testing.T) {
 	}
 }
 
-// TestReadScalabilityShape is the paper's Figure 4 claim in miniature:
-// a query load that saturates one query partition is sustained by two.
-func TestReadScalabilityShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scalability shapes take seconds")
-	}
+// TestScalingIsCounted: on one partition every cell is the busiest, so
+// Figures 4 and 5 reduce to the budget's arithmetic — a write costs one
+// match-op per query plus one.
+func TestScalingIsCounted(t *testing.T) {
 	cfg := fastCfg()
-	// Per-node capacity at 1 000 ops/s is 20 queries; 30 overloads QP=1 by
-	// 1.5x. With QP=4 the rows hold ~7-8 queries each (hash placement of a
-	// small population is uneven, so a 4x grid leaves slack for skew).
-	overload := 30
-	one, err := RunClusterPoint(cfg, 1, 1, overload, BaseWriteRate)
+	fig4, err := Fig4(cfg, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := RunClusterPoint(cfg, 4, 1, overload, BaseWriteRate)
+	// 20 queries at 1 000 ops/s: 21 000 match-ops/s, 1 050 per query.
+	if got := fig4[0].Sustainable; got != 20_000/1_050 {
+		t.Fatalf("Figure 4 at 1 QP: %d queries, want %d", got, 20_000/1_050)
+	}
+	fig5, err := Fig5(cfg, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.SustainedUnder(50) {
-		t.Fatalf("QP=1 sustained an overload of %d queries (p99=%.1fms, %d/%d) — capacity model broken",
-			overload, one.Summary.P99MS, one.Delivered, one.Expected)
-	}
-	if !four.SustainedUnder(50) {
-		t.Fatalf("QP=4 failed at %d queries (p99=%.1fms, %d/%d) — read scalability missing",
-			overload, four.Summary.P99MS, four.Delivered, four.Expected)
-	}
-}
-
-// TestWriteScalabilityShape is Figure 5 in miniature: write throughput that
-// saturates one write partition is sustained by four.
-func TestWriteScalabilityShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scalability shapes take seconds")
-	}
-	cfg := fastCfg()
-	const queries = 20 // per-node write capacity = 20k/20 = 1 000 ops/s
-	overload := 2000
-	one, err := RunClusterPoint(cfg, 1, 1, queries, overload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := RunClusterPoint(cfg, 1, 4, queries, overload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.SustainedUnder(50) {
-		t.Fatalf("WP=1 sustained %d ops/s (p99=%.1fms, %d/%d) — capacity model broken",
-			overload, one.Summary.P99MS, one.Delivered, one.Expected)
-	}
-	if !four.SustainedUnder(50) {
-		t.Fatalf("WP=4 failed at %d ops/s (p99=%.1fms, %d/%d) — write scalability missing",
-			overload, four.Summary.P99MS, four.Delivered, four.Expected)
+	if got := fig5[0].Sustainable; got != 20_000/(FixedQueries+1) {
+		t.Fatalf("Figure 5 at 1 WP: %d ops/s, want %d", got, 20_000/(FixedQueries+1))
 	}
 }
 
@@ -182,10 +148,9 @@ func TestBaselinesComparison(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	sweeps := []Sweep{{Partitions: 1, Sustained: map[float64]int{20: 100, 50: 150}},
-		{Partitions: 2, Sustained: map[float64]int{20: 200, 50: 300}}}
-	if s := RenderSweeps("Fig 4", "QP", "queries", sweeps); !strings.Contains(s, "p99< 20ms") {
-		t.Fatalf("sweep render: %s", s)
+	rows := []Scaling{{Partitions: 1, Sustainable: 48, Skew: 1}, {Partitions: 2, Sustainable: 96, Skew: 1.04}}
+	if s := RenderScaling("Fig 4", "QP", "queries", rows); !strings.Contains(s, "96") {
+		t.Fatalf("scaling render: %s", s)
 	}
 	pts := []Point{{QP: 1, Queries: 100}}
 	if s := RenderTable3("Table 3a", pts, true); !strings.Contains(s, "1 QP") {

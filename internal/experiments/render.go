@@ -2,35 +2,19 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// RenderSweeps prints a Figure 4/5-style table: sustainable load level per
-// cluster size and SLA.
-func RenderSweeps(title, axis, unit string, sweeps []Sweep) string {
+// RenderScaling prints a Figure 4/5-style table: the sustainable load per
+// cluster size under the node budget, and the busiest cell's share.
+func RenderScaling(title, axis, unit string, rows []Scaling) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	var slas []float64
-	if len(sweeps) > 0 {
-		for sla := range sweeps[0].Sustained {
-			slas = append(slas, sla)
-		}
-		sort.Float64s(slas)
+	fmt.Fprintf(&b, "%-12s %12s %16s\n", axis, "sustainable", "busiest / mean")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-12d %12d %16.2f\n", r.Partitions, r.Sustainable, r.Skew)
 	}
-	fmt.Fprintf(&b, "%-12s", axis)
-	for _, sla := range slas {
-		fmt.Fprintf(&b, "  p99<%3.0fms", sla)
-	}
-	fmt.Fprintf(&b, "\n")
-	for _, s := range sweeps {
-		fmt.Fprintf(&b, "%-12d", s.Partitions)
-		for _, sla := range slas {
-			fmt.Fprintf(&b, "  %8d", s.Sustained[sla])
-		}
-		fmt.Fprintf(&b, "\n")
-	}
-	fmt.Fprintf(&b, "(levels in %s)\n", unit)
+	fmt.Fprintf(&b, "(levels in %s, from counted cell work; a node budget gives every p99 SLA the same level)\n", unit)
 	return b.String()
 }
 
@@ -110,14 +94,14 @@ func RenderBreakdown(title string, p Point) string {
 	fmt.Fprintf(&b, "%d QP x %d WP, %d queries, %d ops/s: end-to-end avg=%.1fms p99=%.1fms (n=%d)\n",
 		p.QP, p.WP, p.Queries, p.OpsPerSec, p.Summary.AvgMS, p.Summary.P99MS, p.Summary.Count)
 	b.WriteString(p.Breakdown.String())
-	if p.WritesMatched > 0 {
+	if p.Work.Writes > 0 {
 		perWrite := p.CandidatesPerWrite()
 		share := 0.0
 		if p.Queries > 0 {
 			share = perWrite / float64(p.Queries) * 100
 		}
 		fmt.Fprintf(&b, "query index selectivity: %.1f candidates/write (%.3f%% of %d queries), %d evaluated, %d matched over %d writes\n",
-			perWrite, share, p.Queries, p.CandEvaluated, p.CandMatched, p.WritesMatched)
+			perWrite, share, p.Queries, p.Work.Evaluated, p.Work.Matched, p.Work.Writes)
 	}
 	return b.String()
 }

@@ -97,7 +97,7 @@ func RenderSpatioText(results []SpatioTextResult) string {
 			share = p.CandidatesPerWrite() / float64(p.Queries) * 100
 		}
 		fmt.Fprintf(&b, "%-22s %7d %8d %12.1f %9.3f%% %8.2fms %8.2fms %7.1fms %5d/%-5d\n",
-			r.Label, p.OpsPerSec, p.WritesMatched, p.CandidatesPerWrite(), share,
+			r.Label, p.OpsPerSec, p.Work.Writes, p.CandidatesPerWrite(), share,
 			p.Breakdown.Grid.AvgMS, p.Breakdown.Grid.P99MS, p.Summary.P99MS,
 			p.Delivered, p.Expected)
 	}

@@ -28,11 +28,11 @@ func TestSpatioTextIndexSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if without.WritesMatched == 0 || with.WritesMatched == 0 {
+	if without.Work.Writes == 0 || with.Work.Writes == 0 {
 		t.Fatalf("no writes reached the matching stage (without=%d with=%d)",
-			without.WritesMatched, with.WritesMatched)
+			without.Work.Writes, with.Work.Writes)
 	}
-	evaluated := func(p Point) float64 { return float64(p.CandEvaluated) / float64(p.WritesMatched) }
+	evaluated := func(p Point) float64 { return float64(p.Work.Evaluated) / float64(p.Work.Writes) }
 	// The unindexed node probes and evaluates the full population per write.
 	if perWrite := without.CandidatesPerWrite(); perWrite < float64(queries) {
 		t.Fatalf("unindexed candidates/write = %.1f, want the full %d", perWrite, queries)

@@ -207,14 +207,16 @@ func (c *conn) writeLoop() {
 
 func (c *conn) readLoop() {
 	defer c.g.wg.Done()
-	defer c.close()
 	dec := json.NewDecoder(bufio.NewReaderSize(c.nc, c.g.opts.ReadBuffer))
 	dec.UseNumber() // integers beyond 2^53 survive; storage normalizes json.Number
 	for {
 		var req Request
 		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+				c.close()
+			} else {
 				c.sendError("", "malformed frame: "+err.Error())
+				c.closeWhenDrained() // the error frame goes out before the hang-up
 			}
 			return
 		}

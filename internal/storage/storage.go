@@ -106,6 +106,10 @@ func (db *DB) commit(ai *document.AfterImage) {
 // what InvaliDB's staleness avoidance relies on.
 func (db *DB) nextSeq() uint64 { return db.seq.Add(1) }
 
+// Seq returns the last version assigned. Versions are assigned and stored
+// under the shard lock, so a later read reflects every version up to it.
+func (db *DB) Seq() uint64 { return db.seq.Load() }
+
 // Collection is a hash-sharded set of documents keyed by "_id".
 type Collection struct {
 	name   string

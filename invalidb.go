@@ -21,7 +21,7 @@
 // runtime, the matching and sorting stages, and the application-server
 // client. The quickest start:
 //
-//	dep, _ := invalidb.Open(invalidb.Config{QueryPartitions: 2, WritePartitions: 2})
+//	dep, _ := invalidb.Open(invalidb.ClusterOptions{QueryPartitions: 2, WritePartitions: 2}, invalidb.ServerOptions{})
 //	defer dep.Close()
 //	_ = dep.Server.Insert("articles", invalidb.Document{"_id": "1", "year": 2020})
 //	sub, _ := dep.Server.Subscribe(invalidb.Spec{
@@ -33,7 +33,6 @@ package invalidb
 
 import (
 	"fmt"
-	"time"
 
 	"invalidb/internal/appserver"
 	"invalidb/internal/core"
@@ -182,30 +181,6 @@ func OpenJournal(path string) (*Journal, error) {
 	return storage.OpenJournal(path, storage.JournalOptions{})
 }
 
-// Config is the one-call configuration for a single-process deployment.
-type Config struct {
-	// QueryPartitions and WritePartitions shape the matching grid.
-	QueryPartitions int
-	WritePartitions int
-	// NodeCapacity throttles each matching node (match-ops/second);
-	// zero disables throttling.
-	NodeCapacity int
-	// Tenant names the application (default "default").
-	Tenant string
-	// Slack is the sorted-query slack (default 3); MaxSlack caps its
-	// adaptive growth across renewals (default 64).
-	Slack    int
-	MaxSlack int
-	// RenewalMinInterval is the poll frequency rate limit for query
-	// renewals (default 100ms).
-	RenewalMinInterval time.Duration
-	// HeartbeatInterval, RetentionTime and TTL tune liveness; zero values
-	// select production-like defaults.
-	HeartbeatInterval time.Duration
-	RetentionTime     time.Duration
-	TTL               time.Duration
-}
-
 // Deployment bundles a complete single-process InvaliDB stack: database,
 // event layer, cluster and one application server.
 type Deployment struct {
@@ -215,16 +190,11 @@ type Deployment struct {
 	Server  *Server
 }
 
-// Open starts a complete in-process deployment.
-func Open(cfg Config) (*Deployment, error) {
+// Open starts a complete in-process deployment: a cluster and one
+// application server over an in-memory event layer and database.
+func Open(clusterOpts ClusterOptions, serverOpts ServerOptions) (*Deployment, error) {
 	bus := NewMemBus()
-	cluster, err := NewCluster(bus, ClusterOptions{
-		QueryPartitions:   cfg.QueryPartitions,
-		WritePartitions:   cfg.WritePartitions,
-		NodeCapacity:      cfg.NodeCapacity,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		RetentionTime:     cfg.RetentionTime,
-	})
+	cluster, err := NewCluster(bus, clusterOpts)
 	if err != nil {
 		_ = bus.Close()
 		return nil, fmt.Errorf("invalidb: %w", err)
@@ -234,13 +204,7 @@ func Open(cfg Config) (*Deployment, error) {
 		return nil, fmt.Errorf("invalidb: %w", err)
 	}
 	db := OpenDB(DBOptions{})
-	srv, err := NewServer(db, bus, ServerOptions{
-		Tenant:             cfg.Tenant,
-		Slack:              cfg.Slack,
-		MaxSlack:           cfg.MaxSlack,
-		RenewalMinInterval: cfg.RenewalMinInterval,
-		TTL:                cfg.TTL,
-	})
+	srv, err := NewServer(db, bus, serverOpts)
 	if err != nil {
 		cluster.Stop()
 		_ = bus.Close()

@@ -6,7 +6,7 @@ import (
 )
 
 func TestOpenQuickstart(t *testing.T) {
-	dep, err := Open(Config{QueryPartitions: 2, WritePartitions: 2})
+	dep, err := Open(ClusterOptions{QueryPartitions: 2, WritePartitions: 2}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestOpenQuickstart(t *testing.T) {
 }
 
 func TestOpenSortedQuery(t *testing.T) {
-	dep, err := Open(Config{Slack: 2})
+	dep, err := Open(ClusterOptions{}, ServerOptions{Slack: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

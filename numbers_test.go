@@ -32,7 +32,7 @@ func TestPushEqualsPullForNumberTypes(t *testing.T) {
 	for _, via := range []string{"server", "gateway"} {
 		for _, typ := range []string{"int", "double", "number"} {
 			t.Run(via+"/"+typ, func(t *testing.T) {
-				dep, err := Open(Config{QueryPartitions: 2, WritePartitions: 2})
+				dep, err := Open(ClusterOptions{QueryPartitions: 2, WritePartitions: 2}, ServerOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
